@@ -171,51 +171,44 @@ def step_arrays(q: np.ndarray, p: np.ndarray, m: CatMapSpec):
     return mod1(m.a * q + m.b * p), mod1(m.c * q + m.d * p)
 
 
-def pair_potential(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
-    """V(q) = sum over bonds of amplitude * cos(2*pi*(q_l - q_{l+1} + offset_l)).
+def bonds(spec: SystemSpec, L: int, offsets=None) -> list[tuple[int, int, float]]:
+    """The pair observable as (i, j, offset) bonds, one cos(2*pi*(q_i - q_j + offset)) each.
 
-    q has shape (..., L); returns shape (...).  offsets (length L, one per
-    bond (l, l+1 mod L)) realize the translation family used by the quantum
-    ensemble; None means all zero.
+    The ring has bonds (l, l+1 mod L, offsets[l]); offsets (length L)
+    realize the translation family used by the quantum ensemble, None means
+    all zero.  All-to-all has one bond per ordered pair i != j, without offsets.
     """
-    q = np.asarray(q, dtype=float)
-    L = q.shape[-1]
     if spec.topology == ALL_TO_ALL:
         if offsets is not None:
             raise SpecError("bond offsets are defined for nearest-neighbour topology only")
-        tot = np.zeros(q.shape[:-1])
-        for i in range(L):
-            for j in range(L):
-                if i != j:
-                    tot += np.cos(TWO_PI * (q[..., i] - q[..., j]))
-        return spec.amplitude * tot
+        return [(i, j, 0.0) for i in range(L) for j in range(L) if i != j]
     if offsets is None:
         offsets = np.zeros(L)
+    return [(l, (l + 1) % L, offsets[l]) for l in range(L)]
+
+
+def _bond_sum(q: np.ndarray, bond_list) -> np.ndarray:
+    """sum over bonds of cos(2*pi*(q_i - q_j + offset)); q has shape (..., L)."""
     tot = np.zeros(q.shape[:-1])
-    for l in range(L):
-        tot += np.cos(TWO_PI * (q[..., l] - q[..., (l + 1) % L] + offsets[l]))
-    return spec.amplitude * tot
+    for i, j, off in bond_list:
+        tot += np.cos(TWO_PI * (q[..., i] - q[..., j] + off))
+    return tot
+
+
+def pair_potential(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
+    """V(q) = amplitude * sum over bonds(spec, L, offsets); q has shape (..., L), returns (...)."""
+    q = np.asarray(q, dtype=float)
+    return spec.amplitude * _bond_sum(q, bonds(spec, q.shape[-1], offsets))
 
 
 def pair_gradient(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
     """dV/dq_l, shape (..., L)."""
     q = np.asarray(q, dtype=float)
-    L = q.shape[-1]
     grad = np.zeros_like(q)
-    if spec.topology == ALL_TO_ALL:
-        for i in range(L):
-            for j in range(L):
-                if i != j:
-                    s = np.sin(TWO_PI * (q[..., i] - q[..., j]))
-                    grad[..., i] -= TWO_PI * s
-                    grad[..., j] += TWO_PI * s
-        return spec.amplitude * grad
-    if offsets is None:
-        offsets = np.zeros(L)
-    for l in range(L):
-        s = np.sin(TWO_PI * (q[..., l] - q[..., (l + 1) % L] + offsets[l]))
-        grad[..., l] -= TWO_PI * s
-        grad[..., (l + 1) % L] += TWO_PI * s
+    for i, j, off in bonds(spec, q.shape[-1], offsets):
+        s = np.sin(TWO_PI * (q[..., i] - q[..., j] + off))
+        grad[..., i] -= TWO_PI * s
+        grad[..., j] += TWO_PI * s
     return spec.amplitude * grad
 
 
@@ -224,13 +217,7 @@ def pair_hessian(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     L = q.shape[-1]
     H = np.zeros((L, L))
-    if offsets is None:
-        offsets = np.zeros(L)
-    if spec.topology == ALL_TO_ALL:
-        pairs = [(i, j, 0.0) for i in range(L) for j in range(L) if i != j]
-    else:
-        pairs = [(l, (l + 1) % L, offsets[l]) for l in range(L)]
-    for i, j, off in pairs:
+    for i, j, off in bonds(spec, L, offsets):
         c = -(TWO_PI**2) * math.cos(TWO_PI * (q[i] - q[j] + off))
         H[i, i] += c
         H[j, j] += c
@@ -273,20 +260,52 @@ def interaction_derivative(x, spec: SystemSpec, offsets=None):
 # Monte Carlo correlation estimator
 
 
-def _site_positions_at(q0, p0, m, times_needed):
-    """Evolve a batch and snapshot positions at the requested step counts."""
-    snaps = {}
-    q, p = q0, p0
-    t = 0
-    t_max = max(times_needed)
-    if t in times_needed:
-        snaps[0] = q.copy()
-    while t < t_max:
-        q, p = step_arrays(q, p, m)
-        t += 1
-        if t in times_needed:
-            snaps[t] = q.copy()
-    return snaps
+def _trajectory(rng: np.random.Generator, n: int, L: int, m: CatMapSpec, shifts, steps: int):
+    """Positions of shifted copies of n uniform samples at t = 0..steps-1.
+
+    Draws q0, then p0, each of shape (n, L), from rng.  Copy k starts with
+    site l advanced shifts[k][l] map steps, one column at a time; then all
+    copies are stepped together.  Yields arrays of shape (len(shifts), n, L).
+    Every element sees the same sequence of IEEE operations as stepping it
+    alone, so the positions are bit-identical to direct per-column stepping.
+    """
+    # site-major layout: each (copy, site) column is contiguous; the draws
+    # are not kept, so a batch holds only the stepped copies
+    q = np.repeat(rng.random((n, L)).T[None], len(shifts), axis=0)
+    p = np.repeat(rng.random((n, L)).T[None], len(shifts), axis=0)
+    for k, shift in enumerate(shifts):
+        for l, s in enumerate(shift):
+            for _ in range(s):
+                q[k, l], p[k, l] = step_arrays(q[k, l], p[k, l], m)
+    for t in range(steps):
+        if t:
+            q, p = step_arrays(q, p, m)
+        yield q.transpose(0, 2, 1)
+
+
+def _correlation(m: CatMapSpec, amplitude: float, bond_list, L: int,
+                 shift: tuple[int, ...], samples: int, seed: int, batch: int = 1 << 17):
+    """(C(shift), std_error) of W = amplitude * _bond_sum under uniform initial conditions."""
+    rng = philox(seed)
+    m_off = max(0, -min(shift))
+    shifts = ((m_off,) * L, tuple(m_off + s for s in shift))
+    n_done = 0
+    s_p = s_p2 = s_a = s_b = 0.0
+    while n_done < samples:
+        n = min(batch, samples - n_done)
+        (q,) = _trajectory(rng, n, L, m, shifts, 1)
+        a, b = amplitude * _bond_sum(q, bond_list)
+        prod = a * b
+        s_p += prod.sum()
+        s_p2 += (prod * prod).sum()
+        s_a += a.sum()
+        s_b += b.sum()
+        n_done += n
+
+    mean_p = s_p / samples
+    value = mean_p - (s_a / samples) * (s_b / samples)
+    var_p = max(s_p2 / samples - mean_p**2, 0.0)
+    return float(value), float(math.sqrt(var_p / samples))
 
 
 def estimate_correlation(
@@ -307,32 +326,7 @@ def estimate_correlation(
         raise SpecError("shift must have one component per site")
     if samples <= 0:
         raise SpecError("samples must be positive")
-    rng = philox(seed)
-    m_off = max(0, -min(shift))
-    base_t = m_off
-    shifted_t = [m_off + s for s in shift]
-    needed = sorted({base_t, *shifted_t})
-
-    n_done = 0
-    s_p = s_p2 = s_a = s_b = 0.0
-    while n_done < samples:
-        n = min(batch, samples - n_done)
-        q0 = rng.random((n, spec.L))
-        p0 = rng.random((n, spec.L))
-        snaps = _site_positions_at(q0, p0, spec.subsystem, set(needed))
-        a = pair_potential(snaps[base_t], spec)
-        qs = np.column_stack([snaps[shifted_t[l]][:, l] for l in range(spec.L)])
-        b = pair_potential(qs, spec)
-        prod = a * b
-        s_p += prod.sum()
-        s_p2 += (prod * prod).sum()
-        s_a += a.sum()
-        s_b += b.sum()
-        n_done += n
-
-    mean_p = s_p / samples
-    value = mean_p - (s_a / samples) * (s_b / samples)
-    var_p = max(s_p2 / samples - mean_p**2, 0.0)
-    std_error = math.sqrt(var_p / samples)
-    return CorrelationEstimate(shift=shift, value=float(value),
-                               std_error=float(std_error), samples=samples, seed=seed)
+    value, std_error = _correlation(spec.subsystem, spec.amplitude, bonds(spec, spec.L),
+                                    spec.L, shift, samples, seed, batch)
+    return CorrelationEstimate(shift=shift, value=value, std_error=std_error,
+                               samples=samples, seed=seed)

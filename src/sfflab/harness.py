@@ -460,7 +460,7 @@ def _run_clt(cfg, outdir, tracker):
     _write_csv(tracker, outdir / "phase_samples.csv", "phase_samples",
                ["T", "mode", "index", "phi", "phi_tilde", "s"], sample_rows)
     _write_json(tracker, outdir / "clt_report.json", report)
-    return {"seeds": {str(t): s for t, s in zip(sec["T_list"], seeds)}}
+    return {"task_seeds": {f"T={t}": s for t, s in zip(sec["T_list"], seeds)}}
 
 
 def _run_variance(cfg, outdir, tracker):
@@ -522,7 +522,12 @@ def _run_variance(cfg, outdir, tracker):
             "ok": bool(abs(ta.sigma2 - se.sigma2) <= 3.0 * comb + se.truncation_bound),
         }
     _write_json(tracker, outdir / "variance_report.json", report)
-    return {"seeds": seeds[:3]}
+    # the agreement series estimate runs at seed agreement + 1
+    task_seeds = {"table": seeds[0], "invariance_shifts": seeds[1], "agreement": seeds[2]}
+    for i in range(sec["invariance_checks"]):
+        task_seeds[f"invariance_{i}"] = seeds[3 + 2 * i]
+        task_seeds[f"invariance_{i}_shifted"] = seeds[4 + 2 * i]
+    return {"task_seeds": task_seeds}
 
 
 def _run_quantum(cfg, outdir, tracker):
@@ -668,11 +673,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         raise ExperimentError(f"experiment {cfg.kind} failed: {e}") from e
     wall = time.monotonic() - t0
     digests = {p.name: sha256_file(p) for p in tracker.paths}
+    task_seeds = {"master": cfg.seed, **extras.pop("task_seeds", {})}
     manifest = RunManifest(
         config=cfg.to_dict(),
         version=__version__,
         wall_time_s=wall,
-        task_seeds={"master": cfg.seed},
+        task_seeds=task_seeds,
         digests=digests,
         extras=_jsonable(extras),
     )

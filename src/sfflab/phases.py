@@ -21,16 +21,17 @@ from .dynamics import (
     CatMapSpec,
     SpecError,
     SystemSpec,
+    _bond_sum,
+    _correlation,
+    _trajectory,
+    bonds,
     coupled_step_unreduced,
     estimate_correlation,
     pair_hessian,
     pair_potential,
-    step_arrays,
 )
 from .orbits import OrbitFamily, ShiftVector, _as_shift, enumerate_lattice, periodic_point_count
 from .util import philox, spawn_seeds
-
-TWO_PI = 2.0 * math.pi
 
 
 class SeriesError(ValueError):
@@ -415,20 +416,25 @@ def _exact_phase_batch(spec, T, sv, n, rng):
 
 
 def _proxy_phase_batch(spec, T, sv, n, rng):
-    m = spec.subsystem
-    L = spec.L
-    q = rng.random((n, L))
-    p = rng.random((n, L))
-    qs, ps = q.copy(), p.copy()
-    for l in range(L):
-        for _ in range(sv.components[l]):
-            qs[:, l], ps[:, l] = step_arrays(qs[:, l], ps[:, l], m)
-    phi = np.zeros(n)
-    for _ in range(T):
-        phi += pair_potential(q, spec) - pair_potential(qs, spec)
-        q, p = step_arrays(q, p, m)
-        qs, ps = step_arrays(qs, ps, m)
-    return phi
+    return _phase_sums(spec.subsystem, spec.amplitude, bonds(spec, spec.L), spec.L,
+                       sv.components, (T,), n, rng)[T]
+
+
+def _phase_sums(m, amplitude, bond_list, L, s, checkpoints, n, rng):
+    """Phi_t = sum_{t' < t} [V(phi^t' x) - V(phi^t' phi^s x)] at each checkpoint t.
+
+    x is a batch of n uniform initial conditions drawn from rng; V is
+    amplitude * _bond_sum.  Returns {t: array of shape (n,)}.
+    """
+    acc = np.zeros(n)
+    out = {}
+    traj = _trajectory(rng, n, L, m, ((0,) * L, s), max(checkpoints))
+    for t, q in enumerate(traj, start=1):
+        v, v_s = amplitude * _bond_sum(q, bond_list)
+        acc += v - v_s
+        if t in checkpoints:
+            out[t] = acc.copy()
+    return out
 
 
 def _extract_values(samples) -> np.ndarray:
@@ -482,29 +488,30 @@ def variance_time_average(
     s_t = tuple(int(v) for v in s)
     if len(s_t) != spec.L or any(v < 0 for v in s_t):
         raise SpecError("shift must be a length-L tuple of nonnegative integers")
-    rng = philox(seed)
+    ladder = _time_average_ladder(spec.subsystem, spec.amplitude, bonds(spec, spec.L), spec.L,
+                                  s_t, horizon, samples, seed, batch)
+    plateau_ok = True
+    for (c1, v1, e1), (c2, v2, e2) in zip(ladder, ladder[1:]):
+        if abs(v1 - v2) > math.sqrt(e1 * e1 + e2 * e2):
+            plateau_ok = False
+    _, sig2, err = ladder[-1]
+    return VarianceEstimate(sigma2=sig2, std_error=err, horizon=horizon,
+                            plateau_ok=plateau_ok, ladder=ladder, s=s_t, seed=seed)
+
+
+def _time_average_ladder(m, amplitude, bond_list, L, s, horizon, samples, seed, batch=1 << 15):
+    """((t, sigma2, err), ...) of (1/t) <Phi_t^2> at t = horizon/4, horizon/2, horizon."""
     checkpoints = sorted({max(1, horizon // 4), max(1, horizon // 2), horizon})
     sums = {c: 0.0 for c in checkpoints}
     sums2 = {c: 0.0 for c in checkpoints}
-    m = spec.subsystem
+    rng = philox(seed)
     done = 0
     while done < samples:
         n = min(batch, samples - done)
-        q = rng.random((n, spec.L))
-        p = rng.random((n, spec.L))
-        qs, ps = q.copy(), p.copy()
-        for l in range(spec.L):
-            for _ in range(s_t[l]):
-                qs[:, l], ps[:, l] = step_arrays(qs[:, l], ps[:, l], m)
-        acc = np.zeros(n)
-        for t in range(1, horizon + 1):
-            acc += pair_potential(q, spec) - pair_potential(qs, spec)
-            q, p = step_arrays(q, p, m)
-            qs, ps = step_arrays(qs, ps, m)
-            if t in sums:
-                vals = acc * acc / t
-                sums[t] += vals.sum()
-                sums2[t] += (vals * vals).sum()
+        for t, acc in _phase_sums(m, amplitude, bond_list, L, s, checkpoints, n, rng).items():
+            vals = acc * acc / t
+            sums[t] += vals.sum()
+            sums2[t] += (vals * vals).sum()
         done += n
 
     ladder = []
@@ -512,13 +519,7 @@ def variance_time_average(
         mean = sums[c] / samples
         var = max(sums2[c] / samples - mean * mean, 0.0)
         ladder.append((c, float(mean), float(math.sqrt(var / samples))))
-    plateau_ok = True
-    for (c1, v1, e1), (c2, v2, e2) in zip(ladder, ladder[1:]):
-        if abs(v1 - v2) > math.sqrt(e1 * e1 + e2 * e2):
-            plateau_ok = False
-    _, sig2, err = ladder[-1]
-    return VarianceEstimate(sigma2=sig2, std_error=err, horizon=horizon,
-                            plateau_ok=plateau_ok, ladder=tuple(ladder), s=s_t, seed=seed)
+    return tuple(ladder)
 
 
 def variance_series(
@@ -532,27 +533,35 @@ def variance_series(
     s_t = tuple(int(v) for v in s)
     if len(s_t) != spec.L:
         raise SpecError("shift must have one component per site")
-    seeds = spawn_seeds(seed, (t_max + 1) + (2 * t_max + 1))
-    sync = [
-        estimate_correlation(spec, (t,) * spec.L, samples, seeds[t])
-        for t in range(t_max + 1)
-    ]
-    shifted = [
-        estimate_correlation(
-            spec, tuple(t + v for v in s_t), samples, seeds[t_max + 1 + (t + t_max)]
-        )
-        for t in range(-t_max, t_max + 1)
-    ]
-    total = sync[0].value + 2.0 * sum(c.value for c in sync[1:]) - sum(c.value for c in shifted)
-    sigma2 = 2.0 * total
-    var = sync[0].std_error**2 + sum((2.0 * c.std_error) ** 2 for c in sync[1:])
-    var += sum(c.std_error**2 for c in shifted)
-    err = 2.0 * math.sqrt(var)
 
-    eta_hat, bound = _fit_tail([c.value for c in sync], [c.std_error for c in sync])
+    def correlation(shift, n, sd):
+        c = estimate_correlation(spec, shift, n, sd)
+        return c.value, c.std_error
+
+    sigma2, err, sync = _series_sum(correlation, s_t, t_max, samples, seed)
+    eta_hat, bound = _fit_tail([v for v, _ in sync], [e for _, e in sync])
     return SeriesVariance(sigma2=float(sigma2), std_error=float(err),
                           truncation_bound=bound, eta_hat=eta_hat,
                           t_max=t_max, s=s_t, seed=seed)
+
+
+def _series_sum(correlation, s_t, t_max, samples, seed):
+    """2 sum_t [C(t*1) - C(t*1 + s)] over |t| <= t_max, each term independently seeded.
+
+    correlation(shift, samples, seed) returns (value, std_error).  Returns
+    (sigma2, std_error, synchronous (value, std_error) pairs for t = 0..t_max).
+    """
+    L = len(s_t)
+    seeds = spawn_seeds(seed, (t_max + 1) + (2 * t_max + 1))
+    sync = [correlation((t,) * L, samples, seeds[t]) for t in range(t_max + 1)]
+    shifted = [
+        correlation(tuple(t + v for v in s_t), samples, seeds[t_max + 1 + (t + t_max)])
+        for t in range(-t_max, t_max + 1)
+    ]
+    total = sync[0][0] + 2.0 * sum(v for v, _ in sync[1:]) - sum(v for v, _ in shifted)
+    var = sync[0][1] ** 2 + sum((2.0 * e) ** 2 for _, e in sync[1:])
+    var += sum(e**2 for _, e in shifted)
+    return 2.0 * total, 2.0 * math.sqrt(var), sync
 
 
 def _fit_tail(c_vals, c_errs):
@@ -612,103 +621,6 @@ def quotient_projection(s, T: int | None = None) -> tuple[int, ...]:
 # per-bond variances (two-site problem)
 
 
-def _bond_w(qx, qy, amplitude):
-    return amplitude * np.cos(TWO_PI * (qx - qy))
-
-
-def bond_variance_time_average(
-    m: CatMapSpec,
-    s_tilde: int,
-    horizon: int,
-    samples: int,
-    seed: int,
-    amplitude: float = 1.0,
-    batch: int = 1 << 15,
-):
-    """Time-average variance of v_{s~}(x, y) = w(x, y) - w(psi^{s~} x, y)."""
-    rng = philox(seed)
-    total = total2 = 0.0
-    done = 0
-    while done < samples:
-        n = min(batch, samples - done)
-        q = rng.random((n, 2))
-        p = rng.random((n, 2))
-        qs, ps = q.copy(), p.copy()
-        for _ in range(s_tilde):
-            qs[:, 0], ps[:, 0] = step_arrays(qs[:, 0], ps[:, 0], m)
-        acc = np.zeros(n)
-        for _ in range(horizon):
-            acc += _bond_w(q[:, 0], q[:, 1], amplitude) - _bond_w(qs[:, 0], qs[:, 1], amplitude)
-            q[:, 0], p[:, 0] = step_arrays(q[:, 0], p[:, 0], m)
-            q[:, 1], p[:, 1] = step_arrays(q[:, 1], p[:, 1], m)
-            qs[:, 0], ps[:, 0] = step_arrays(qs[:, 0], ps[:, 0], m)
-            qs[:, 1], ps[:, 1] = step_arrays(qs[:, 1], ps[:, 1], m)
-        vals = acc * acc / horizon
-        total += vals.sum()
-        total2 += (vals * vals).sum()
-        done += n
-    mean = total / samples
-    var = max(total2 / samples - mean * mean, 0.0)
-    return float(mean), float(math.sqrt(var / samples))
-
-
-def _bond_correlation(m, shift2, samples, seed, amplitude=1.0, batch=1 << 17):
-    """C_w(shift2) on the two-site bond problem (observable = single w)."""
-    rng = philox(seed)
-    m_off = max(0, -min(shift2))
-    t0 = m_off
-    t1x, t1y = m_off + shift2[0], m_off + shift2[1]
-    needed = sorted({t0, t1x, t1y})
-    s_p = s_p2 = s_a = s_b = 0.0
-    done = 0
-    while done < samples:
-        n = min(batch, samples - done)
-        q = rng.random((n, 2))
-        p = rng.random((n, 2))
-        snaps = {}
-        t = 0
-        if t in needed:
-            snaps[0] = q.copy()
-        while t < needed[-1]:
-            q, p = step_arrays(q, p, m)
-            t += 1
-            if t in needed:
-                snaps[t] = q.copy()
-        a = _bond_w(snaps[t0][:, 0], snaps[t0][:, 1], amplitude)
-        b = _bond_w(snaps[t1x][:, 0], snaps[t1y][:, 1], amplitude)
-        prod = a * b
-        s_p += prod.sum()
-        s_p2 += (prod * prod).sum()
-        s_a += a.sum()
-        s_b += b.sum()
-        done += n
-    mean_p = s_p / samples
-    val = mean_p - (s_a / samples) * (s_b / samples)
-    var = max(s_p2 / samples - mean_p**2, 0.0)
-    return float(val), float(math.sqrt(var / samples))
-
-
-def bond_variance_series(
-    m: CatMapSpec,
-    s_tilde: int,
-    t_max: int,
-    samples: int,
-    seed: int,
-    amplitude: float = 1.0,
-):
-    """Series estimator of the bond variance: 2 sum_t [C(t,t) - C(t+s~, t)]."""
-    seeds = spawn_seeds(seed, (t_max + 1) + (2 * t_max + 1))
-    sync = [_bond_correlation(m, (t, t), samples, seeds[t], amplitude) for t in range(t_max + 1)]
-    shifted = [
-        _bond_correlation(m, (t + s_tilde, t), samples, seeds[t_max + 1 + (t + t_max)], amplitude)
-        for t in range(-t_max, t_max + 1)
-    ]
-    total = sync[0][0] + 2.0 * sum(v for v, _ in sync[1:]) - sum(v for v, _ in shifted)
-    var = sync[0][1] ** 2 + sum((2.0 * e) ** 2 for _, e in sync[1:])
-    var += sum(e**2 for _, e in shifted)
-    return 2.0 * total, 2.0 * math.sqrt(var)
-
-
 def per_bond_variance_table(
     spec: SystemSpec,
     T: int,
@@ -724,16 +636,19 @@ def per_bond_variance_table(
     if estimator not in ("time-average", "series"):
         raise SpecError(f"unknown estimator {estimator!r}")
     horizon = horizon or max(256, 8 * T)
+    m, amplitude = spec.subsystem, spec.amplitude
+    bond = [(0, 1, 0.0)]
+
+    def correlation(shift, n, sd):
+        return _correlation(m, amplitude, bond, 2, shift, n, sd)
+
     seeds = spawn_seeds(seed, T)
     values = {0: (0.0, 0.0)}
     for st in range(1, T):
         if estimator == "time-average":
-            v, e = bond_variance_time_average(
-                spec.subsystem, st, horizon, samples, seeds[st], spec.amplitude
-            )
+            ladder = _time_average_ladder(m, amplitude, bond, 2, (st, 0), horizon, samples, seeds[st])
+            values[st] = ladder[-1][1:]
         else:
-            v, e = bond_variance_series(
-                spec.subsystem, st, t_max, samples, seeds[st], spec.amplitude
-            )
-        values[st] = (v, e)
+            sigma2, err, _ = _series_sum(correlation, (st, 0), t_max, samples, seeds[st])
+            values[st] = (sigma2, err)
     return VarianceTable(T=T, kind="per-bond", values=values)

@@ -66,7 +66,6 @@ class CircuitSpec:
     amplitude: float = 1.0
     ensemble: EnsembleSpec = field(default_factory=EnsembleSpec)
     memory_budget_bytes: int = 2 << 30
-    eig_crossover: int = 2048
 
     def __post_init__(self):
         if self.L < 1 or self.N < 2:
@@ -247,22 +246,14 @@ def build_circuit(spec: CircuitSpec, member: MemberRealization | None = None) ->
     return U
 
 
-def trace_powers(U: np.ndarray, t_max: int, eig_crossover: int = 2048) -> np.ndarray:
-    """tr U^t for t = 1..t_max, by eigenphases below the crossover dimension."""
-    dim = U.shape[0]
+def trace_powers(U: np.ndarray, t_max: int) -> np.ndarray:
+    """tr U^t for t = 1..t_max, as power sums of the eigenvalues."""
+    ev = np.linalg.eigvals(U)
     out = np.empty(t_max, dtype=complex)
-    if dim <= eig_crossover:
-        ev = np.linalg.eigvals(U)
-        cur = np.ones_like(ev)
-        for t in range(t_max):
-            cur = cur * ev
-            out[t] = cur.sum()
-    else:
-        P = U.copy()
-        out[0] = np.trace(P)
-        for t in range(1, t_max):
-            P = P @ U
-            out[t] = np.trace(P)
+    cur = np.ones_like(ev)
+    for t in range(t_max):
+        cur = cur * ev
+        out[t] = cur.sum()
     return out
 
 
@@ -270,7 +261,7 @@ def _member_sff_task(args) -> np.ndarray:
     """|tr U^t|^2 for one ensemble member (top-level for process pools)."""
     spec, member, t_max = args
     U = build_circuit(spec, member)
-    tr = trace_powers(U, t_max, spec.eig_crossover)
+    tr = trace_powers(U, t_max)
     return np.abs(tr) ** 2
 
 

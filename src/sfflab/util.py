@@ -22,10 +22,12 @@ def spawn_seeds(master_seed: int, n: int) -> list[int]:
 def mod1(x):
     """Floor-based reduction into [0, 1).
 
-    Guards the float edge where x % 1.0 rounds up to exactly 1.0
-    (e.g. x = -1e-18), which would break the half-open invariant.
+    x - floor(x) is the exact fractional part rounded once, so it equals
+    np.mod(x, 1.0) bit for bit while skipping the division.  Guards the
+    float edge where that rounds up to exactly 1.0 (e.g. x = -1e-18), which
+    would break the half-open invariant.
     """
-    r = np.mod(x, 1.0)
+    r = x - np.floor(x)
     return np.where(r >= 1.0, 0.0, r)
 
 

@@ -11,10 +11,14 @@ from sfflab.dynamics import (
     SpecError,
     SystemSpec,
     TorusPoint,
+    _trajectory,
     coupled_step,
     coupled_step_unreduced,
     estimate_correlation,
     interaction_derivative,
+    pair_gradient,
+    pair_hessian,
+    pair_potential,
     subsystem_step,
 )
 from sfflab.util import mod1, philox
@@ -53,6 +57,62 @@ def test_subsystem_step_inverse_roundtrip():
 def test_mod1_half_open_edge():
     vals = mod1(np.array([-1e-18, -0.25, 0.999999999, 2.0, -2.0]))
     assert np.all(vals >= 0.0) and np.all(vals < 1.0)
+    # bit-for-bit equal to the np.mod reduction with the same 1.0 guard
+    x = np.concatenate([philox(9).uniform(-2.5, 4.5, 1_000_000),
+                        [-1e-18, 0.0, -0.0, 1.0, -1.0, -5e-324]])
+    ref = np.mod(x, 1.0)
+    ref = np.where(ref >= 1.0, 0.0, ref)
+    assert np.array_equal(mod1(x).view(np.uint64), ref.view(np.uint64))
+
+
+def _stepped_directly(q0, p0, shift, t):
+    """Positions after shift[l] + t single-site steps of each sample's site l."""
+    out = np.empty_like(q0)
+    for i in range(q0.shape[0]):
+        for l in range(q0.shape[1]):
+            x = TorusPoint(q0[i, l], p0[i, l])
+            for _ in range(shift[l] + t):
+                x = subsystem_step(x, DEFAULT_MAP)
+            out[i, l] = x.q
+    return out
+
+
+@pytest.mark.parametrize("shifts", [
+    ((0, 0, 0), (0, 2, 0), (3, 0, 1)),
+    # estimate_correlation's copies for shift (-2, 1, 0): both offset by 2 steps
+    ((2, 2, 2), (0, 3, 2)),
+])
+def test_trajectory_matches_direct_stepping(shifts):
+    rng = philox(10)
+    q0, p0 = rng.random((16, 3)), rng.random((16, 3))
+    steps = 4
+    frames = list(_trajectory(philox(10), 16, 3, DEFAULT_MAP, shifts, steps))
+    assert len(frames) == steps
+    for t, frame in enumerate(frames):
+        assert frame.shape == (len(shifts), 16, 3)
+        for k, shift in enumerate(shifts):
+            assert np.array_equal(frame[k], _stepped_directly(q0, p0, shift, t))
+
+
+@pytest.mark.parametrize("spec, offsets", [
+    (SystemSpec(L=4, amplitude=1.3), np.array([0.1, 0.35, 0.8, 0.55])),
+    (SystemSpec(L=3, topology=ALL_TO_ALL, amplitude=0.7), None),
+])
+def test_pair_derivatives_match_central_differences(spec, offsets):
+    L = spec.L
+    eye = np.eye(L)
+    for q in philox(11).random((5, L)):
+        h = 1e-6
+        fd_grad = (pair_potential(q + h * eye, spec, offsets)
+                   - pair_potential(q - h * eye, spec, offsets)) / (2 * h)
+        assert np.abs(pair_gradient(q, spec, offsets) - fd_grad).max() < 1e-6
+        h = 1e-4
+        fd_hess = np.empty((L, L))
+        for i in range(L):
+            pp, mp, pm, mm = (pair_potential(q + si * h * eye[i] + sj * h * eye, spec, offsets)
+                              for si, sj in ((1, 1), (-1, 1), (1, -1), (-1, -1)))
+            fd_hess[i] = (pp - mp - pm + mm) / (4 * h * h)
+        assert np.abs(pair_hessian(q, spec, offsets) - fd_hess).max() < 1e-4
 
 
 def test_coupled_step_decouples_bitwise_at_eps0():

@@ -16,6 +16,7 @@ from sfflab.harness import (
     validate_config,
     verify_manifest,
 )
+from sfflab.util import spawn_seeds
 
 
 def _cfg_predict(outdir, **over):
@@ -183,6 +184,20 @@ def test_variance_pipeline_small(tmp_path):
         f.readline()
         rows = list(csv.DictReader(f))
     assert float(rows[0]["sigma2"]) == 0.0
+
+
+def test_variance_manifest_records_every_task_seed(tmp_path):
+    cfg = validate_config({
+        "kind": "variance", "seed": 33, "outdir": str(tmp_path / "v"),
+        "variance": {"T": 2, "samples": 500, "horizon": 8, "invariance_checks": 2,
+                     "invariance_samples": 500},
+    })
+    run_experiment(cfg)
+    manifest = json.loads((tmp_path / "v/manifest.json").read_text())
+    seeds = manifest["task_seeds"]
+    assert seeds.pop("master") == 33
+    assert sorted(seeds.values()) == sorted(spawn_seeds(33, 3 + 2 * 2))
+    assert "seeds" not in manifest["extras"]
 
 
 def test_clt_pipeline_small(tmp_path):

@@ -10,7 +10,6 @@ from sfflab.phases import (
     TableError,
     VarianceTable,
     action_difference_identity_check,
-    bond_variance_time_average,
     clt_diagnostics,
     per_bond_variance_table,
     phase_difference,
@@ -176,9 +175,11 @@ def test_variance_nearest_neighbour_additivity_three_sites():
     seeds = (12, 13, 14)
     parts = []
     for l, seed in enumerate(seeds):
+        # one table per bond, so the three estimates are independently seeded
         st = abs(s[l] - s[(l + 1) % 3])
-        v, e = bond_variance_time_average(DEFAULT_MAP, st, 256, 40_000, seed)
-        parts.append((v, e))
+        table = per_bond_variance_table(SystemSpec(L=2), st + 1, samples=40_000, seed=seed,
+                                        horizon=256)
+        parts.append(table.values[st])
     total = sum(v for v, _ in parts)
     comb = math.sqrt(full.std_error**2 + sum(e**2 for _, e in parts))
     assert abs(full.sigma2 - total) <= 3.0 * comb

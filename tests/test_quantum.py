@@ -117,12 +117,11 @@ def test_memory_budget_preflight():
         build_circuit(spec)
 
 
-def test_trace_power_paths_agree():
+def test_trace_powers_match_matrix_powers():
     spec = CircuitSpec(L=2, N=6, lam=0.4, ensemble=EnsembleSpec(members=1, seed=4))
     U = build_circuit(spec, ensemble_members(spec)[0])
-    t1 = trace_powers(U, 25, eig_crossover=2048)
-    t2 = trace_powers(U, 25, eig_crossover=1)
-    assert np.abs(t1 - t2).max() < 1e-8
+    want = np.array([np.trace(np.linalg.matrix_power(U, t)) for t in range(1, 26)])
+    assert np.abs(trace_powers(U, 25) - want).max() < 1e-8
 
 
 def test_lambda_scaling_of_epsilon():
