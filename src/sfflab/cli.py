@@ -17,6 +17,7 @@ from .harness import (
     KINDS,
     ConfigError,
     SchemaError,
+    read_config,
     report,
     run_experiment,
     validate_config,
@@ -27,7 +28,10 @@ def _apply_override(data: dict, assignment: str):
     if "=" not in assignment:
         raise ConfigError(f"--set expects key=value, got {assignment!r}")
     key, raw = assignment.split("=", 1)
-    value = yaml.safe_load(raw)
+    try:
+        value = yaml.safe_load(raw)
+    except yaml.YAMLError as e:
+        raise ConfigError(f"--set {key}: {e}")
     node = data
     parts = key.split(".")
     for part in parts[:-1]:
@@ -62,11 +66,7 @@ def main(argv=None) -> int:
             print(text, end="")
             return EXIT_OK if combined["all_passed"] else EXIT_RUNTIME
 
-        if args.config:
-            with open(args.config) as f:
-                data = yaml.safe_load(f) or {}
-        else:
-            data = {}
+        data = read_config(args.config) if args.config else {}
         data["kind"] = args.command
         if args.outdir is not None:
             data["outdir"] = args.outdir
@@ -82,9 +82,6 @@ def main(argv=None) -> int:
               f"{manifest.wall_time_s:.1f} s)")
         return EXIT_OK
     except (ConfigError, SchemaError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as e:

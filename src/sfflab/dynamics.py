@@ -128,19 +128,6 @@ class SystemSpec:
             "epsilon": self.epsilon,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemSpec":
-        sub = d.get("subsystem")
-        m = CatMapSpec(**sub) if sub else DEFAULT_MAP
-        return cls(
-            L=int(d["L"]),
-            subsystem=m,
-            interaction=d.get("interaction", "cosine"),
-            amplitude=float(d.get("amplitude", 1.0)),
-            topology=d.get("topology", NEAREST_NEIGHBOUR),
-            epsilon=float(d.get("epsilon", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class CorrelationEstimate:

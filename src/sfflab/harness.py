@@ -9,16 +9,18 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import DEFAULT_MAP, CatMapSpec, SystemSpec
-from .orbits import periodic_point_count, subsystem_orbits, sum_rule_check, stability_amplitude_sq
+from .dynamics import DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec
+from .orbits import enumerate_lattice, periodic_point_count, stability_amplitude_sq, subsystem_orbits
 from .phases import (
     clt_diagnostics,
     per_bond_variance_table,
@@ -26,9 +28,9 @@ from .phases import (
     variance_series,
     variance_time_average,
 )
-from .potts import PottsParams, SffPrediction, bound_check, closed_form_sff, scaled_kappa, thouless_time
-from .quantum import CircuitSpec, EnsembleSpec, SffSeries, compare, sff_numeric
-from .util import fmt_float, sha256_file, spawn_seeds
+from .potts import PottsError, PottsParams, SffPrediction, bound_check, closed_form_sff, scaled_kappa, thouless_time
+from .quantum import CircuitSpec, ConventionError, EnsembleSpec, SffSeries, compare, sff_numeric
+from .util import fmt_float, philox, sha256_file, spawn_seeds
 
 KINDS = ("predict", "orbits", "clt", "variance", "quantum-sff", "compare", "bound-check")
 
@@ -51,6 +53,9 @@ class ExperimentError(RuntimeError):
 
 _REQUIRED = object()
 
+# key -> (type, default[, rule]).  A type is a scalar type, a nested schema
+# dict, or [element type] for a list; a rule is a tuple of allowed values or
+# a lower bound, applied to each element of a list.
 _MAP_SCHEMA = {"a": (int, _REQUIRED), "b": (int, _REQUIRED),
                "c": (int, _REQUIRED), "d": (int, _REQUIRED)}
 
@@ -60,7 +65,7 @@ _PREDICTION_SCHEMA = {
     "chi": (float, None),
     "Lambda": (float, None),
     "sigma2_phi": (float, 1.0),
-    "form": (str, "closed-form"),  # closed-form | kappa
+    "form": (str, "closed-form", ("closed-form", "kappa")),
 }
 
 _SYSTEM_SCHEMA = {
@@ -72,6 +77,8 @@ _SYSTEM_SCHEMA = {
     "epsilon": (float, 0.0),
 }
 
+_FAMILY_SCHEMA = {"eta": (float, _REQUIRED), "theta": (float, _REQUIRED)}
+
 SECTION_SCHEMAS = {
     "predict": {
         "L": (int, _REQUIRED),
@@ -81,13 +88,13 @@ SECTION_SCHEMAS = {
         "T_H": (float, 100.0),
         "T_start": (float, 1.0),
         "T_stop": (float, 1e5),
-        "T_points": (int, 400),
-        "T_spacing": (str, "log"),
+        "T_points": (int, 400, 1),
+        "T_spacing": (str, "log", ("log", "linear", "integer")),
         "emit_limits": (bool, True),
         "emit_kappa": (bool, False),
     },
     "orbits": {
-        "T_list": (list, _REQUIRED),
+        "T_list": ([int], _REQUIRED, 1),
         "map": (_MAP_SCHEMA, None),
         "max_points": (int, 5_000_000),
         "inventory_max_T": (int, 8),
@@ -95,24 +102,24 @@ SECTION_SCHEMAS = {
     "clt": {
         "L": (int, 2),
         "system": (_SYSTEM_SCHEMA, None),
-        "T_list": (list, _REQUIRED),
-        "s": (list, None),
-        "budget": (int, 100_000),
-        "mode": (str, "auto"),
+        "T_list": ([int], _REQUIRED, 1),
+        "s": ([int], None),
+        "budget": (int, 100_000, 1000),  # clt_diagnostics needs 1000 samples
+        "mode": (str, "auto", ("auto", "exact", "proxy")),
         "csv_rows": (int, 20_000),
     },
     "variance": {
         "L": (int, 2),
         "system": (_SYSTEM_SCHEMA, None),
-        "T": (int, 16),
-        "estimator": (str, "time-average"),
+        "T": (int, 16, 1),
+        "estimator": (str, "time-average", ("time-average", "series")),
         "samples": (int, 20_000),
         "horizon": (int, 256),
         "t_max": (int, 10),
         "invariance_checks": (int, 0),
         "invariance_samples": (int, 20_000),
         "agreement_check": (bool, False),
-        "agreement_s": (list, None),
+        "agreement_s": ([int], None),
     },
     "quantum": {
         "N": (int, _REQUIRED),
@@ -128,7 +135,7 @@ SECTION_SCHEMAS = {
     "compare": {
         "series_csv": (str, _REQUIRED),
         "prediction": (_PREDICTION_SCHEMA, _REQUIRED),
-        "late_window": (list, [0.4, 1.0]),
+        "late_window": ([float], [0.4, 1.0]),
         "slope_tol": (float, 0.25),
         "ratio_tol": (float, 0.25),
         "use_raw": (bool, False),
@@ -138,10 +145,10 @@ SECTION_SCHEMAS = {
         "T_H": (float, 16.0),
         "Lambda": (float, 2.0),
         "f0": (float, 1.0),
-        "families": (list, _REQUIRED),
+        "families": ([_FAMILY_SCHEMA], _REQUIRED),
         "T_start": (int, 2),
         "T_stop": (int, 256),
-        "T_points": (int, 24),
+        "T_points": (int, 24, 1),
     },
 }
 
@@ -154,6 +161,8 @@ KIND_SECTION = {
     "compare": "compare",
     "bound-check": "bound",
 }
+
+_TOP_SCHEMA = {"seed": (int, _REQUIRED), "outdir": (str, _REQUIRED), "workers": (int, 1, 1)}
 
 
 @dataclass
@@ -184,38 +193,33 @@ class RunManifest:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "task_seeds": self.task_seeds,
-            "digests": self.digests,
-            "extras": self.extras,
-        }
+        return asdict(self)
+
+
+# schema type -> (accepted Python types, name in errors); a bool is not a number
+_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), bool: (bool, "a boolean"),
+          str: (str, "a string"), list: (list, "a list")}
 
 
 def _cast(value, typ, path):
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field {path}: expected a number, got {value!r}")
-        return float(value)
-    if typ is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field {path}: expected an integer, got {value!r}")
-        return int(value)
-    if typ is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"field {path}: expected a boolean, got {value!r}")
-        return value
-    if typ is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"field {path}: expected a string, got {value!r}")
-        return value
-    if typ is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"field {path}: expected a list, got {value!r}")
-        return list(value)
-    raise ConfigError(f"field {path}: unsupported type")
+    accepted, name = _TYPES[typ]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and typ is not bool):
+        raise ConfigError(f"field {path}: expected {name}, got {value!r}")
+    return float(value) if typ is float else value
+
+
+def _field(value, typ, rule, path):
+    if isinstance(typ, dict):
+        return _validate_section(value, typ, path)
+    if isinstance(typ, list):
+        return [_field(v, typ[0], rule, f"{path}[{i}]")
+                for i, v in enumerate(_cast(value, list, path))]
+    value = _cast(value, typ, path)
+    if isinstance(rule, tuple) and value not in rule:
+        raise ConfigError(f"field {path}: must be one of {rule}, got {value!r}")
+    if isinstance(rule, (int, float)) and value < rule:
+        raise ConfigError(f"field {path}: must be >= {rule}, got {value!r}")
+    return value
 
 
 def _validate_section(data, schema, path):
@@ -223,56 +227,54 @@ def _validate_section(data, schema, path):
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"section {path}: expected a mapping")
-    out = {}
+    prefix = f"{path}." if path else ""
     for key in data:
         if key not in schema:
-            raise ConfigError(f"unknown key {path}.{key}")
-    for key, (typ, default) in schema.items():
-        if key in data and data[key] is not None:
-            if isinstance(typ, dict):
-                out[key] = _validate_section(data[key], typ, f"{path}.{key}")
-            else:
-                out[key] = _cast(data[key], typ, f"{path}.{key}")
+            raise ConfigError(f"unknown key {prefix}{key}")
+    out = {}
+    for key, (typ, default, *rule) in schema.items():
+        if data.get(key) is not None:
+            out[key] = _field(data[key], typ, rule[0] if rule else None, prefix + key)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required field {prefix}{key}")
         else:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required field {path}.{key}")
             out[key] = default
     return out
 
 
 def validate_config(data: dict) -> ExperimentConfig:
+    """The one place a config is rejected: the schema, then the section's _BUILDERS entry."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     kind = data.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"field kind: must be one of {KINDS}, got {kind!r}")
-    section_name = KIND_SECTION[kind]
-    allowed_top = {"kind", "seed", "outdir", "workers", section_name}
-    for key in data:
-        if key not in allowed_top:
-            raise ConfigError(f"unknown key {key}")
-    if "seed" not in data:
-        raise ConfigError("missing required field seed (master seed is mandatory)")
-    if "outdir" not in data:
-        raise ConfigError("missing required field outdir")
-    seed = _cast(data["seed"], int, "seed")
-    outdir = _cast(data["outdir"], str, "outdir")
-    workers = _cast(data.get("workers", 1), int, "workers")
-    section = _validate_section(data.get(section_name), SECTION_SCHEMAS[section_name],
-                                section_name)
-    return ExperimentConfig(kind=kind, seed=seed, outdir=outdir, workers=workers,
-                            section=section)
+    name = KIND_SECTION[kind]
+    top = {k: v for k, v in data.items() if k not in ("kind", name)}
+    cfg = ExperimentConfig(kind=kind, **_validate_section(top, _TOP_SCHEMA, ""),
+                           section=_validate_section(data.get(name), SECTION_SCHEMAS[name], name))
+    try:
+        if name in _BUILDERS:
+            _BUILDERS[name](cfg)
+    except (SpecError, PottsError, ConventionError) as e:
+        raise ConfigError(f"section {name}: {e}") from None
+    return cfg
+
+
+def read_config(path) -> dict:
+    """The raw mapping of a YAML config file, before validation."""
+    try:
+        with open(path) as f:
+            data = yaml.safe_load(f) or {}
+    except (OSError, yaml.YAMLError) as e:
+        raise ConfigError(f"config file {path}: {e}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path}: root must be a mapping")
+    return data
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as f:
-            data = yaml.safe_load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except yaml.YAMLError as e:
-        raise ConfigError(f"config parse error in {path}: {e}")
-    return validate_config(data)
+    return validate_config(read_config(path))
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -283,36 +285,19 @@ def dump_config(cfg: ExperimentConfig) -> str:
 # artifact io
 
 
-class _OutputTracker:
-    def __init__(self):
-        self.paths: list[Path] = []
-
-    def add(self, path):
-        self.paths.append(Path(path))
-
-    def cleanup(self):
-        for p in self.paths:
-            try:
-                p.unlink()
-            except OSError:
-                pass
-
-
-def _write_csv(tracker, path, schema, header, rows):
+def _write_csv(path, schema, header, rows):
     with open(path, "w", newline="") as f:
         f.write(f"# schema: sfflab/{schema} v1\n")
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         for row in rows:
             w.writerow([fmt_float(v) if isinstance(v, float) else v for v in row])
-    tracker.add(path)
 
 
-def _write_json(tracker, path, payload):
+def _write_json(path, payload):
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(payload, f, indent=2, sort_keys=True, default=lambda o: o.item())  # numpy scalars
         f.write("\n")
-    tracker.add(path)
 
 
 def read_sff_csv(path) -> SffSeries:
@@ -344,28 +329,24 @@ def read_sff_csv(path) -> SffSeries:
 
 
 def _t_grid(sec) -> np.ndarray:
-    spacing = sec["T_spacing"]
-    if spacing == "log":
-        return np.geomspace(sec["T_start"], sec["T_stop"], sec["T_points"])
-    if spacing == "linear":
-        return np.linspace(sec["T_start"], sec["T_stop"], sec["T_points"])
-    if spacing == "integer":
+    if sec["T_spacing"] == "integer":
         return np.arange(math.ceil(sec["T_start"]), math.floor(sec["T_stop"]) + 1, dtype=float)
-    raise ConfigError(f"field T_spacing: unknown spacing {spacing!r}")
+    space = np.geomspace if sec["T_spacing"] == "log" else np.linspace
+    return space(sec["T_start"], sec["T_stop"], sec["T_points"])
 
 
-def _potts_params(sec, path) -> PottsParams:
-    chi, lam = sec.get("chi"), sec.get("Lambda")
+def _potts_params(sec) -> PottsParams:
+    chi, lam = sec["chi"], sec["Lambda"]
     if (chi is None) == (lam is None):
-        raise ConfigError(f"section {path}: specify exactly one of chi or Lambda")
+        raise PottsError("specify exactly one of chi or Lambda")
     if chi is not None:
         return PottsParams.from_chi(sec["L"], sec["T_H"], chi, sec["sigma2_phi"])
     return PottsParams(L=sec["L"], T_H=sec["T_H"], lam=lam, sigma2_phi=sec["sigma2_phi"])
 
 
-def _run_predict(cfg, outdir, tracker):
+def _run_predict(cfg, outdir):
     sec = cfg.section
-    params = _potts_params(sec, "predict")
+    params = _potts_params(sec)
     grid = _t_grid(sec)
     pred = closed_form_sff(params, grid)
     header = ["T", "tau", "K", "log10_K", "mode", "L", "chi", "Lambda", "sigma2_phi"]
@@ -383,25 +364,26 @@ def _run_predict(cfg, outdir, tracker):
              "limit-chi1", 1.0)
         emit(closed_form_sff(PottsParams.from_chi(params.L, params.T_H, 0.0), grid),
              "limit-chi0", 0.0)
-    _write_csv(tracker, outdir / "predict_sff.csv", "predict_sff", header, rows)
+    _write_csv(outdir / "predict_sff.csv", "predict_sff", header, rows)
     if sec["emit_kappa"]:
         tau = grid / params.T_H
         kap = scaled_kappa(params, tau)
-        _write_csv(tracker, outdir / "kappa.csv", "kappa",
+        _write_csv(outdir / "kappa.csv", "kappa",
                    ["tau", "kappa", "L", "chi"],
                    [[float(t), float(k), params.L, float(params.chi)] for t, k in zip(tau, kap)])
     return {"n_rows": len(rows), "params": params.to_dict()}
 
 
-def _run_orbits(cfg, outdir, tracker):
+def _cat_map(entries) -> CatMapSpec:
+    return CatMapSpec(**entries) if entries else DEFAULT_MAP
+
+
+def _run_orbits(cfg, outdir):
     sec = cfg.section
-    m = CatMapSpec(**sec["map"]) if sec["map"] else DEFAULT_MAP
+    m = _cat_map(sec["map"])
     summary = []
     inventory = []
     for T in sec["T_list"]:
-        T = int(T)
-        expected = periodic_point_count(T, m)
-        orbits = None
         if T <= sec["inventory_max_T"]:
             orbits = subsystem_orbits(T, m, sec["max_points"])
             count = sum(o.primitive_period for o in orbits)
@@ -409,37 +391,45 @@ def _run_orbits(cfg, outdir, tracker):
                 r = o.representative
                 inventory.append([T, r.num_q, r.num_p, r.den, o.primitive_period])
         else:
-            from .orbits import enumerate_lattice
-            nq, _, _ = enumerate_lattice(T, m, sec["max_points"])
-            count = len(nq)
-        summary.append([T, count, expected, float(stability_amplitude_sq(T, m)),
-                        float(sum_rule_check(T, m, sec["max_points"]))])
-    _write_csv(tracker, outdir / "orbit_summary.csv", "orbit_summary",
+            count = len(enumerate_lattice(T, m, sec["max_points"])[0])
+        # every period-T point of a linear map carries the same A^2, so the
+        # sum rule over the enumerated points is count * A^2 (see sum_rule_check)
+        amp2 = stability_amplitude_sq(T, m)
+        summary.append([T, count, periodic_point_count(T, m), amp2, count * amp2])
+    _write_csv(outdir / "orbit_summary.csv", "orbit_summary",
                ["T", "count", "expected_count", "amplitude_sq", "sum_rule"], summary)
-    _write_csv(tracker, outdir / "orbit_inventory.csv", "orbit_inventory",
+    _write_csv(outdir / "orbit_inventory.csv", "orbit_inventory",
                ["T", "num_q", "num_p", "den", "primitive_period"], inventory)
-    return {"periods": [int(t) for t in sec["T_list"]]}
+    return {"periods": sec["T_list"]}
 
 
 def _staircase(L, T):
     return tuple(l % T for l in range(L))
 
 
-def _system_from(sec) -> SystemSpec:
-    if sec.get("system"):
-        return SystemSpec.from_dict(sec["system"])
-    return SystemSpec(L=sec["L"])
+def _system_from(cfg) -> SystemSpec:
+    system = cfg.section["system"]
+    if system:
+        return SystemSpec(**{**system, "subsystem": _cat_map(system["subsystem"])})
+    return SystemSpec(L=cfg.section["L"])
 
 
-def _run_clt(cfg, outdir, tracker):
+def _variance_system(cfg) -> SystemSpec:
+    spec = _system_from(cfg)
+    if cfg.section["invariance_checks"] > 0 and (cfg.section["T"] < 2 or spec.L < 2):
+        # an asynchronous shift needs two sites and two residues mod T
+        raise SpecError("invariance checks need T >= 2 and L >= 2")
+    return spec
+
+
+def _run_clt(cfg, outdir):
     sec = cfg.section
-    spec = _system_from(sec)
+    spec = _system_from(cfg)
     seeds = spawn_seeds(cfg.seed, len(sec["T_list"]))
     sample_rows = []
     report = {}
     for T, seed in zip(sec["T_list"], seeds):
-        T = int(T)
-        s = tuple(int(v) for v in sec["s"]) if sec["s"] else _staircase(spec.L, T)
+        s = tuple(sec["s"]) if sec["s"] else _staircase(spec.L, T)
         sset = sample_phase_distribution(spec, T, s, sec["budget"], seed, mode=sec["mode"])
         rep = clt_diagnostics(sset)
         s_str = ";".join(str(v) for v in s)
@@ -457,13 +447,13 @@ def _run_clt(cfg, outdir, tracker):
             "degenerate": rep.degenerate,
             "seed": seed,
         }
-    _write_csv(tracker, outdir / "phase_samples.csv", "phase_samples",
+    _write_csv(outdir / "phase_samples.csv", "phase_samples",
                ["T", "mode", "index", "phi", "phi_tilde", "s"], sample_rows)
-    _write_json(tracker, outdir / "clt_report.json", report)
+    _write_json(outdir / "clt_report.json", report)
     return {"task_seeds": {f"T={t}": s for t, s in zip(sec["T_list"], seeds)}}
 
 
-def _run_variance(cfg, outdir, tracker):
+def _run_variance(cfg, outdir):
     sec = cfg.section
     T = sec["T"]
     seeds = spawn_seeds(cfg.seed, 3 + 2 * sec["invariance_checks"])
@@ -472,16 +462,14 @@ def _run_variance(cfg, outdir, tracker):
         spec2, T, estimator=sec["estimator"], samples=sec["samples"],
         seed=seeds[0], horizon=sec["horizon"], t_max=sec["t_max"],
     )
-    _write_csv(tracker, outdir / "variance_table.csv", "variance_table",
+    _write_csv(outdir / "variance_table.csv", "variance_table",
                ["s_tilde", "sigma2", "std_error", "estimator", "T"],
                [[st, float(table.values[st][0]), float(table.values[st][1]),
                  sec["estimator"], T] for st in range(T)])
 
     report = {"table_T": T, "estimator": sec["estimator"]}
-    specL = _system_from(sec)
+    specL = _variance_system(cfg)
     if sec["invariance_checks"] > 0:
-        from .util import philox
-
         rng = philox(seeds[1])
         checks = []
         for i in range(sec["invariance_checks"]):
@@ -510,7 +498,7 @@ def _run_variance(cfg, outdir, tracker):
         report["invariance_checks"] = checks
         report["invariance_all_ok"] = all(c["ok"] for c in checks)
     if sec["agreement_check"]:
-        s = tuple(int(v) for v in sec["agreement_s"]) if sec["agreement_s"] else _staircase(specL.L, T)
+        s = tuple(sec["agreement_s"]) if sec["agreement_s"] else _staircase(specL.L, T)
         ta = variance_time_average(specL, s, sec["horizon"], sec["samples"], seeds[2])
         se = variance_series(specL, s, sec["t_max"], sec["samples"], seeds[2] + 1)
         comb = math.sqrt(ta.std_error**2 + se.std_error**2)
@@ -521,7 +509,7 @@ def _run_variance(cfg, outdir, tracker):
             "series_truncation_bound": se.truncation_bound,
             "ok": bool(abs(ta.sigma2 - se.sigma2) <= 3.0 * comb + se.truncation_bound),
         }
-    _write_json(tracker, outdir / "variance_report.json", report)
+    _write_json(outdir / "variance_report.json", report)
     # the agreement series estimate runs at seed agreement + 1
     task_seeds = {"table": seeds[0], "invariance_shifts": seeds[1], "agreement": seeds[2]}
     for i in range(sec["invariance_checks"]):
@@ -530,18 +518,17 @@ def _run_variance(cfg, outdir, tracker):
     return {"task_seeds": task_seeds}
 
 
-def _run_quantum(cfg, outdir, tracker):
+def _circuit_spec(cfg) -> CircuitSpec:
     sec = cfg.section
-    if (sec.get("Lambda") is None) == (sec.get("epsilon") is None):
-        raise ConfigError("section quantum: specify exactly one of Lambda or epsilon")
-    spec = CircuitSpec(
-        L=sec["L"], N=sec["N"],
-        epsilon=sec.get("epsilon"), lam=sec.get("Lambda"),
-        ensemble=EnsembleSpec(members=sec["members"], seed=cfg.seed,
-                              translations=sec["translations"],
-                              bond_offsets=sec["bond_offsets"]),
-        memory_budget_bytes=sec["memory_budget_mb"] * 2**20,
-    )
+    ensemble = EnsembleSpec(members=sec["members"], seed=cfg.seed,
+                            translations=sec["translations"], bond_offsets=sec["bond_offsets"])
+    return CircuitSpec(L=sec["L"], N=sec["N"], epsilon=sec["epsilon"], lam=sec["Lambda"],
+                       ensemble=ensemble, memory_budget_bytes=sec["memory_budget_mb"] * 2**20)
+
+
+def _run_quantum(cfg, outdir):
+    sec = cfg.section
+    spec = _circuit_spec(cfg)
     t_max = sec["t_max"] or int(round(1.25 * spec.T_H))
     series = sff_numeric(spec, t_max, workers=cfg.workers)
     rows = [
@@ -549,34 +536,25 @@ def _run_quantum(cfg, outdir, tracker):
          spec.N, spec.L, float(spec.eps_effective), float(spec.lam or 0.0)]
         for t, k, kr, e in zip(series.times, series.values, series.raw_values, series.errors)
     ]
-    _write_csv(tracker, outdir / "sff_numeric.csv", "sff_numeric",
+    _write_csv(outdir / "sff_numeric.csv", "sff_numeric",
                ["t", "tau", "K", "K_raw", "err", "N", "L", "epsilon", "Lambda"], rows)
     return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"]}
 
 
 def _prediction_for(sec_pred, times) -> tuple[SffPrediction, float | None]:
-    chi, lam = sec_pred.get("chi"), sec_pred.get("Lambda")
-    if (chi is None) == (lam is None):
-        raise ConfigError("section compare.prediction: specify exactly one of chi or Lambda")
-    if chi is not None:
-        params = PottsParams.from_chi(sec_pred["L"], sec_pred["T_H"], chi, sec_pred["sigma2_phi"])
-    else:
-        params = PottsParams(L=sec_pred["L"], T_H=sec_pred["T_H"], lam=lam,
-                             sigma2_phi=sec_pred["sigma2_phi"])
+    params = _potts_params(sec_pred)
     times = np.asarray(times, dtype=float)
     try:
         t_th = thouless_time(params)
-    except Exception:
+    except PottsError:
         t_th = None
     if sec_pred["form"] == "kappa":
         tau = times / params.T_H
         vals = params.T_H * np.asarray(scaled_kappa(params, tau))
         pred = SffPrediction(times=times, values=vals, log_values=np.log(vals),
                              mode="scaled-kappa", params=params.to_dict())
-    elif sec_pred["form"] == "closed-form":
-        pred = closed_form_sff(params, times)
     else:
-        raise ConfigError(f"compare.prediction.form: unknown form {sec_pred['form']!r}")
+        pred = closed_form_sff(params, times)
     return pred, t_th
 
 
@@ -592,7 +570,7 @@ def report_text(rep_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_compare(cfg, outdir, tracker):
+def _run_compare(cfg, outdir):
     import dataclasses
 
     sec = cfg.section
@@ -608,23 +586,19 @@ def _run_compare(cfg, outdir, tracker):
     out["ratio_ok"] = bool(abs(out["late_mean_ratio"] - 1.0) <= sec["ratio_tol"]) \
         if np.isfinite(out["late_mean_ratio"]) else False
     out["passed"] = bool(out["ratio_ok"] and out["slope_ok"])
-    _write_json(tracker, outdir / "compare_report.json", out)
-    with open(outdir / "compare_report.txt", "w") as f:
-        f.write(report_text(out))
-    tracker.add(outdir / "compare_report.txt")
+    _write_json(outdir / "compare_report.json", out)
+    (outdir / "compare_report.txt").write_text(report_text(out))
     return {"passed": out["passed"]}
 
 
-def _run_bound(cfg, outdir, tracker):
+def _run_bound(cfg, outdir):
     sec = cfg.section
     grid = np.unique(np.geomspace(sec["T_start"], sec["T_stop"], sec["T_points"]).astype(int))
     rows = []
     verdicts = []
     for fam in sec["families"]:
-        if not isinstance(fam, dict) or set(fam) - {"eta", "theta"}:
-            raise ConfigError("section bound.families: entries must be {eta, theta} mappings")
         res = bound_check(sec["L"], sec["T_H"], sec["Lambda"], sec["f0"],
-                          float(fam["eta"]), float(fam["theta"]), grid)
+                          fam["eta"], fam["theta"], grid)
         for i, T in enumerate(res.times):
             rows.append([float(res.eta), float(res.theta), int(T),
                          float(res.K[i]), float(res.K0[i]),
@@ -636,9 +610,9 @@ def _run_bound(cfg, outdir, tracker):
             "dominated": res.dominated,
             "final_relative_deviation": float(res.relative_deviation[-1]),
         })
-    _write_csv(tracker, outdir / "bound_check.csv", "bound_check",
+    _write_csv(outdir / "bound_check.csv", "bound_check",
                ["eta", "theta", "T", "K", "K0", "abs_dev", "bound", "ok"], rows)
-    _write_json(tracker, outdir / "bound_report.json",
+    _write_json(outdir / "bound_report.json",
                 {"families": verdicts, "all_dominated": all(v["dominated"] for v in verdicts)})
     return {"families": len(verdicts)}
 
@@ -654,50 +628,73 @@ _PIPELINES = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunManifest:
-    """Execute one experiment into its directory and return the manifest."""
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tracker = _OutputTracker()
-    with open(outdir / "config_snapshot.yaml", "w") as f:
-        f.write(dump_config(cfg))
-    tracker.add(outdir / "config_snapshot.yaml")
-    t0 = time.monotonic()
+# section -> builder of the domain object its pipeline runs on; validate_config calls it
+# too, so the object's invariants are the domain rules.  Arithmetic only: no circuit, no lattice.
+_BUILDERS = {
+    "predict": lambda cfg: _potts_params(cfg.section),
+    "compare": lambda cfg: _potts_params(cfg.section["prediction"]),
+    "orbits": lambda cfg: _cat_map(cfg.section["map"]),
+    "clt": _system_from,
+    "variance": _variance_system,
+    "quantum": _circuit_spec,
+}
+
+
+def _install(stage: Path, outdir: Path) -> None:
+    """Rename the finished stage to outdir, swapping out an earlier run directory."""
+    old = stage.with_name(stage.name + ".old")
     try:
-        extras = _PIPELINES[cfg.kind](cfg, outdir, tracker)
-    except (ConfigError, SchemaError):
-        tracker.cleanup()
+        if outdir.exists():
+            outdir.rename(old)
+        stage.rename(outdir)
+    except BaseException:
+        if old.exists() and not outdir.exists():
+            old.rename(outdir)
         raise
-    except Exception as e:
-        tracker.cleanup()
-        raise ExperimentError(f"experiment {cfg.kind} failed: {e}") from e
-    wall = time.monotonic() - t0
-    digests = {p.name: sha256_file(p) for p in tracker.paths}
-    task_seeds = {"master": cfg.seed, **extras.pop("task_seeds", {})}
-    manifest = RunManifest(
-        config=cfg.to_dict(),
-        version=__version__,
-        wall_time_s=wall,
-        task_seeds=task_seeds,
-        digests=digests,
-        extras=_jsonable(extras),
-    )
-    with open(outdir / "manifest.json", "w") as f:
-        json.dump(manifest.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def run_experiment(cfg: ExperimentConfig) -> RunManifest:
+    """Execute one experiment into its directory and return the manifest.
+
+    The run is written into a staged sibling of outdir, which is renamed into
+    place once the manifest is written.  An existing outdir is replaced only
+    if it is empty or holds a manifest.json (an earlier run); after any
+    exception, KeyboardInterrupt included, outdir is as it was.
+    """
+    outdir = Path(cfg.outdir).absolute()
+    if outdir.exists() and not (outdir.is_dir() and (
+            (outdir / "manifest.json").is_file() or not any(outdir.iterdir()))):
+        raise ConfigError(f"field outdir: {cfg.outdir} exists and is neither empty nor a "
+                          "run directory (no manifest.json); not replacing it")
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    # mkdir, unlike mkdtemp, gives the run directory the umask's permissions
+    stage = outdir.with_name(f".{outdir.name}.{os.urandom(6).hex()}.partial")
+    stage.mkdir()
+    try:
+        (stage / "config_snapshot.yaml").write_text(dump_config(cfg))
+        t0 = time.monotonic()
+        try:
+            extras = _PIPELINES[cfg.kind](cfg, stage)
+        except SchemaError:
+            raise
+        except Exception as e:
+            raise ExperimentError(f"experiment {cfg.kind} failed: {e}") from e
+        wall = time.monotonic() - t0
+        manifest = RunManifest(
+            config=cfg.to_dict(),
+            version=__version__,
+            wall_time_s=wall,
+            task_seeds={"master": cfg.seed, **extras.pop("task_seeds", {})},
+            digests={p.name: sha256_file(p) for p in sorted(stage.iterdir())},
+            extras=extras,
+        )
+        _write_json(stage / "manifest.json", manifest.to_dict())
+        _install(stage, outdir)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
     return manifest
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 def verify_manifest(outdir) -> bool:
@@ -716,8 +713,10 @@ def report(paths) -> tuple[str, dict]:
     combined = {"reports": [], "all_passed": True}
     blocks = []
     for path in paths:
-        with open(path) as f:
-            data = json.load(f)
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as e:
+            raise SchemaError(f"{path}: {e}")
         for key in ("chi2_per_point", "median_ratio", "passed"):
             if key not in data:
                 raise SchemaError(f"{path}: missing field {key}")

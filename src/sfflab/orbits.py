@@ -329,7 +329,11 @@ def stability_amplitude_sq(T: int, m: CatMapSpec) -> float:
 
 
 def sum_rule_check(T: int, m: CatMapSpec, max_points: int = 5_000_000) -> float:
-    """Sum of A^2 over all enumerated period-T points; equals 1 for a chaotic map."""
+    """Sum of A^2 over all enumerated period-T points; equals 1 for a chaotic map.
+
+    For a linear map this reduces to count * (1/count), so the real oracle is
+    the exact count check of acceptance 03.
+    """
     nq, _, _ = enumerate_lattice(T, m, max_points)
     amp2 = stability_amplitude_sq(T, m)
     return math.fsum(amp2 for _ in range(len(nq)))

@@ -53,6 +53,10 @@ class EnsembleSpec:
     translations: bool = True
     bond_offsets: bool = True
 
+    def __post_init__(self):
+        if self.members < 1:
+            raise SpecError(f"members must be >= 1, got {self.members}")
+
 
 @dataclass(frozen=True)
 class CircuitSpec:
@@ -68,10 +72,13 @@ class CircuitSpec:
     memory_budget_bytes: int = 2 << 30
 
     def __post_init__(self):
-        if self.L < 1 or self.N < 2:
-            raise SpecError("need L >= 1 and N >= 2")
+        if self.L < 1:
+            raise SpecError("need L >= 1")
         if (self.epsilon is None) == (self.lam is None):
-            raise SpecError("specify exactly one of epsilon or lam")
+            raise SpecError("specify exactly one of epsilon or Lambda")
+        if (self.lam if self.epsilon is None else self.epsilon) < 0:
+            raise SpecError("epsilon and Lambda must be >= 0")
+        check_convention(self.subsystem, self.N)
 
     @property
     def dim(self) -> int:
@@ -137,8 +144,8 @@ class SffSeries:
         return float(per_member.mean()), float(per_member.std(ddof=1) / math.sqrt(n))
 
 
-def quantize_subsystem(m: CatMapSpec, N: int) -> QuantizedMap:
-    """Discretized e^{iW/hbar} kernel of the linear map; unitary by Gauss sums."""
+def check_convention(m: CatMapSpec, N: int) -> None:
+    """Raise ConventionError unless map m quantizes at dimension N in this convention."""
     if N < 2:
         raise ConventionError("need N >= 2")
     if abs(m.b) != 1:
@@ -150,6 +157,11 @@ def quantize_subsystem(m: CatMapSpec, N: int) -> QuantizedMap:
             f"convention {CONVENTION!r} requires a*N and d*N even; "
             f"got a = {m.a}, d = {m.d}, N = {N} (use even N for this map)"
         )
+
+
+def quantize_subsystem(m: CatMapSpec, N: int) -> QuantizedMap:
+    """Discretized e^{iW/hbar} kernel of the linear map; unitary by Gauss sums."""
+    check_convention(m, N)
     k = np.arange(N, dtype=np.int64)
     kk, kp = k[None, :], k[:, None]
     modulus = 2 * abs(m.b) * N

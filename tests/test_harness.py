@@ -1,9 +1,17 @@
 import csv
+import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sfflab import harness
 from sfflab.cli import main as cli_main
 from sfflab.harness import (
     ConfigError,
@@ -166,8 +174,7 @@ def test_failed_run_cleans_outputs(tmp_path):
     })
     with pytest.raises(Exception):
         run_experiment(cfg)
-    left = list((tmp_path / "fail").glob("*"))
-    assert left == []  # partial outputs removed
+    assert list(tmp_path.iterdir()) == []  # no outdir, no staged directory
 
 
 def test_variance_pipeline_small(tmp_path):
@@ -274,3 +281,168 @@ def test_workers_do_not_change_results(tmp_path):
     a = (tmp_path / "w1/sff_numeric.csv").read_bytes()
     b = (tmp_path / "w2/sff_numeric.csv").read_bytes()
     assert a == b
+
+
+# (command-line arguments, text naming the rejected field); every row used to
+# fail deep inside a pipeline (exit 3) or pass (exit 0), leaving an outdir
+BOUNDARY_ROWS = [
+    (["quantum-sff", "--set", "quantum.N=5", "--set", "quantum.Lambda=0.2"], "N = 5"),
+    (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=0.2",
+      "--set", "quantum.members=0"], "members"),
+    (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=-1"], "Lambda"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=1.5"], "chi"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9",
+      "--set", "predict.T_points=0"], "predict.T_points"),
+    (["orbits", "--set", "orbits.T_list=[0]"], "orbits.T_list"),
+    (["clt", "--set", "clt.T_list=[4]", "--set", "clt.budget=10"], "clt.budget"),
+    (["clt", "--set", "clt.T_list=[4]", "--set", "clt.mode=bogus"], "clt.mode"),
+    (["variance", "--set", "variance.estimator=bogus"], "variance.estimator"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9", "--workers", "-3"],
+     "workers"),
+    (["predict", "--config", "{bad}"], "bad.yaml"),
+]
+
+
+@pytest.mark.parametrize("args, field", BOUNDARY_ROWS,
+                         ids=[f"{i}-{f}" for i, (_, f) in enumerate(BOUNDARY_ROWS)])
+def test_invalid_input_exits_2_naming_its_field(tmp_path, capsys, args, field):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("kind: predict\n  seed: : 3\n")
+    out = tmp_path / "out"
+    argv = [a.replace("{bad}", str(bad)) for a in args] + ["--outdir", str(out), "--seed", "1"]
+    assert cli_main(argv) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, section, match", [
+    ("predict", {"L": 2, "chi": 0.9, "T_spacing": "cubic"}, "predict.T_spacing"),
+    ("compare", {"series_csv": "s.csv", "prediction": {"L": 2, "T_H": 16.0, "chi": 0.9,
+                                                       "form": "bogus"}},
+     "compare.prediction.form"),
+    ("compare", {"series_csv": "s.csv", "prediction": {"L": 2, "T_H": 16.0}}, "chi or Lambda"),
+    ("bound-check", {"families": [{"eta": 0.5}]}, r"bound.families\[0\].theta"),
+    ("bound-check", {"families": [0.5]}, r"bound.families\[0\]"),
+    ("quantum-sff", {"N": 4}, "epsilon or Lambda"),
+    ("orbits", {"T_list": [2], "map": {"a": 1, "b": 1, "c": 0, "d": 1}}, "hyperbolic"),
+    ("clt", {"T_list": [4], "system": {"L": 2, "topology": "star"}}, "topology"),
+    # an asynchronous shift needs T >= 2; at T = 1 the invariance draw never ends
+    ("variance", {"T": 1, "invariance_checks": 1}, "T >= 2"),
+])
+def test_domain_rules_are_checked_at_validation(kind, section, match):
+    with pytest.raises(ConfigError, match=match):
+        validate_config({"kind": kind, "seed": 1, "outdir": "unused",
+                         harness.KIND_SECTION[kind]: section})
+
+
+def test_cli_reads_config_through_the_harness_loader(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("kind: predict\nseed: 1\npredict: {L: 2, chi: 0.9, T_points: 50}\n")
+    out = tmp_path / "out"
+    assert cli_main(["predict", "--config", str(cfg), "--outdir", str(out),
+                     "--set", "predict.T_points=8"]) == 0
+    assert load_config(out / "config_snapshot.yaml").section["T_points"] == 8
+    assert cli_main(["predict", "--config", str(tmp_path / "missing.yaml")]) == 2
+    assert cli_main(["report", str(tmp_path / "missing.json")]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
+def _interrupting_pipeline(cfg, outdir):
+    (outdir / "predict_sff.csv").write_text("partial\n")
+    raise KeyboardInterrupt
+
+
+def test_interrupted_run_leaves_nothing(tmp_path, monkeypatch):
+    monkeypatch.setitem(harness._PIPELINES, "predict", _interrupting_pipeline)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(_cfg_predict(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _tree(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_failed_rerun_leaves_earlier_run_untouched(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(_cfg_predict(out))
+    before = _tree(out)
+    cfg = validate_config({
+        "kind": "compare", "seed": 1, "outdir": str(out),
+        "compare": {"series_csv": str(tmp_path / "missing.csv"),
+                    "prediction": {"L": 2, "T_H": 64.0, "chi": 0.9}},
+    })
+    with pytest.raises(Exception):
+        run_experiment(cfg)
+    assert _tree(out) == before and verify_manifest(out)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_successful_rerun_replaces_run_directory(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(_cfg_predict(out, emit_kappa=True))
+    assert (out / "kappa.csv").exists()
+    man = run_experiment(_cfg_predict(out))
+    assert not (out / "kappa.csv").exists()  # no stale artifact from the earlier run
+    assert sorted(p.name for p in out.iterdir()) == sorted([*man.digests, "manifest.json"])
+    assert verify_manifest(out)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_run_directory_gets_mkdir_permissions(tmp_path):
+    (tmp_path / "plain").mkdir()
+    run_experiment(_cfg_predict(tmp_path / "out"))
+    mode = (tmp_path / "out").stat().st_mode & 0o777
+    assert mode == (tmp_path / "plain").stat().st_mode & 0o777
+
+
+def test_foreign_directory_is_not_replaced(tmp_path, capsys):
+    out = tmp_path / "notes"
+    out.mkdir()
+    (out / "keep.txt").write_text("mine\n")
+    rc = cli_main(["predict", "--outdir", str(out), "--seed", "3",
+                   "--set", "predict.L=2", "--set", "predict.chi=0.9"])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
+    assert _tree(out) == {"keep.txt": b"mine\n"}
+    assert [p.name for p in tmp_path.iterdir()] == ["notes"]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    run_experiment(_cfg_predict(empty))
+    assert verify_manifest(empty)
+
+
+def test_sigint_during_variance_leaves_no_outdir(tmp_path):
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sfflab.cli", "variance", "--outdir", str(out), "--seed", "1",
+         "--set", "variance.samples=200000", "--set", "variance.T=16"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob(".out.*/config_snapshot.yaml")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=60) != 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(tmp_path.iterdir()) == []
+
+
+def _spans_targets():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer looks each of these up with getattr
+    for layer, names in _spans_targets().items():
+        module = importlib.import_module(f"sfflab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"sfflab.{layer}.{name}"
