@@ -28,7 +28,6 @@ from .orbits import (
 )
 from .phases import (
     CltReport,
-    PhaseSample,
     VarianceTable,
     action_difference_identity_check,
     clt_diagnostics,

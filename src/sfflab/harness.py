@@ -20,7 +20,7 @@ import yaml
 
 from . import __version__
 from .dynamics import DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec
-from .orbits import enumerate_lattice, periodic_point_count, stability_amplitude_sq, subsystem_orbits
+from .orbits import MAX_PERIOD, enumerate_lattice, periodic_point_count, stability_amplitude_sq, subsystem_orbits
 from .phases import (
     clt_diagnostics,
     per_bond_variance_table,
@@ -28,7 +28,8 @@ from .phases import (
     variance_series,
     variance_time_average,
 )
-from .potts import PottsError, PottsParams, SffPrediction, bound_check, closed_form_sff, scaled_kappa, thouless_time
+from .potts import (PottsError, PottsParams, SffPrediction, bound_check, check_family,
+                    closed_form_sff, scaled_kappa, thouless_time)
 from .quantum import CircuitSpec, ConventionError, EnsembleSpec, SffSeries, compare, sff_numeric
 from .util import fmt_float, philox, sha256_file, spawn_seeds
 
@@ -54,8 +55,8 @@ class ExperimentError(RuntimeError):
 _REQUIRED = object()
 
 # key -> (type, default[, rule]).  A type is a scalar type, a nested schema
-# dict, or [element type] for a list; a rule is a tuple of allowed values or
-# a lower bound, applied to each element of a list.
+# dict, or [element type] for a list; a rule is a tuple of allowed values, a
+# range, or a lower bound, applied to each element of a list.
 _MAP_SCHEMA = {"a": (int, _REQUIRED), "b": (int, _REQUIRED),
                "c": (int, _REQUIRED), "d": (int, _REQUIRED)}
 
@@ -86,7 +87,7 @@ SECTION_SCHEMAS = {
         "Lambda": (float, None),
         "sigma2_phi": (float, 1.0),
         "T_H": (float, 100.0),
-        "T_start": (float, 1.0),
+        "T_start": (float, 1.0, 1),
         "T_stop": (float, 1e5),
         "T_points": (int, 400, 1),
         "T_spacing": (str, "log", ("log", "linear", "integer")),
@@ -94,7 +95,7 @@ SECTION_SCHEMAS = {
         "emit_kappa": (bool, False),
     },
     "orbits": {
-        "T_list": ([int], _REQUIRED, 1),
+        "T_list": ([int], _REQUIRED, range(1, MAX_PERIOD + 1)),
         "map": (_MAP_SCHEMA, None),
         "max_points": (int, 5_000_000),
         "inventory_max_T": (int, 8),
@@ -127,7 +128,7 @@ SECTION_SCHEMAS = {
         "Lambda": (float, None),
         "epsilon": (float, None),
         "members": (int, 64),
-        "t_max": (int, 0),
+        "t_max": (int, 0, 0),  # 0: 1.25 T_H
         "translations": (bool, True),
         "bond_offsets": (bool, True),
         "memory_budget_mb": (int, 2048),
@@ -217,6 +218,8 @@ def _field(value, typ, rule, path):
     value = _cast(value, typ, path)
     if isinstance(rule, tuple) and value not in rule:
         raise ConfigError(f"field {path}: must be one of {rule}, got {value!r}")
+    if isinstance(rule, range) and value not in rule:
+        raise ConfigError(f"field {path}: must lie in [{rule.start}, {rule[-1]}], got {value!r}")
     if isinstance(rule, (int, float)) and value < rule:
         raise ConfigError(f"field {path}: must be >= {rule}, got {value!r}")
     return value
@@ -254,8 +257,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(kind=kind, **_validate_section(top, _TOP_SCHEMA, ""),
                            section=_validate_section(data.get(name), SECTION_SCHEMAS[name], name))
     try:
-        if name in _BUILDERS:
-            _BUILDERS[name](cfg)
+        _BUILDERS[name](cfg)
     except (SpecError, PottsError, ConventionError) as e:
         raise ConfigError(f"section {name}: {e}") from None
     return cfg
@@ -414,17 +416,31 @@ def _system_from(cfg) -> SystemSpec:
     return SystemSpec(L=cfg.section["L"])
 
 
+def _check_shift_length(cfg, key, L):
+    s = cfg.section[key]
+    if s and len(s) != L:
+        raise SpecError(f"{KIND_SECTION[cfg.kind]}.{key} needs one component per site "
+                        f"(L = {L}), got {len(s)}")
+
+
+def _clt_system(cfg) -> SystemSpec:
+    spec = _system_from(cfg)
+    _check_shift_length(cfg, "s", spec.L)
+    return spec
+
+
 def _variance_system(cfg) -> SystemSpec:
     spec = _system_from(cfg)
     if cfg.section["invariance_checks"] > 0 and (cfg.section["T"] < 2 or spec.L < 2):
         # an asynchronous shift needs two sites and two residues mod T
         raise SpecError("invariance checks need T >= 2 and L >= 2")
+    _check_shift_length(cfg, "agreement_s", spec.L)
     return spec
 
 
 def _run_clt(cfg, outdir):
     sec = cfg.section
-    spec = _system_from(cfg)
+    spec = _clt_system(cfg)
     seeds = spawn_seeds(cfg.seed, len(sec["T_list"]))
     sample_rows = []
     report = {}
@@ -570,6 +586,13 @@ def report_text(rep_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _compare_prediction(cfg) -> PottsParams:
+    if len(cfg.section["late_window"]) != 2:
+        raise SpecError("compare.late_window needs two entries (start, stop), "
+                        f"got {cfg.section['late_window']}")
+    return _potts_params(cfg.section["prediction"])
+
+
 def _run_compare(cfg, outdir):
     import dataclasses
 
@@ -589,6 +612,14 @@ def _run_compare(cfg, outdir):
     _write_json(outdir / "compare_report.json", out)
     (outdir / "compare_report.txt").write_text(report_text(out))
     return {"passed": out["passed"]}
+
+
+def _check_families(cfg) -> None:
+    for i, fam in enumerate(cfg.section["families"]):
+        try:
+            check_family(cfg.section["f0"], fam["eta"], fam["theta"])
+        except PottsError as e:
+            raise PottsError(f"bound.families[{i}]: {e}") from None
 
 
 def _run_bound(cfg, outdir):
@@ -628,15 +659,17 @@ _PIPELINES = {
 }
 
 
-# section -> builder of the domain object its pipeline runs on; validate_config calls it
-# too, so the object's invariants are the domain rules.  Arithmetic only: no circuit, no lattice.
+# section -> builder of the domain object its pipeline runs on (for bound, the check of
+# its families); validate_config calls it too, so the object's invariants are the domain
+# rules.  Arithmetic only: no circuit, no lattice.
 _BUILDERS = {
     "predict": lambda cfg: _potts_params(cfg.section),
-    "compare": lambda cfg: _potts_params(cfg.section["prediction"]),
+    "compare": _compare_prediction,
     "orbits": lambda cfg: _cat_map(cfg.section["map"]),
-    "clt": _system_from,
+    "clt": _clt_system,
     "variance": _variance_system,
     "quantum": _circuit_spec,
+    "bound": _check_families,
 }
 
 

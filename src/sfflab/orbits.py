@@ -8,7 +8,6 @@ the map on enumerated points is exact.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import CatMapSpec, SystemSpec, TorusPoint
+from .dynamics import DEFAULT_MAP, CatMapSpec, SystemSpec, TorusPoint
 
 MAX_PERIOD = 64
 
@@ -76,7 +75,7 @@ class SubsystemOrbit:
         for _ in range(self.period):
             qs.append(nq)
             ps.append(np_)
-            nq, np_ = (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
+            nq, np_ = _lattice_step(nq, np_, den, m)
         return qs, ps, den
 
     def position_cycle(self, m: CatMapSpec) -> np.ndarray:
@@ -119,16 +118,17 @@ class ShiftVector:
     def of(cls, components: Sequence[int], modulus: int) -> "ShiftVector":
         return cls(tuple(int(c) % modulus for c in components), modulus)
 
-    @classmethod
-    def zero(cls, L: int, modulus: int) -> "ShiftVector":
-        return cls((0,) * L, modulus)
-
     def __add__(self, other: "ShiftVector") -> "ShiftVector":
         if self.modulus != other.modulus:
             raise ValueError("mismatched moduli")
         return ShiftVector.of(
             [a + b for a, b in zip(self.components, other.components)], self.modulus
         )
+
+
+def _lattice_step(nq, np_, den: int, m: CatMapSpec):
+    """One exact map step of numerators over den; Python ints or int64 arrays."""
+    return (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
 
 
 def map_power(m: CatMapSpec, T: int) -> tuple[int, int, int, int]:
@@ -235,55 +235,53 @@ def enumerate_periodic_points(
     return [PeriodicPoint.from_lattice(int(a), int(b), den, T) for a, b in zip(nq, np_)]
 
 
+def _group_lattice(nq, np_, den: int, T: int, m: CatMapSpec) -> list[SubsystemOrbit]:
+    """Cycles of the map on a lattice point set over den, in order of first appearance.
+
+    Each point is mapped to the index of its image; T steps of that
+    permutation give every point its cycle's smallest key (the
+    lexicographically smallest point), first index and primitive period.
+    """
+    key = nq * den + np_
+    order = np.argsort(key)
+    iq, ip = _lattice_step(nq, np_, den, m)
+    img_key = iq * den + ip
+    pos = np.minimum(np.searchsorted(key[order], img_key), len(key) - 1)
+    if not np.array_equal(key[order[pos]], img_key):
+        raise ConsistencyError("a cycle leaves the provided point set; input incomplete")
+    image = order[pos]
+    idx = np.arange(len(key))
+    cur, first, low = idx, idx, key
+    prim = np.zeros(len(key), dtype=np.int64)
+    for t in range(1, T + 1):
+        cur = image[cur]
+        first = np.minimum(first, cur)
+        low = np.minimum(low, key[cur])
+        prim[(prim == 0) & (cur == idx)] = t
+    if (prim == 0).any() or (T % prim).any():
+        raise ConsistencyError("cycle length does not divide the period")
+    heads = np.flatnonzero(first == idx)
+    rq, rp = np.divmod(low[heads], den)
+    return [
+        SubsystemOrbit(PeriodicPoint.from_lattice(int(a), int(b), den, T), T, int(prim[h]))
+        for a, b, h in zip(rq, rp, heads)
+    ]
+
+
 def group_into_orbits(points: Sequence[PeriodicPoint], T: int, m: CatMapSpec = None) -> list[SubsystemOrbit]:
     """Partition a complete period-T point set into cycles under the map."""
-    from .dynamics import DEFAULT_MAP
-
-    m = m or DEFAULT_MAP
     if not points:
         return []
-    den = 1
-    for pt in points:
-        den = den * pt.den // math.gcd(den, pt.den)
-    index = {}
-    for k, pt in enumerate(points):
-        s = den // pt.den
-        index[(pt.num_q * s, pt.num_p * s)] = k
-    seen = [False] * len(points)
-    orbits = []
-    for k, pt in enumerate(points):
-        if seen[k]:
-            continue
-        s = den // pt.den
-        cur = (pt.num_q * s, pt.num_p * s)
-        cycle = []
-        while True:
-            if cur not in index:
-                raise ConsistencyError(
-                    f"cycle through point {pt} leaves the provided set; input incomplete"
-                )
-            ci = index[cur]
-            if seen[ci]:
-                break
-            seen[ci] = True
-            cycle.append(cur)
-            cur = ((m.a * cur[0] + m.b * cur[1]) % den, (m.c * cur[0] + m.d * cur[1]) % den)
-        rep = min(cycle)
-        prim = len(cycle)
-        if T % prim != 0:
-            raise ConsistencyError("cycle length does not divide the period")
-        orbits.append(
-            SubsystemOrbit(
-                representative=PeriodicPoint.from_lattice(rep[0], rep[1], den, T),
-                period=T,
-                primitive_period=prim,
-            )
-        )
-    return orbits
+    den = math.lcm(*(pt.den for pt in points))
+    nq = np.array([pt.num_q * (den // pt.den) for pt in points], dtype=np.int64)
+    np_ = np.array([pt.num_p * (den // pt.den) for pt in points], dtype=np.int64)
+    return _group_lattice(nq, np_, den, T, m or DEFAULT_MAP)
 
 
 def subsystem_orbits(T: int, m: CatMapSpec, max_points: int = 5_000_000) -> list[SubsystemOrbit]:
-    return group_into_orbits(enumerate_periodic_points(T, m, max_points), T, m)
+    """Period-T orbits of the map, grouped on the enumerated lattice arrays."""
+    nq, np_, den = enumerate_lattice(T, m, max_points)
+    return _group_lattice(nq, np_, den, T, m)
 
 
 def family_iterator(
@@ -296,11 +294,10 @@ def family_iterator(
 
 
 def _as_shift(r, L: int, T: int) -> ShiftVector:
-    if isinstance(r, ShiftVector):
-        if r.modulus != T or len(r.components) != L:
-            raise ValueError("shift vector has wrong modulus or length")
-        return r
-    return ShiftVector.of(r, T)
+    shift = r if isinstance(r, ShiftVector) else ShiftVector.of(r, T)
+    if shift.modulus != T or len(shift.components) != L:
+        raise ValueError("shift vector has wrong modulus or length")
+    return shift
 
 
 def shift_action_lattice(family: OrbitFamily, r, m: CatMapSpec):
@@ -309,18 +306,32 @@ def shift_action_lattice(family: OrbitFamily, r, m: CatMapSpec):
     shift = _as_shift(r, family.L, T)
     out = []
     for orbit, steps in zip(family.reps, shift.components):
-        nq, np_, den = orbit.representative.num_q, orbit.representative.num_p, orbit.representative.den
-        for _ in range(steps):
-            nq, np_ = (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
-        out.append((nq, np_, den))
+        qs, ps, den = orbit.cycle_lattice(m)
+        out.append((qs[steps], ps[steps], den))
     return out
+
 
 def shift_action(family: OrbitFamily, r, m: CatMapSpec = None) -> list[TorusPoint]:
     """phi_0^r applied to the family's representatives; r = 0 returns them as-is."""
-    from .dynamics import DEFAULT_MAP
+    return [TorusPoint(nq / den, np_ / den)
+            for nq, np_, den in shift_action_lattice(family, r, m or DEFAULT_MAP)]
 
-    m = m or DEFAULT_MAP
-    return [TorusPoint(nq / den, np_ / den) for nq, np_, den in shift_action_lattice(family, r, m)]
+
+def _lattice_trajectory(nq, np_, den: int, m: CatMapSpec, s, steps: int):
+    """Positions of lattice points and of their s-shifted copies at t = 0..steps-1.
+
+    nq, np_ are numerator arrays of shape (n, L) over den; the copy starts
+    with site l advanced s[l] map steps.  Yields (2, n, L) float arrays
+    (unshifted, shifted), the exact numerators divided by den.
+    """
+    nq, np_ = np.stack([nq, nq]), np.stack([np_, np_])
+    for l, k in enumerate(s):
+        for _ in range(k):
+            nq[1, :, l], np_[1, :, l] = _lattice_step(nq[1, :, l], np_[1, :, l], den, m)
+    for t in range(steps):
+        if t:
+            nq, np_ = _lattice_step(nq, np_, den, m)
+        yield nq / den
 
 
 def stability_amplitude_sq(T: int, m: CatMapSpec) -> float:
@@ -337,14 +348,3 @@ def sum_rule_check(T: int, m: CatMapSpec, max_points: int = 5_000_000) -> float:
     nq, _, _ = enumerate_lattice(T, m, max_points)
     amp2 = stability_amplitude_sq(T, m)
     return math.fsum(amp2 for _ in range(len(nq)))
-
-
-def write_orbit_inventory(path, orbits: Sequence[SubsystemOrbit]) -> None:
-    """CSV dump: one row per orbit representative."""
-    with open(path, "w", newline="") as f:
-        f.write("# schema: sfflab/orbit_inventory v1\n")
-        w = csv.writer(f)
-        w.writerow(["T", "num_q", "num_p", "den", "primitive_period"])
-        for o in orbits:
-            r = o.representative
-            w.writerow([o.period, r.num_q, r.num_p, r.den, o.primitive_period])

@@ -11,10 +11,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .dynamics import (
     NEAREST_NEIGHBOUR,
@@ -30,7 +29,8 @@ from .dynamics import (
     pair_hessian,
     pair_potential,
 )
-from .orbits import OrbitFamily, ShiftVector, _as_shift, enumerate_lattice, periodic_point_count
+from .orbits import (OrbitFamily, ShiftVector, _as_shift, _lattice_trajectory, enumerate_lattice,
+                     periodic_point_count)
 from .util import philox, spawn_seeds
 
 
@@ -42,15 +42,6 @@ class TableError(ValueError):
     """Variance table is incomplete or inconsistent."""
 
 
-@dataclass(frozen=True)
-class PhaseSample:
-    family_id: int
-    r: tuple[int, ...] | None
-    s: tuple[int, ...]
-    phi: float
-    phi_tilde: float
-
-
 @dataclass
 class PhaseSampleSet:
     """Batch of rescaled phases Phi/sqrt(T) with sampling provenance."""
@@ -60,13 +51,6 @@ class PhaseSampleSet:
     s: tuple[int, ...]
     mode: str  # "exact" (periodic points) or "proxy" (uniform initial conditions)
     seed: int
-
-    def samples(self) -> list[PhaseSample]:
-        rt = math.sqrt(self.T)
-        return [
-            PhaseSample(family_id=i, r=None, s=self.s, phi=float(v * rt), phi_tilde=float(v))
-            for i, v in enumerate(self.phi_tilde)
-        ]
 
 
 @dataclass
@@ -127,23 +111,11 @@ class VarianceTable:
             vals[st] = (float(sigma2_phi), 0.0)
         return cls(T=T, kind="per-bond", values=vals)
 
-    @classmethod
-    def from_profile(cls, T: int, profile: Callable[[int], float]) -> "VarianceTable":
-        vals = {st: (float(profile(st)), 0.0) for st in range(T)}
-        vals[0] = (0.0, 0.0)
-        return cls(T=T, kind="per-bond", values=vals)
-
     def sigma2_array(self) -> np.ndarray:
         missing = [st for st in range(self.T) if st not in self.values]
         if missing:
             raise TableError(f"table missing relative shifts {missing}")
         return np.array([self.values[st][0] for st in range(self.T)])
-
-    def err_array(self) -> np.ndarray:
-        missing = [st for st in range(self.T) if st not in self.values]
-        if missing:
-            raise TableError(f"table missing relative shifts {missing}")
-        return np.array([self.values[st][1] for st in range(self.T)])
 
 
 # ---------------------------------------------------------------------------
@@ -384,70 +356,47 @@ def sample_phase_distribution(
         mode = "exact" if periodic_point_count(T, spec.subsystem) <= exact_limit else "proxy"
     if mode not in ("exact", "proxy"):
         raise SpecError(f"unknown sampling mode {mode!r}")
+    m, L = spec.subsystem, spec.L
+    if mode == "exact":
+        nq, np_, den = enumerate_lattice(T, m)
     rng = philox(seed)
     out = np.empty(budget)
     done = 0
     while done < budget:
         n = min(batch, budget - done)
         if mode == "exact":
-            out[done:done + n] = _exact_phase_batch(spec, T, sv, n, rng)
+            idx = rng.integers(0, len(nq), size=(n, L))
+            traj = _lattice_trajectory(nq[idx], np_[idx], den, m, sv.components, T)
         else:
-            out[done:done + n] = _proxy_phase_batch(spec, T, sv, n, rng)
+            traj = _trajectory(rng, n, L, m, ((0,) * L, sv.components), T)
+        out[done:done + n] = _phase_sums(traj, spec.amplitude, bonds(spec, L), (T,))[T]
         done += n
     return PhaseSampleSet(phi_tilde=out / math.sqrt(T), T=T, s=sv.components, mode=mode, seed=seed)
 
 
-def _exact_phase_batch(spec, T, sv, n, rng):
-    m = spec.subsystem
-    nq_all, np_all, den = enumerate_lattice(T, m)
-    L = spec.L
-    idx = rng.integers(0, len(nq_all), size=(n, L))
-    nq = nq_all[idx].astype(np.int64)
-    np_ = np_all[idx].astype(np.int64)
-    Q = np.empty((T, n, L))
-    for t in range(T):
-        Q[t] = nq / den
-        nq, np_ = (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
-    phi = np.zeros(n)
-    for t in range(T):
-        qs = np.column_stack([Q[(t + sv.components[l]) % T, :, l] for l in range(L)])
-        phi += pair_potential(Q[t], spec) - pair_potential(qs, spec)
-    return phi
+def _phase_sums(traj, amplitude, bond_list, checkpoints):
+    """Phi_t = sum_{t' < t} [V(q_t') - V(q^s_t')] at each checkpoint t.
 
-
-def _proxy_phase_batch(spec, T, sv, n, rng):
-    return _phase_sums(spec.subsystem, spec.amplitude, bonds(spec, spec.L), spec.L,
-                       sv.components, (T,), n, rng)[T]
-
-
-def _phase_sums(m, amplitude, bond_list, L, s, checkpoints, n, rng):
-    """Phi_t = sum_{t' < t} [V(phi^t' x) - V(phi^t' phi^s x)] at each checkpoint t.
-
-    x is a batch of n uniform initial conditions drawn from rng; V is
-    amplitude * _bond_sum.  Returns {t: array of shape (n,)}.
+    traj yields the (unshifted, shifted) positions, shape (2, n, L), at
+    t' = 0, 1, ...; V is amplitude * _bond_sum.  Returns {t: array of shape (n,)}.
     """
-    acc = np.zeros(n)
+    acc = 0.0
     out = {}
-    traj = _trajectory(rng, n, L, m, ((0,) * L, s), max(checkpoints))
     for t, q in enumerate(traj, start=1):
         v, v_s = amplitude * _bond_sum(q, bond_list)
-        acc += v - v_s
+        acc = acc + (v - v_s)
         if t in checkpoints:
-            out[t] = acc.copy()
+            out[t] = acc
     return out
-
-
-def _extract_values(samples) -> np.ndarray:
-    if isinstance(samples, PhaseSampleSet):
-        return np.asarray(samples.phi_tilde, dtype=float)
-    if len(samples) and isinstance(samples[0], PhaseSample):
-        return np.array([s.phi_tilde for s in samples])
-    return np.asarray(samples, dtype=float)
 
 
 def clt_diagnostics(samples) -> CltReport:
     """Moments and KS distance against the centered normal with the sample variance."""
-    vals = _extract_values(samples)
+    from scipy import stats  # imported here so that only clt pays scipy's import time
+
+    if isinstance(samples, PhaseSampleSet):
+        samples = samples.phi_tilde
+    vals = np.asarray(samples, dtype=float)
     if len(vals) < 1000:
         raise SpecError("clt_diagnostics needs at least 1000 samples")
     if np.abs(vals).max() < 1e-13:
@@ -508,7 +457,8 @@ def _time_average_ladder(m, amplitude, bond_list, L, s, horizon, samples, seed, 
     done = 0
     while done < samples:
         n = min(batch, samples - done)
-        for t, acc in _phase_sums(m, amplitude, bond_list, L, s, checkpoints, n, rng).items():
+        traj = _trajectory(rng, n, L, m, ((0,) * L, s), horizon)
+        for t, acc in _phase_sums(traj, amplitude, bond_list, checkpoints).items():
             vals = acc * acc / t
             sums[t] += vals.sum()
             sums2[t] += (vals * vals).sum()
@@ -581,29 +531,6 @@ def _fit_tail(c_vals, c_errs):
         raise SeriesError(f"fitted correlations do not decay (eta = {eta:.3f})")
     c_last = usable[-1][1]
     return eta, 8.0 * c_last * eta / (1.0 - eta)
-
-
-def series_from_correlations(
-    c_sync: Callable[[int], float],
-    c_shift: Callable[[int], float],
-    t_max: int,
-):
-    """Pure-arithmetic series path for synthetic correlation models.
-
-    c_sync(t) is C_w(t*1); c_shift(t) is C_w(t*1 + s).  Returns
-    (sigma2, truncation_bound, eta_hat).
-    """
-    terms = [c_sync(t) - c_shift(t) for t in range(-t_max, t_max + 1)]
-    sigma2 = 2.0 * math.fsum(terms)
-    tail_vals = [abs(c_sync(t)) for t in range(1, t_max + 1)]
-    nz = [(t, v) for t, v in enumerate(tail_vals, start=1) if v > 0]
-    if len(nz) < 2:
-        return sigma2, 0.0, 0.0
-    eta = (nz[-1][1] / nz[-2][1]) ** (1.0 / (nz[-1][0] - nz[-2][0]))
-    if eta >= 1.0:
-        raise SeriesError(f"correlations do not decay (eta = {eta:.3f})")
-    c_last = abs(c_sync(t_max)) + abs(c_shift(t_max)) + abs(c_shift(-t_max))
-    return sigma2, 4.0 * c_last * eta / (1.0 - eta), eta
 
 
 def quotient_projection(s, T: int | None = None) -> tuple[int, ...]:

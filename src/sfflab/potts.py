@@ -226,10 +226,16 @@ def perp_distance(s: tuple, T: int) -> int:
     return best
 
 
+def check_family(f0: float, eta: float, theta: float) -> None:
+    """The synthetic family's domain: 0 < eta < 1, theta > 0, f0 > 0."""
+    if not (0 < eta < 1) or theta <= 0 or f0 <= 0:
+        raise PottsError(f"need 0 < eta < 1, theta > 0, f0 > 0; got eta = {eta}, "
+                         f"theta = {theta}, f0 = {f0}")
+
+
 def synthetic_class_variances(T: int, L: int, f0: float, eta: float, theta: float) -> dict:
     """sigma2([s]) = f0 (1 - eta^(d_perp^theta)) over classes [s] in Z_T^(L-1)."""
-    if not (0 < eta < 1) or theta <= 0 or f0 <= 0:
-        raise PottsError("need 0 < eta < 1, theta > 0, f0 > 0")
+    check_family(f0, eta, theta)
     out = {}
     for cls in itertools.product(range(T), repeat=L - 1):
         if all(c == 0 for c in cls):

@@ -14,10 +14,11 @@ from sfflab.harness import validate_config, run_experiment
 from sfflab.orbits import enumerate_periodic_points, family_iterator, periodic_point_count, sum_rule_check
 from sfflab.phases import (
     VarianceTable,
+    _fit_tail,
+    _series_sum,
     action_difference_identity_check,
     clt_diagnostics,
     sample_phase_distribution,
-    series_from_correlations,
     variance_series,
     variance_time_average,
 )
@@ -193,8 +194,14 @@ def test_criterion_07_variance_estimator_agreement():
     comb = math.hypot(ta.std_error, se.std_error)
     agree = abs(ta.sigma2 - se.sigma2) <= 3.0 * comb + se.truncation_bound
 
-    sigma2, _, _ = series_from_correlations(lambda t: 0.5 ** abs(t), lambda t: 0.0, t_max=80)
-    geo_ok = abs(sigma2 - geometric_series_variance(0.5)) <= 1e-9 and abs(sigma2 - 6.0) <= 1e-9
+    # variance_series' own sum and tail fit on the exact model C(t*1) = 0.5^|t|, else 0
+    def geometric(shift, samples, seed):
+        return (0.5 ** abs(shift[0]) if len(set(shift)) == 1 else 0.0), 0.0
+
+    sigma2, _, sync = _series_sum(geometric, (0, 1), 80, 1, 0)
+    eta_hat, _ = _fit_tail([v for v, _ in sync], [e for _, e in sync])
+    geo_ok = (abs(sigma2 - geometric_series_variance(0.5)) <= 1e-9 and abs(sigma2 - 6.0) <= 1e-9
+              and abs(eta_hat - 0.5) <= 1e-9)
     _report(7, "time-average and correlation-series variances agree; geometric model exact",
             agree and geo_ok,
             f"time-avg {ta.sigma2:.4f}+-{ta.std_error:.4f} vs series {se.sigma2:.4f}"

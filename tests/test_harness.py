@@ -300,6 +300,22 @@ BOUNDARY_ROWS = [
     (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9", "--workers", "-3"],
      "workers"),
     (["predict", "--config", "{bad}"], "bad.yaml"),
+    (["clt", "--set", "clt.T_list=[4]", "--set", "clt.budget=1000", "--set", "clt.s=[0,1,2]"],
+     "clt.s"),
+    (["variance", "--set", "variance.T=2", "--set", "variance.samples=1000",
+      "--set", "variance.horizon=8", "--set", "variance.t_max=1",
+      "--set", "variance.agreement_check=true", "--set", "variance.agreement_s=[0]"],
+     "variance.agreement_s"),
+    (["orbits", "--set", "orbits.T_list=[2,65]"], "orbits.T_list[1]"),
+    (["bound-check", "--set", "bound.families=[{eta: 0.5, theta: 1.0}, {eta: 1.5, theta: 1.0}]"],
+     "bound.families[1]"),
+    (["bound-check", "--set", "bound.families=[{eta: 0.5, theta: 0.0}]"], "bound.families[0]"),
+    (["compare", "--set", "compare.series_csv={series}", "--set", "compare.late_window=[0.4]",
+      "--set", "compare.prediction={L: 2, T_H: 16.0, chi: 0.9}"], "compare.late_window"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9",
+      "--set", "predict.T_start=0.5"], "predict.T_start"),
+    (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=0.2",
+      "--set", "quantum.members=1", "--set", "quantum.t_max=-1"], "quantum.t_max"),
 ]
 
 
@@ -308,8 +324,12 @@ BOUNDARY_ROWS = [
 def test_invalid_input_exits_2_naming_its_field(tmp_path, capsys, args, field):
     bad = tmp_path / "bad.yaml"
     bad.write_text("kind: predict\n  seed: : 3\n")
+    series = tmp_path / "series.csv"
+    series.write_text("# schema: sfflab/sff_numeric v1\nt,K,K_raw,err,N,L\n"
+                      + "".join(f"{t},{t}.0,{t}.0,0.1,4,2\n" for t in range(1, 21)))
     out = tmp_path / "out"
-    argv = [a.replace("{bad}", str(bad)) for a in args] + ["--outdir", str(out), "--seed", "1"]
+    argv = [a.replace("{bad}", str(bad)).replace("{series}", str(series)) for a in args]
+    argv += ["--outdir", str(out), "--seed", "1"]
     assert cli_main(argv) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
@@ -430,6 +450,15 @@ def test_sigint_during_variance_leaves_no_outdir(tmp_path):
         proc.kill()
         proc.wait()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_does_not_load_scipy():
+    # importing scipy.stats is most of a CLI start; only clt_diagnostics needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    code = "import sys, sfflab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def _spans_targets():

@@ -1,9 +1,12 @@
+import csv
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from sfflab.dynamics import DEFAULT_MAP
+from sfflab.dynamics import DEFAULT_MAP, CatMapSpec
+from sfflab.harness import run_experiment, validate_config
 from sfflab.orbits import (
     ConsistencyError,
     EnumerationError,
@@ -25,6 +28,9 @@ from sfflab.orbits import (
 from sfflab.dynamics import SystemSpec
 
 from oracles import brute_force_cycles, brute_force_periodic_points
+
+
+OTHER_MAP = CatMapSpec(1, 1, 2, 3)
 
 
 def _as_fraction_set(points):
@@ -69,17 +75,33 @@ def test_group_into_orbits_T2_structure():
 
 
 def test_group_partition_property():
-    for T in (2, 3, 4, 6):
-        pts = enumerate_periodic_points(T, DEFAULT_MAP)
-        orbits = group_into_orbits(pts, T, DEFAULT_MAP)
+    for m, T in itertools.product((DEFAULT_MAP, OTHER_MAP), (2, 3, 4, 6)):
+        pts = enumerate_periodic_points(T, m)
+        orbits = group_into_orbits(pts, T, m)
         assert sum(o.primitive_period for o in orbits) == len(pts)
         # union of cycles reproduces the input set exactly
         seen = set()
         for o in orbits:
-            qs, ps, den = o.cycle_lattice(DEFAULT_MAP)
+            qs, ps, den = o.cycle_lattice(m)
             for nq, np_ in zip(qs[: o.primitive_period], ps[: o.primitive_period]):
                 seen.add((Fraction(nq, den), Fraction(np_, den)))
         assert seen == _as_fraction_set(pts)
+
+
+def test_grouping_matches_brute_force_cycles():
+    for m, T in itertools.product((DEFAULT_MAP, OTHER_MAP), range(1, 7)):
+        orbits = subsystem_orbits(T, m)
+        cycles, det = brute_force_cycles(T, m.a, m.b, m.c, m.d)
+        want = sorted((Fraction(min(c)[0], det), Fraction(min(c)[1], det), len(c)) for c in cycles)
+        got = sorted((o.representative.q, o.representative.p, o.primitive_period) for o in orbits)
+        assert got == want
+        # one orbit per cycle, in the order its first point is enumerated
+        index = {(p.q, p.p): k for k, p in enumerate(enumerate_periodic_points(T, m))}
+        firsts = []
+        for o in orbits:
+            qs, ps, den = o.cycle_lattice(m)
+            firsts.append(min(index[(Fraction(a, den), Fraction(b, den))] for a, b in zip(qs, ps)))
+        assert firsts == sorted(firsts) and firsts[0] == 0
 
 
 def test_group_representative_is_lexicographic_min():
@@ -94,6 +116,8 @@ def test_group_detects_incomplete_set():
     pts = enumerate_periodic_points(2, DEFAULT_MAP)
     with pytest.raises(ConsistencyError):
         group_into_orbits(pts[:-1], 2, DEFAULT_MAP)
+    with pytest.raises(ConsistencyError, match="divide"):
+        group_into_orbits(pts, 1, DEFAULT_MAP)  # 2-cycles are not period-1 orbits
 
 
 def test_family_iterator_counts():
@@ -191,12 +215,24 @@ def test_family_requires_common_period():
 
 
 def test_orbit_inventory_csv(tmp_path):
-    from sfflab.orbits import write_orbit_inventory
-
-    orbits = subsystem_orbits(2, DEFAULT_MAP)
-    path = tmp_path / "inv.csv"
-    write_orbit_inventory(path, orbits)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# schema: sfflab/orbit_inventory")
+    cfg = validate_config({"kind": "orbits", "seed": 1, "outdir": str(tmp_path / "o"),
+                           "orbits": {"T_list": [1, 2, 3, 4, 5, 6], "inventory_max_T": 4}})
+    run_experiment(cfg)
+    raw = (tmp_path / "o/orbit_inventory.csv").read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().split("\n")
+    assert lines[0] == "# schema: sfflab/orbit_inventory v1"
     assert lines[1] == "T,num_q,num_p,den,primitive_period"
-    assert len(lines) == 2 + len(orbits)
+    assert lines[-1] == ""
+    covered = {}
+    for row in lines[2:-1]:
+        T, _, _, _, prim = (int(v) for v in row.split(","))
+        covered[T] = covered.get(T, 0) + prim
+    assert covered == {T: periodic_point_count(T, DEFAULT_MAP) for T in (1, 2, 3, 4)}
+    with open(tmp_path / "o/orbit_summary.csv") as f:
+        f.readline()
+        summary = list(csv.DictReader(f))
+    assert [int(r["T"]) for r in summary] == [1, 2, 3, 4, 5, 6]
+    for r in summary:
+        assert r["count"] == r["expected_count"]
+        assert float(r["sum_rule"]) == pytest.approx(1.0, abs=1e-12)

@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from sfflab.dynamics import ALL_TO_ALL, DEFAULT_MAP, SpecError, SystemSpec
-from sfflab.orbits import ShiftVector, family_iterator
+from sfflab.dynamics import ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, pair_potential
+from sfflab.orbits import ShiftVector, enumerate_lattice, family_iterator
 from sfflab.phases import (
     SeriesError,
     TableError,
     VarianceTable,
+    _fit_tail,
+    _series_sum,
     action_difference_identity_check,
     clt_diagnostics,
     per_bond_variance_table,
     phase_difference,
     quotient_projection,
     sample_phase_distribution,
-    series_from_correlations,
     variance_series,
     variance_time_average,
 )
@@ -123,11 +124,30 @@ def test_sample_phase_mean_and_mode_label():
     assert abs(v1 - v2) < 3.0 * comb + 0.05
 
 
-def test_phase_sample_rescaling_invariant():
-    spec = SystemSpec(L=2)
-    sset = sample_phase_distribution(spec, 5, (0, 2), budget=5000, seed=4)
-    for s in sset.samples()[:100]:
-        assert s.phi_tilde == pytest.approx(s.phi / math.sqrt(5), rel=1e-15)
+def test_exact_sampling_matches_cycle_reference():
+    # the reference samples points, stores their whole cycles, and sums V over
+    # (t, t + s) rows of that table; the package steps lattice trajectories
+    spec = SystemSpec(L=3, subsystem=CatMapSpec(1, 1, 2, 3), amplitude=0.7)
+    T, s, budget, batch = 5, (0, 2, 4), 1000, 300
+    nq_all, np_all, den = enumerate_lattice(T, spec.subsystem)
+    m = spec.subsystem
+    rng = philox(4)
+    want = []
+    for done in range(0, budget, batch):
+        n = min(batch, budget - done)
+        idx = rng.integers(0, len(nq_all), size=(n, spec.L))
+        nq, np_ = nq_all[idx], np_all[idx]
+        Q = np.empty((T, n, spec.L))
+        for t in range(T):
+            Q[t] = nq / den
+            nq, np_ = (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
+        phi = np.zeros(n)
+        for t in range(T):
+            qs = np.column_stack([Q[(t + s[l]) % T, :, l] for l in range(spec.L)])
+            phi += pair_potential(Q[t], spec) - pair_potential(qs, spec)
+        want.append(phi)
+    got = sample_phase_distribution(spec, T, s, budget, seed=4, mode="exact", batch=batch)
+    assert np.array_equal(got.phi_tilde, np.concatenate(want) / math.sqrt(T))
 
 
 def test_empirical_variance_matches_series_value():
@@ -185,28 +205,36 @@ def test_variance_nearest_neighbour_additivity_three_sites():
     assert abs(full.sigma2 - total) <= 3.0 * comb
 
 
+def _synthetic_series(c_sync, t_max):
+    """variance_series' sum and tail fit on an exact model: C(t*1) = c_sync(t), else 0."""
+    def correlation(shift, samples, seed):
+        return (c_sync(shift[0]) if len(set(shift)) == 1 else 0.0), 0.0
+
+    sigma2, err, sync = _series_sum(correlation, (0, 1), t_max, 1, 0)
+    eta_hat, bound = _fit_tail([v for v, _ in sync], [e for _, e in sync])
+    return sigma2, err, eta_hat, bound
+
+
 def test_variance_series_geometric_oracle():
     eta = 0.5
-    sigma2, bound, eta_hat = series_from_correlations(
-        lambda t: eta ** abs(t), lambda t: 0.0, t_max=60
-    )
+    sigma2, err, eta_hat, bound = _synthetic_series(lambda t: eta ** abs(t), t_max=60)
     assert abs(sigma2 - geometric_series_variance(eta)) < 1e-9
     assert sigma2 == pytest.approx(6.0, abs=1e-9)
+    assert err == 0.0
     assert eta_hat == pytest.approx(eta, rel=1e-9)
     assert bound < 1e-12
 
 
 def test_variance_series_instantaneous_model():
     c0 = 0.7
-    sigma2, bound, _ = series_from_correlations(
-        lambda t: c0 if t == 0 else 0.0, lambda t: 0.0, t_max=10
-    )
+    sigma2, _, _, bound = _synthetic_series(lambda t: c0 if t == 0 else 0.0, t_max=10)
     assert sigma2 == pytest.approx(2.0 * c0, abs=1e-15)
+    assert bound == 0.0
 
 
 def test_variance_series_rejects_nondecaying():
     with pytest.raises(SeriesError):
-        series_from_correlations(lambda t: 1.0, lambda t: 0.0, t_max=10)
+        _synthetic_series(lambda t: 1.0, t_max=10)
 
 
 def test_variance_estimators_agree_on_default_system():
