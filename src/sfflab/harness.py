@@ -426,6 +426,11 @@ def _check_shift_length(cfg, key, L):
 def _clt_system(cfg) -> SystemSpec:
     spec = _system_from(cfg)
     _check_shift_length(cfg, "s", spec.L)
+    if cfg.section["mode"] == "exact":
+        for i, T in enumerate(cfg.section["T_list"]):
+            if T > MAX_PERIOD:
+                raise SpecError(f"clt.T_list[{i}] = {T}: exact mode enumerates periods up to "
+                                f"{MAX_PERIOD} only; use mode auto or proxy")
     return spec
 
 
@@ -554,7 +559,9 @@ def _run_quantum(cfg, outdir):
     ]
     _write_csv(outdir / "sff_numeric.csv", "sff_numeric",
                ["t", "tau", "K", "K_raw", "err", "N", "L", "epsilon", "Lambda"], rows)
-    return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"]}
+    return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"],
+            "unitarity_residual_max": series.meta["unitarity_residual_max"],
+            "trace_check_max": series.meta["trace_check_max"]}
 
 
 def _prediction_for(sec_pred, times) -> tuple[SffPrediction, float | None]:

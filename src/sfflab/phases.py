@@ -29,8 +29,8 @@ from .dynamics import (
     pair_hessian,
     pair_potential,
 )
-from .orbits import (OrbitFamily, ShiftVector, _as_shift, _lattice_trajectory, enumerate_lattice,
-                     periodic_point_count)
+from .orbits import (MAX_PERIOD, OrbitFamily, ShiftVector, _as_shift, _lattice_trajectory,
+                     enumerate_lattice, periodic_point_count)
 from .util import philox, spawn_seeds
 
 
@@ -347,13 +347,15 @@ def sample_phase_distribution(
     periodic points uniformly from the enumerated period-T set.  For periods
     where enumeration is infeasible, "proxy" mode samples uniform initial
     conditions instead (the amplitude-squared measure is Lebesgue); the mode
-    is recorded on the returned set.
+    is recorded on the returned set; "auto" picks exact when T <= MAX_PERIOD
+    and the period-T set has at most exact_limit points.
     """
     if budget <= 0:
         raise SpecError("sampling budget must be positive")
     sv = _as_shift(s, spec.L, T)
     if mode == "auto":
-        mode = "exact" if periodic_point_count(T, spec.subsystem) <= exact_limit else "proxy"
+        exact = T <= MAX_PERIOD and periodic_point_count(T, spec.subsystem) <= exact_limit
+        mode = "exact" if exact else "proxy"
     if mode not in ("exact", "proxy"):
         raise SpecError(f"unknown sampling mode {mode!r}")
     m, L = spec.subsystem, spec.L

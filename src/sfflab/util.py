@@ -43,16 +43,19 @@ def window_width(t: int) -> int:
 
 
 def window_average(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Centered moving average with time-dependent width max(5, t/10)."""
+    """Centered moving average along the last axis with time-dependent width max(5, t/10).
+
+    Each row of a 2-D array is averaged as it would be on its own.
+    """
     values = np.asarray(values, dtype=float)
     out = np.empty_like(values)
-    n = len(values)
+    n = values.shape[-1]
     for i, t in enumerate(times):
         w = window_width(int(t))
         lo = max(0, i - w // 2)
         hi = min(n, lo + w)
         lo = max(0, hi - w)
-        out[i] = values[lo:hi].mean()
+        out[..., i] = values[..., lo:hi].mean(axis=-1)
     return out
 
 

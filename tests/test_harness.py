@@ -100,9 +100,13 @@ def test_quantum_and_compare_pipeline(tmp_path):
         "kind": "quantum-sff", "seed": 21, "outdir": str(tmp_path / "q"),
         "quantum": {"N": 8, "L": 2, "Lambda": 0.2107, "members": 24, "t_max": 80},
     })
-    run_experiment(qcfg)
+    man = run_experiment(qcfg)
     series = read_sff_csv(tmp_path / "q/sff_numeric.csv")
     assert len(series.times) == 80 and series.meta["N"] == 8
+    # eigensolve health goes to the manifest, never into the CSV body
+    for key in ("unitarity_residual_max", "trace_check_max"):
+        assert 0.0 <= man.extras[key] < 1e-10
+        assert key not in (tmp_path / "q/sff_numeric.csv").read_text()
 
     ccfg = validate_config({
         "kind": "compare", "seed": 22, "outdir": str(tmp_path / "c"),
@@ -316,6 +320,10 @@ BOUNDARY_ROWS = [
       "--set", "predict.T_start=0.5"], "predict.T_start"),
     (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=0.2",
       "--set", "quantum.members=1", "--set", "quantum.t_max=-1"], "quantum.t_max"),
+    (["clt", "--set", "clt.T_list=[65]", "--set", "clt.budget=1000", "--set", "clt.mode=exact"],
+     "clt.T_list[0]"),
+    (["clt", "--set", "clt.T_list=[4,65]", "--set", "clt.budget=1000", "--set", "clt.mode=exact"],
+     "clt.T_list[1]"),
 ]
 
 

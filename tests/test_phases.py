@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sfflab.dynamics import ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, pair_potential
-from sfflab.orbits import ShiftVector, enumerate_lattice, family_iterator
+from sfflab import phases
+from sfflab.orbits import MAX_PERIOD, ShiftVector, enumerate_lattice, family_iterator
 from sfflab.phases import (
     SeriesError,
     TableError,
@@ -122,6 +123,16 @@ def test_sample_phase_mean_and_mode_label():
     v1, v2 = sset.phi_tilde.var(), sproxy.phi_tilde.var()
     comb = math.hypot(v1, v2) * math.sqrt(2.0 / 60_000) * 2.0
     assert abs(v1 - v2) < 3.0 * comb + 0.05
+
+
+def test_auto_mode_takes_proxy_above_max_period(monkeypatch):
+    def no_count(T, m):
+        raise AssertionError("auto mode counted period-T points above MAX_PERIOD")
+
+    monkeypatch.setattr(phases, "periodic_point_count", no_count)
+    sset = sample_phase_distribution(SystemSpec(L=2), MAX_PERIOD + 1, (0, 1), budget=1000, seed=4)
+    assert sset.mode == "proxy"
+    assert np.all(np.isfinite(sset.phi_tilde))
 
 
 def test_exact_sampling_matches_cycle_reference():

@@ -5,12 +5,14 @@ import pytest
 
 from sfflab.dynamics import CatMapSpec, DEFAULT_MAP, SpecError, pair_gradient
 from sfflab.potts import PottsParams, closed_form_sff
+from sfflab import quantum
 from sfflab.quantum import (
     CircuitSpec,
     ConventionError,
     EnsembleSpec,
     GridError,
     MemoryBudgetError,
+    UnitarityError,
     build_circuit,
     compare,
     coupling_operator,
@@ -24,7 +26,7 @@ from sfflab.quantum import (
     torus_translation,
     trace_powers,
 )
-from sfflab.util import philox
+from sfflab.util import philox, window_average
 
 from oracles import dense_kernel_circuit
 
@@ -117,11 +119,49 @@ def test_memory_budget_preflight():
         build_circuit(spec)
 
 
+def _matrix_power_traces(U, t_max):
+    P = np.eye(len(U), dtype=complex)
+    out = []
+    for _ in range(t_max):
+        P = P @ U
+        out.append(np.trace(P))
+    return np.array(out)
+
+
 def test_trace_powers_match_matrix_powers():
+    for N in (6, 8):
+        spec = CircuitSpec(L=2, N=N, lam=0.4, ensemble=EnsembleSpec(members=1, seed=4))
+        U = build_circuit(spec, ensemble_members(spec)[0])
+        t_max = int(round(1.25 * spec.T_H))
+        assert np.abs(trace_powers(U, t_max) - _matrix_power_traces(U, t_max)).max() < 1e-8
+
+
+def test_trace_powers_exact_and_repeated_eigenvalues():
+    # cycles of length 1, 1, 2, 4, 5: eigenvalue 1 five times, -1 twice, +-i, fifth roots
+    perm = np.arange(13)
+    for cycle in ([2, 3], [4, 5, 6, 7], [8, 9, 10, 11, 12]):
+        perm[cycle] = np.roll(cycle, 1)
+    P = np.eye(13, dtype=complex)[perm]
+    phases = np.array([0.0, 0.5, 0.5, 0.5, 1.0, 1.5, 1.5, 0.3, 0.3, 1.7]) * np.pi
+    D = np.diag(np.exp(1j * phases))
+    for U in (P, D):
+        assert np.abs(trace_powers(U, 40) - _matrix_power_traces(U, 40)).max() < 1e-8
+
+
+def test_trace_powers_rejects_non_unitary(monkeypatch):
     spec = CircuitSpec(L=2, N=6, lam=0.4, ensemble=EnsembleSpec(members=1, seed=4))
     U = build_circuit(spec, ensemble_members(spec)[0])
-    want = np.array([np.trace(np.linalg.matrix_power(U, t)) for t in range(1, 26)])
-    assert np.abs(trace_powers(U, 25) - want).max() < 1e-8
+    S = np.eye(len(U)) + 0.1 * np.triu(np.ones_like(U), 1)
+    non_normal = S @ np.diag(np.exp(1j * np.linspace(0.0, 6.0, len(U)))) @ np.linalg.inv(S)
+    for bad in (1.001 * U, non_normal):
+        with pytest.raises(UnitarityError, match="not unitary"):
+            trace_powers(bad, 10)
+    # past the probe, the eigenvalue bound and the consistency of the projections
+    monkeypatch.setattr(quantum, "_unitarity_residual", lambda U: 0.0)
+    with pytest.raises(UnitarityError, match="exceeds 1"):
+        trace_powers(1.001 * U, 10)
+    with pytest.raises(UnitarityError, match="inconsistent"):
+        trace_powers(0.999 * U, 10)
 
 
 def test_lambda_scaling_of_epsilon():
@@ -160,6 +200,34 @@ def test_sff_numeric_error_scaling():
     s2 = sff_numeric(CircuitSpec(**base, ensemble=EnsembleSpec(members=160, seed=6)), 24)
     ratio = np.median(s2.errors / np.maximum(s1.errors, 1e-300))
     assert 0.3 < ratio < 0.75  # expect ~1/2
+
+
+def test_sff_numeric_calls_trace_powers_once_per_member(monkeypatch):
+    calls = []
+
+    def counted(U, t_max):
+        calls.append(t_max)
+        return trace_powers(U, t_max)
+
+    monkeypatch.setattr(quantum, "trace_powers", counted)
+    spec = CircuitSpec(L=2, N=6, lam=0.2, ensemble=EnsembleSpec(members=4, seed=7))
+    series = sff_numeric(spec, 15)
+    assert calls == [15] * 4
+    assert 0.0 <= series.meta["unitarity_residual_max"] < 1e-10
+    assert 0.0 <= series.meta["trace_check_max"] < 1e-10
+
+
+def test_window_average_rows_match_one_row_at_a_time():
+    raw = philox(10).random((5, 97)) * 50.0
+    times = np.arange(1, 98)
+    want = np.empty_like(raw)
+    for r, row in enumerate(raw):  # the one-row loop sff_numeric ran before
+        for i, t in enumerate(times):
+            w = max(5, int(t) // 10)
+            hi = min(len(row), max(0, i - w // 2) + w)
+            want[r, i] = row[max(0, hi - w):hi].mean()
+    assert np.array_equal(window_average(raw, times), want)
+    assert np.array_equal(window_average(raw[2], times), want[2])
 
 
 def test_sff_numeric_worker_isolation():
