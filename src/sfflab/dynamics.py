@@ -153,9 +153,21 @@ def subsystem_step(x: TorusPoint, m: CatMapSpec) -> TorusPoint:
     return TorusPoint(mod1f(m.a * x.q + m.b * x.p), mod1f(m.c * x.q + m.d * x.p))
 
 
-def step_arrays(q: np.ndarray, p: np.ndarray, m: CatMapSpec):
-    """Vectorized subsystem step; same IEEE operations as subsystem_step."""
-    return mod1(m.a * q + m.b * p), mod1(m.c * q + m.d * p)
+def step_arrays(q: np.ndarray, p: np.ndarray, m: CatMapSpec, scratch=None):
+    """Vectorized subsystem step of the float arrays q and p, in place; returns (q, p).
+
+    Same IEEE operations as subsystem_step: a*q + b*p and c*q + d*p, each
+    reduced by mod1.  scratch is a float array of shape (2,) + q.shape that
+    holds the unreduced images (allocated when None).
+    """
+    u, v = np.empty((2,) + q.shape) if scratch is None else scratch
+    np.multiply(q, m.a, out=u)
+    np.multiply(p, m.b, out=v)
+    u += v
+    np.multiply(q, m.c, out=q)
+    np.multiply(p, m.d, out=p)
+    np.add(q, p, out=v)
+    return mod1(u, out=q), mod1(v, out=p)
 
 
 def bonds(spec: SystemSpec, L: int, offsets=None) -> list[tuple[int, int, float]]:
@@ -174,12 +186,28 @@ def bonds(spec: SystemSpec, L: int, offsets=None) -> list[tuple[int, int, float]
     return [(l, (l + 1) % L, offsets[l]) for l in range(L)]
 
 
-def _bond_sum(q: np.ndarray, bond_list) -> np.ndarray:
-    """sum over bonds of cos(2*pi*(q_i - q_j + offset)); q has shape (..., L)."""
-    tot = np.zeros(q.shape[:-1])
+def _bond_sum(q: np.ndarray, bond_list, out=None, work=None) -> np.ndarray:
+    """sum over bonds of cos(2*pi*(q_i - q_j + offset)), written into out; q has shape (..., L).
+
+    out and work are float arrays of shape q.shape[:-1] (allocated when
+    None); work holds one bond's cosine at a time.  A bond (j, i, -offset)
+    right after (i, j, offset) adds that cosine again: its difference, sum
+    and product are the exact negatives of the first bond's, since rounding
+    is symmetric, and np.cos is even bit for bit.
+    """
+    out = np.empty(q.shape[:-1]) if out is None else out
+    work = np.empty_like(out) if work is None else work
+    out.fill(0.0)
+    last = None
     for i, j, off in bond_list:
-        tot += np.cos(TWO_PI * (q[..., i] - q[..., j] + off))
-    return tot
+        if last != (j, i, -off):
+            np.subtract(q[..., i], q[..., j], out=work)
+            work += off
+            work *= TWO_PI
+            np.cos(work, out=work)
+            last = (i, j, off)
+        out += work
+    return out
 
 
 def pair_potential(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
@@ -255,18 +283,24 @@ def _trajectory(rng: np.random.Generator, n: int, L: int, m: CatMapSpec, shifts,
     copies are stepped together.  Yields arrays of shape (len(shifts), n, L).
     Every element sees the same sequence of IEEE operations as stepping it
     alone, so the positions are bit-identical to direct per-column stepping.
+
+    The batch is stepped in place: a yielded frame is a view of the position
+    buffer and is valid only until the next step; copy it to keep it.
     """
     # site-major layout: each (copy, site) column is contiguous; the draws
-    # are not kept, so a batch holds only the stepped copies
-    q = np.repeat(rng.random((n, L)).T[None], len(shifts), axis=0)
-    p = np.repeat(rng.random((n, L)).T[None], len(shifts), axis=0)
+    # are not kept, so a batch holds only the stepped copies and one scratch
+    q = np.empty((len(shifts), L, n))
+    p = np.empty_like(q)
+    scratch = np.empty((2,) + q.shape)
+    q[:] = rng.random((n, L)).T
+    p[:] = rng.random((n, L)).T
     for k, shift in enumerate(shifts):
         for l, s in enumerate(shift):
             for _ in range(s):
-                q[k, l], p[k, l] = step_arrays(q[k, l], p[k, l], m)
+                step_arrays(q[k, l], p[k, l], m, scratch[:, k, l])
     for t in range(steps):
         if t:
-            q, p = step_arrays(q, p, m)
+            step_arrays(q, p, m, scratch)
         yield q.transpose(0, 2, 1)
 
 

@@ -531,8 +531,9 @@ def _run_variance(cfg, outdir):
             "ok": bool(abs(ta.sigma2 - se.sigma2) <= 3.0 * comb + se.truncation_bound),
         }
     _write_json(outdir / "variance_report.json", report)
-    # the agreement series estimate runs at seed agreement + 1
     task_seeds = {"table": seeds[0], "invariance_shifts": seeds[1], "agreement": seeds[2]}
+    if sec["agreement_check"]:
+        task_seeds["agreement_series"] = seeds[2] + 1
     for i in range(sec["invariance_checks"]):
         task_seeds[f"invariance_{i}"] = seeds[3 + 2 * i]
         task_seeds[f"invariance_{i}_shifted"] = seeds[4 + 2 * i]
@@ -708,6 +709,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         raise ConfigError(f"field outdir: {cfg.outdir} exists and is neither empty nor a "
                           "run directory (no manifest.json); not replacing it")
     outdir.parent.mkdir(parents=True, exist_ok=True)
+    # numpy loads numpy.random on first use, and a KeyboardInterrupt that lands
+    # while its extension modules initialise is dropped; load it before staging
+    # so that Ctrl-C during a run always unwinds it
+    import numpy.random  # noqa: F401
     # mkdir, unlike mkdtemp, gives the run directory the umask's permissions
     stage = outdir.with_name(f".{outdir.name}.{os.urandom(6).hex()}.partial")
     stage.mkdir()

@@ -126,9 +126,22 @@ class ShiftVector:
         )
 
 
-def _lattice_step(nq, np_, den: int, m: CatMapSpec):
-    """One exact map step of numerators over den; Python ints or int64 arrays."""
-    return (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
+def _lattice_step(nq, np_, den: int, m: CatMapSpec, work=None):
+    """One exact map step of numerators over den; Python ints or int64 arrays.
+
+    With work, an int64 array of shape (2,) + nq.shape, the arrays nq and
+    np_ are overwritten with the image and returned.
+    """
+    if work is None:
+        return (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
+    u, v = work
+    np.multiply(nq, m.a, out=u)
+    np.multiply(np_, m.b, out=v)
+    u += v
+    np.multiply(nq, m.c, out=nq)
+    np.multiply(np_, m.d, out=np_)
+    np_ += nq
+    return np.remainder(u, den, out=nq), np.remainder(np_, den, out=np_)
 
 
 def map_power(m: CatMapSpec, T: int) -> tuple[int, int, int, int]:
@@ -323,15 +336,20 @@ def _lattice_trajectory(nq, np_, den: int, m: CatMapSpec, s, steps: int):
     nq, np_ are numerator arrays of shape (n, L) over den; the copy starts
     with site l advanced s[l] map steps.  Yields (2, n, L) float arrays
     (unshifted, shifted), the exact numerators divided by den.
+
+    The numerators are stepped in place and divided into one reused buffer:
+    a yielded frame is valid only until the next step; copy it to keep it.
     """
     nq, np_ = np.stack([nq, nq]), np.stack([np_, np_])
+    work = np.empty((2,) + nq.shape, dtype=nq.dtype)
+    frame = np.empty(nq.shape)
     for l, k in enumerate(s):
         for _ in range(k):
-            nq[1, :, l], np_[1, :, l] = _lattice_step(nq[1, :, l], np_[1, :, l], den, m)
+            _lattice_step(nq[1, :, l], np_[1, :, l], den, m, work[:, 1, :, l])
     for t in range(steps):
         if t:
-            nq, np_ = _lattice_step(nq, np_, den, m)
-        yield nq / den
+            _lattice_step(nq, np_, den, m, work)
+        yield np.divide(nq, den, out=frame)
 
 
 def stability_amplitude_sq(T: int, m: CatMapSpec) -> float:

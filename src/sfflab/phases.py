@@ -381,14 +381,21 @@ def _phase_sums(traj, amplitude, bond_list, checkpoints):
 
     traj yields the (unshifted, shifted) positions, shape (2, n, L), at
     t' = 0, 1, ...; V is amplitude * _bond_sum.  Returns {t: array of shape (n,)}.
+    Each frame is read before the next is requested, so traj may reuse its
+    buffer; the sums accumulate in place and are copied at checkpoints.
     """
-    acc = 0.0
     out = {}
     for t, q in enumerate(traj, start=1):
-        v, v_s = amplitude * _bond_sum(q, bond_list)
-        acc = acc + (v - v_s)
+        if t == 1:
+            v = np.empty(q.shape[:-1])
+            work = np.empty_like(v)
+            acc = np.zeros(v.shape[1:])
+        _bond_sum(q, bond_list, v, work)
+        v *= amplitude
+        v[0] -= v[1]
+        acc += v[0]
         if t in checkpoints:
-            out[t] = acc
+            out[t] = acc.copy()
     return out
 
 

@@ -19,16 +19,23 @@ def spawn_seeds(master_seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-def mod1(x):
-    """Floor-based reduction into [0, 1).
+def mod1(x, out=None):
+    """Floor-based reduction into [0, 1), written into out (a new array when None).
 
     x - floor(x) is the exact fractional part rounded once, so it equals
     np.mod(x, 1.0) bit for bit while skipping the division.  Guards the
     float edge where that rounds up to exactly 1.0 (e.g. x = -1e-18), which
-    would break the half-open invariant.
+    would break the half-open invariant.  out must not share memory with x:
+    the floor is written there before the subtraction reads x.
     """
-    r = x - np.floor(x)
-    return np.where(r >= 1.0, 0.0, r)
+    if out is None:
+        out = np.empty(np.shape(x))
+    elif np.may_share_memory(x, out):
+        raise ValueError("mod1 cannot reduce in place: out shares memory with x")
+    np.floor(x, out=out)
+    np.subtract(x, out, out=out)
+    out[out >= 1.0] = 0.0
+    return out
 
 
 def mod1f(x: float) -> float:

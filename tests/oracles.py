@@ -99,3 +99,127 @@ def circulant_trace_power(row, L):
 def geometric_series_variance(eta):
     """sigma^2 = 2 sum_t eta^|t| = 2 (1 + eta) / (1 - eta)."""
     return 2.0 * (1.0 + eta) / (1.0 - eta)
+
+
+# ---------------------------------------------------------------------------
+# allocating Monte Carlo kernel: fresh arrays at every step and for every bond
+
+
+def reference_mod1(x):
+    """x - floor(x) with the guard that maps a result rounded up to 1.0 to 0.0."""
+    r = x - np.floor(x)
+    return np.where(r >= 1.0, 0.0, r)
+
+
+def _reference_step(q, p, m):
+    return reference_mod1(m.a * q + m.b * p), reference_mod1(m.c * q + m.d * p)
+
+
+def reference_trajectory(rng, n, L, m, shifts, steps):
+    """Frames (copies, n, L) at t = 0..steps-1; copy k starts with site l stepped shifts[k][l] times."""
+    q0, p0 = rng.random((n, L)), rng.random((n, L))
+    qs, ps = [], []
+    for shift in shifts:
+        q, p = q0.copy(), p0.copy()
+        for l, s in enumerate(shift):
+            for _ in range(s):
+                q[:, l], p[:, l] = _reference_step(q[:, l], p[:, l], m)
+        qs.append(q)
+        ps.append(p)
+    for t in range(steps):
+        if t:
+            stepped = [_reference_step(q, p, m) for q, p in zip(qs, ps)]
+            qs, ps = [q for q, _ in stepped], [p for _, p in stepped]
+        yield np.stack(qs)
+
+
+def reference_lattice_trajectory(nq, np_, den, m, s, steps):
+    """Frames (2, n, L) of lattice points and of their s-shifted copies, fresh arrays per step."""
+    shifted_q, shifted_p = nq.copy(), np_.copy()
+    for l, k in enumerate(s):
+        for _ in range(k):
+            a, b = shifted_q[:, l], shifted_p[:, l]
+            shifted_q[:, l], shifted_p[:, l] = (m.a * a + m.b * b) % den, (m.c * a + m.d * b) % den
+    cur = [(nq, np_), (shifted_q, shifted_p)]
+    for t in range(steps):
+        if t:
+            cur = [((m.a * a + m.b * b) % den, (m.c * a + m.d * b) % den) for a, b in cur]
+        yield np.stack([a / den for a, _ in cur])
+
+
+def reference_bond_sum(q, bond_list):
+    """sum over (i, j, offset) bonds of cos(2 pi (q_i - q_j + offset)), one cosine array per bond."""
+    tot = np.zeros(q.shape[:-1])
+    for i, j, off in bond_list:
+        tot += np.cos(2.0 * math.pi * (q[..., i] - q[..., j] + off))
+    return tot
+
+
+def reference_phase_sums(frames, amplitude, bond_list, checkpoints):
+    """{t: sum over t' < t of V(q_t') - V(q^s_t')} from (2, n, L) frames."""
+    acc = 0.0
+    out = {}
+    for t, q in enumerate(frames, start=1):
+        v, v_s = amplitude * reference_bond_sum(q, bond_list)
+        acc = acc + (v - v_s)
+        if t in checkpoints:
+            out[t] = acc
+    return out
+
+
+def reference_time_average_ladder(m, amplitude, bond_list, L, s, horizon, samples, rng, batch):
+    """((t, sigma2, err), ...) of (1/t) <Phi_t^2> at t = horizon/4, horizon/2, horizon."""
+    checkpoints = sorted({max(1, horizon // 4), max(1, horizon // 2), horizon})
+    sums = {c: 0.0 for c in checkpoints}
+    sums2 = {c: 0.0 for c in checkpoints}
+    done = 0
+    while done < samples:
+        n = min(batch, samples - done)
+        frames = reference_trajectory(rng, n, L, m, ((0,) * L, s), horizon)
+        for t, acc in reference_phase_sums(frames, amplitude, bond_list, checkpoints).items():
+            vals = acc * acc / t
+            sums[t] += vals.sum()
+            sums2[t] += (vals * vals).sum()
+        done += n
+    ladder = []
+    for c in checkpoints:
+        mean = sums[c] / samples
+        var = max(sums2[c] / samples - mean * mean, 0.0)
+        ladder.append((c, float(mean), float(math.sqrt(var / samples))))
+    return tuple(ladder)
+
+
+def reference_correlation(m, amplitude, bond_list, L, shift, samples, rng, batch):
+    """(C(shift), std_error) of W = amplitude * bond sum under uniform initial conditions."""
+    m_off = max(0, -min(shift))
+    shifts = ((m_off,) * L, tuple(m_off + s for s in shift))
+    done = 0
+    s_p = s_p2 = s_a = s_b = 0.0
+    while done < samples:
+        n = min(batch, samples - done)
+        (q,) = reference_trajectory(rng, n, L, m, shifts, 1)
+        a, b = amplitude * reference_bond_sum(q, bond_list)
+        prod = a * b
+        s_p += prod.sum()
+        s_p2 += (prod * prod).sum()
+        s_a += a.sum()
+        s_b += b.sum()
+        done += n
+    mean_p = s_p / samples
+    var_p = max(s_p2 / samples - mean_p**2, 0.0)
+    return float(mean_p - (s_a / samples) * (s_b / samples)), float(math.sqrt(var_p / samples))
+
+
+def reference_phase_samples(m, amplitude, bond_list, L, T, s, budget, rng, batch, lattice=None):
+    """Phi_s / sqrt(T): proxy mode from uniform draws, exact mode from lattice = (nq, np_, den)."""
+    out = []
+    for done in range(0, budget, batch):
+        n = min(batch, budget - done)
+        if lattice is None:
+            frames = reference_trajectory(rng, n, L, m, ((0,) * L, s), T)
+        else:
+            nq, np_, den = lattice
+            idx = rng.integers(0, len(nq), size=(n, L))
+            frames = reference_lattice_trajectory(nq[idx], np_[idx], den, m, s, T)
+        out.append(reference_phase_sums(frames, amplitude, bond_list, (T,))[T])
+    return np.concatenate(out) / math.sqrt(T)

@@ -63,6 +63,11 @@ def test_mod1_half_open_edge():
     ref = np.mod(x, 1.0)
     ref = np.where(ref >= 1.0, 0.0, ref)
     assert np.array_equal(mod1(x).view(np.uint64), ref.view(np.uint64))
+    out = np.empty_like(x)
+    assert mod1(x, out=out) is out
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    with pytest.raises(ValueError):
+        mod1(x, out=x[::-1])
 
 
 def _stepped_directly(q0, p0, shift, t):
@@ -86,7 +91,8 @@ def test_trajectory_matches_direct_stepping(shifts):
     rng = philox(10)
     q0, p0 = rng.random((16, 3)), rng.random((16, 3))
     steps = 4
-    frames = list(_trajectory(philox(10), 16, 3, DEFAULT_MAP, shifts, steps))
+    # a frame is valid only until the next step, so keep a copy of each
+    frames = [frame.copy() for frame in _trajectory(philox(10), 16, 3, DEFAULT_MAP, shifts, steps)]
     assert len(frames) == steps
     for t, frame in enumerate(frames):
         assert frame.shape == (len(shifts), 16, 3)

@@ -191,6 +191,8 @@ def test_variance_pipeline_small(tmp_path):
     rep = json.loads((tmp_path / "v/variance_report.json").read_text())
     assert rep["invariance_all_ok"]
     assert rep["agreement"]["ok"]
+    seeds = json.loads((tmp_path / "v/manifest.json").read_text())["task_seeds"]
+    assert seeds["agreement_series"] == seeds["agreement"] + 1
     with open(tmp_path / "v/variance_table.csv") as f:
         f.readline()
         rows = list(csv.DictReader(f))
@@ -207,7 +209,7 @@ def test_variance_manifest_records_every_task_seed(tmp_path):
     manifest = json.loads((tmp_path / "v/manifest.json").read_text())
     seeds = manifest["task_seeds"]
     assert seeds.pop("master") == 33
-    assert sorted(seeds.values()) == sorted(spawn_seeds(33, 3 + 2 * 2))
+    assert sorted(seeds.values()) == sorted(spawn_seeds(33, 3 + 2 * 2))  # no agreement_series
     assert "seeds" not in manifest["extras"]
 
 
@@ -467,6 +469,26 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_numpy_random_is_loaded_before_staging(tmp_path):
+    # a SIGINT that lands while numpy.random first initialises is dropped, so the
+    # import must not happen inside a staged run; predict itself draws nothing
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    code = (
+        "import sys, pathlib, sfflab.harness as h\n"
+        "mkdir = pathlib.Path.mkdir\n"
+        "def staged(self, *args, **kwargs):\n"
+        "    if self.name.endswith('.partial'):\n"
+        "        print('numpy.random' in sys.modules)\n"
+        "    return mkdir(self, *args, **kwargs)\n"
+        "pathlib.Path.mkdir = staged\n"
+        "h.run_experiment(h.validate_config({'kind': 'predict', 'seed': 1, 'outdir': sys.argv[1],\n"
+        "                                     'predict': {'L': 3, 'chi': 0.9}}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "p")], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "True"
 
 
 def _spans_targets():
