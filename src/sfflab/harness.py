@@ -31,7 +31,7 @@ from .phases import (
 from .potts import (PottsError, PottsParams, SffPrediction, bound_check, check_family,
                     closed_form_sff, scaled_kappa, thouless_time)
 from .quantum import CircuitSpec, ConventionError, EnsembleSpec, SffSeries, compare, sff_numeric
-from .util import fmt_float, philox, sha256_file, spawn_seeds
+from .util import philox, sha256_file, spawn_seeds
 
 KINDS = ("predict", "orbits", "clt", "variance", "quantum-sff", "compare", "bound-check")
 
@@ -107,18 +107,18 @@ SECTION_SCHEMAS = {
         "s": ([int], None),
         "budget": (int, 100_000, 1000),  # clt_diagnostics needs 1000 samples
         "mode": (str, "auto", ("auto", "exact", "proxy")),
-        "csv_rows": (int, 20_000),
+        "csv_rows": (int, 20_000, 0),
     },
     "variance": {
         "L": (int, 2),
         "system": (_SYSTEM_SCHEMA, None),
         "T": (int, 16, 1),
         "estimator": (str, "time-average", ("time-average", "series")),
-        "samples": (int, 20_000),
-        "horizon": (int, 256),
-        "t_max": (int, 10),
+        "samples": (int, 20_000, 1),
+        "horizon": (int, 256, 4),  # variance_time_average needs 4
+        "t_max": (int, 10, 0),
         "invariance_checks": (int, 0),
-        "invariance_samples": (int, 20_000),
+        "invariance_samples": (int, 20_000, 1),
         "agreement_check": (bool, False),
         "agreement_s": ([int], None),
     },
@@ -287,13 +287,24 @@ def dump_config(cfg: ExperimentConfig) -> str:
 # artifact io
 
 
-def _write_csv(path, schema, header, rows):
+def _write_csv(path, schema, header, blocks):
+    """Write a CSV artifact whose rows come from blocks of equal-length columns, in order.
+
+    A column is anything np.asarray takes; its cells are the Python scalars of
+    .tolist(), and a float column is formatted once as repr (the shortest
+    round-trip form; under numpy 2 repr(np.float64) prints "np.float64(...)").
+    """
     with open(path, "w", newline="") as f:
         f.write(f"# schema: sfflab/{schema} v1\n")
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([fmt_float(v) if isinstance(v, float) else v for v in row])
+        for columns in blocks:
+            w.writerows(zip(*map(_cells, columns), strict=True))
+
+
+def _cells(column):
+    col = np.asarray(column)
+    return map(repr, col.tolist()) if col.dtype.kind == "f" else col.tolist()
 
 
 def _write_json(path, payload):
@@ -352,13 +363,13 @@ def _run_predict(cfg, outdir):
     grid = _t_grid(sec)
     pred = closed_form_sff(params, grid)
     header = ["T", "tau", "K", "log10_K", "mode", "L", "chi", "Lambda", "sigma2_phi"]
-    rows = []
+    n = len(grid)
+    blocks = []
 
     def emit(p: SffPrediction, mode: str, chi_val: float):
-        for T, K, logK in zip(p.times, p.values, p.log_values):
-            rows.append([float(T), float(T / params.T_H), float(K),
-                         float(logK / math.log(10.0)), mode, params.L,
-                         float(chi_val), float(params.lam), float(params.sigma2_phi)])
+        blocks.append([p.times, p.times / params.T_H, p.values, p.log_values / math.log(10.0),
+                       [mode] * n, [params.L] * n, [float(chi_val)] * n,
+                       [float(params.lam)] * n, [float(params.sigma2_phi)] * n])
 
     emit(pred, "closed-form", params.chi)
     if sec["emit_limits"]:
@@ -366,14 +377,12 @@ def _run_predict(cfg, outdir):
              "limit-chi1", 1.0)
         emit(closed_form_sff(PottsParams.from_chi(params.L, params.T_H, 0.0), grid),
              "limit-chi0", 0.0)
-    _write_csv(outdir / "predict_sff.csv", "predict_sff", header, rows)
+    _write_csv(outdir / "predict_sff.csv", "predict_sff", header, blocks)
     if sec["emit_kappa"]:
         tau = grid / params.T_H
-        kap = scaled_kappa(params, tau)
-        _write_csv(outdir / "kappa.csv", "kappa",
-                   ["tau", "kappa", "L", "chi"],
-                   [[float(t), float(k), params.L, float(params.chi)] for t, k in zip(tau, kap)])
-    return {"n_rows": len(rows), "params": params.to_dict()}
+        _write_csv(outdir / "kappa.csv", "kappa", ["tau", "kappa", "L", "chi"],
+                   [[tau, scaled_kappa(params, tau), [params.L] * n, [float(params.chi)] * n]])
+    return {"n_rows": n * len(blocks), "params": params.to_dict()}
 
 
 def _cat_map(entries) -> CatMapSpec:
@@ -383,25 +392,27 @@ def _cat_map(entries) -> CatMapSpec:
 def _run_orbits(cfg, outdir):
     sec = cfg.section
     m = _cat_map(sec["map"])
-    summary = []
-    inventory = []
+    summary = [[], [], [], [], []]
+    inventory = [[], [], [], [], []]
     for T in sec["T_list"]:
         if T <= sec["inventory_max_T"]:
             orbits = subsystem_orbits(T, m, sec["max_points"])
             count = sum(o.primitive_period for o in orbits)
             for o in orbits:
                 r = o.representative
-                inventory.append([T, r.num_q, r.num_p, r.den, o.primitive_period])
+                for col, v in zip(inventory, (T, r.num_q, r.num_p, r.den, o.primitive_period)):
+                    col.append(v)
         else:
             count = len(enumerate_lattice(T, m, sec["max_points"])[0])
         # every period-T point of a linear map carries the same A^2, so the
         # sum rule over the enumerated points is count * A^2 (see sum_rule_check)
         amp2 = stability_amplitude_sq(T, m)
-        summary.append([T, count, periodic_point_count(T, m), amp2, count * amp2])
+        for col, v in zip(summary, (T, count, periodic_point_count(T, m), amp2, count * amp2)):
+            col.append(v)
     _write_csv(outdir / "orbit_summary.csv", "orbit_summary",
-               ["T", "count", "expected_count", "amplitude_sq", "sum_rule"], summary)
+               ["T", "count", "expected_count", "amplitude_sq", "sum_rule"], [summary])
     _write_csv(outdir / "orbit_inventory.csv", "orbit_inventory",
-               ["T", "num_q", "num_p", "den", "primitive_period"], inventory)
+               ["T", "num_q", "num_p", "den", "primitive_period"], [inventory])
     return {"periods": sec["T_list"]}
 
 
@@ -447,16 +458,16 @@ def _run_clt(cfg, outdir):
     sec = cfg.section
     spec = _clt_system(cfg)
     seeds = spawn_seeds(cfg.seed, len(sec["T_list"]))
-    sample_rows = []
+    blocks = []
     report = {}
     for T, seed in zip(sec["T_list"], seeds):
         s = tuple(sec["s"]) if sec["s"] else _staircase(spec.L, T)
         sset = sample_phase_distribution(spec, T, s, sec["budget"], seed, mode=sec["mode"])
         rep = clt_diagnostics(sset)
-        s_str = ";".join(str(v) for v in s)
-        rt = math.sqrt(T)
-        for i, v in enumerate(sset.phi_tilde[: sec["csv_rows"]]):
-            sample_rows.append([T, sset.mode, i, float(v * rt), float(v), s_str])
+        kept = sset.phi_tilde[: sec["csv_rows"]]
+        n = len(kept)
+        blocks.append([np.full(n, T), np.full(n, sset.mode), np.arange(n), kept * math.sqrt(T),
+                       kept, np.full(n, ";".join(str(v) for v in s))])
         report[str(T)] = {
             "mode": sset.mode,
             "s": list(s),
@@ -469,7 +480,7 @@ def _run_clt(cfg, outdir):
             "seed": seed,
         }
     _write_csv(outdir / "phase_samples.csv", "phase_samples",
-               ["T", "mode", "index", "phi", "phi_tilde", "s"], sample_rows)
+               ["T", "mode", "index", "phi", "phi_tilde", "s"], blocks)
     _write_json(outdir / "clt_report.json", report)
     return {"task_seeds": {f"T={t}": s for t, s in zip(sec["T_list"], seeds)}}
 
@@ -485,8 +496,9 @@ def _run_variance(cfg, outdir):
     )
     _write_csv(outdir / "variance_table.csv", "variance_table",
                ["s_tilde", "sigma2", "std_error", "estimator", "T"],
-               [[st, float(table.values[st][0]), float(table.values[st][1]),
-                 sec["estimator"], T] for st in range(T)])
+               [[np.arange(T), [float(table.values[st][0]) for st in range(T)],
+                 [float(table.values[st][1]) for st in range(T)], [sec["estimator"]] * T,
+                 [T] * T]])
 
     report = {"table_T": T, "estimator": sec["estimator"]}
     specL = _variance_system(cfg)
@@ -553,13 +565,12 @@ def _run_quantum(cfg, outdir):
     spec = _circuit_spec(cfg)
     t_max = sec["t_max"] or int(round(1.25 * spec.T_H))
     series = sff_numeric(spec, t_max, workers=cfg.workers)
-    rows = [
-        [int(t), float(t / spec.T_H), float(k), float(kr), float(e),
-         spec.N, spec.L, float(spec.eps_effective), float(spec.lam or 0.0)]
-        for t, k, kr, e in zip(series.times, series.values, series.raw_values, series.errors)
-    ]
+    n = len(series.times)
     _write_csv(outdir / "sff_numeric.csv", "sff_numeric",
-               ["t", "tau", "K", "K_raw", "err", "N", "L", "epsilon", "Lambda"], rows)
+               ["t", "tau", "K", "K_raw", "err", "N", "L", "epsilon", "Lambda"],
+               [[series.times, series.times / spec.T_H, series.values, series.raw_values,
+                 series.errors, [spec.N] * n, [spec.L] * n, [float(spec.eps_effective)] * n,
+                 [float(spec.lam or 0.0)] * n]])
     return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"],
             "unitarity_residual_max": series.meta["unitarity_residual_max"],
             "trace_check_max": series.meta["trace_check_max"]}
@@ -633,16 +644,14 @@ def _check_families(cfg) -> None:
 def _run_bound(cfg, outdir):
     sec = cfg.section
     grid = np.unique(np.geomspace(sec["T_start"], sec["T_stop"], sec["T_points"]).astype(int))
-    rows = []
+    blocks = []
     verdicts = []
     for fam in sec["families"]:
         res = bound_check(sec["L"], sec["T_H"], sec["Lambda"], sec["f0"],
                           fam["eta"], fam["theta"], grid)
-        for i, T in enumerate(res.times):
-            rows.append([float(res.eta), float(res.theta), int(T),
-                         float(res.K[i]), float(res.K0[i]),
-                         float(res.deviation[i]), float(res.bound[i]),
-                         bool(res.deviation[i] <= res.bound[i] + 1e-12)])
+        n = len(res.times)
+        blocks.append([[float(res.eta)] * n, [float(res.theta)] * n, res.times, res.K, res.K0,
+                       res.deviation, res.bound, res.deviation <= res.bound + 1e-12])
         verdicts.append({
             "eta": res.eta, "theta": res.theta,
             "a": res.a, "A": res.A,
@@ -650,7 +659,7 @@ def _run_bound(cfg, outdir):
             "final_relative_deviation": float(res.relative_deviation[-1]),
         })
     _write_csv(outdir / "bound_check.csv", "bound_check",
-               ["eta", "theta", "T", "K", "K0", "abs_dev", "bound", "ok"], rows)
+               ["eta", "theta", "T", "K", "K0", "abs_dev", "bound", "ok"], blocks)
     _write_json(outdir / "bound_report.json",
                 {"families": verdicts, "all_dominated": all(v["dominated"] for v in verdicts)})
     return {"families": len(verdicts)}

@@ -232,8 +232,11 @@ def enumerate_lattice(T: int, m: CatMapSpec, max_points: int = 5_000_000):
     scale = d2 // d1
     i = np.arange(d1, dtype=np.int64)[:, None]
     j = np.arange(d2, dtype=np.int64)[None, :]
-    nq = ((W[0][0] * scale % d2) * i + (W[0][1] % d2) * j) % d2
-    np_ = ((W[1][0] * scale % d2) * i + (W[1][1] % d2) * j) % d2
+    # reduced in place, so each array is allocated once at the full point count
+    nq = (W[0][0] * scale % d2) * i + (W[0][1] % d2) * j
+    nq %= d2
+    np_ = (W[1][0] * scale % d2) * i + (W[1][1] % d2) * j
+    np_ %= d2
     nq, np_ = nq.ravel(), np_.ravel()
     if len(nq) != count:
         raise ConsistencyError("Smith enumeration produced wrong point count")

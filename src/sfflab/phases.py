@@ -400,24 +400,50 @@ def _phase_sums(traj, amplitude, bond_list, checkpoints):
 
 
 def clt_diagnostics(samples) -> CltReport:
-    """Moments and KS distance against the centered normal with the sample variance."""
-    from scipy import stats  # imported here so that only clt pays scipy's import time
+    """Moments and KS distance against the centered normal with the sample variance.
+
+    Each statistic equals scipy.stats' (skew, kurtosis, kstest(...).statistic)
+    bit for bit: the same operations in the same order, and NaN where scipy
+    gives NaN (a sample too close to constant for its moments, a zero sigma
+    for the KS distance).  No p-value is computed, and scipy.stats is not
+    imported.
+    """
+    from scipy.special import ndtr  # imported here so that only clt pays scipy's import time
 
     if isinstance(samples, PhaseSampleSet):
         samples = samples.phi_tilde
     vals = np.asarray(samples, dtype=float)
-    if len(vals) < 1000:
+    n = len(vals)
+    if n < 1000:
         raise SpecError("clt_diagnostics needs at least 1000 samples")
     if np.abs(vals).max() < 1e-13:
-        return CltReport(n=len(vals), skewness=0.0, excess_kurtosis=0.0,
+        return CltReport(n=n, skewness=0.0, excess_kurtosis=0.0,
                          ks_distance=0.0, fitted_variance=0.0, degenerate=True)
     sigma = float(vals.std())
-    ks = stats.kstest(vals, "norm", args=(0.0, sigma)).statistic
+    mean = vals.mean()
+    d = vals - mean
+    d2 = d**2
+    m2 = d2.mean()
+    m3 = (d2 * d).mean()
+    d2 **= 2
+    m4 = d2.mean()
+    if m2 <= (np.finfo(float).eps * mean) ** 2:  # scipy's test for a constant sample
+        skewness = excess_kurtosis = math.nan
+    else:
+        skewness = float(m3 / m2**1.5)
+        excess_kurtosis = float(m4 / m2**2.0 - 3)
+    if sigma > 0.0:
+        cdf = ndtr(np.sort(vals) / sigma)
+        d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+        d_minus = (cdf - np.arange(0.0, n) / n).max()
+        ks = float(d_plus if d_plus > d_minus else d_minus)
+    else:
+        ks = math.nan  # scipy's cdf is undefined at scale 0
     return CltReport(
-        n=len(vals),
-        skewness=float(stats.skew(vals)),
-        excess_kurtosis=float(stats.kurtosis(vals)),
-        ks_distance=float(ks),
+        n=n,
+        skewness=skewness,
+        excess_kurtosis=excess_kurtosis,
+        ks_distance=ks,
         fitted_variance=sigma * sigma,
         degenerate=False,
     )

@@ -80,8 +80,3 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def fmt_float(x) -> str:
-    """Shortest round-trip decimal form; stable across runs for CSV bodies."""
-    return repr(float(x))

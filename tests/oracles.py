@@ -3,6 +3,7 @@
 These never share code paths with the package internals they check.
 """
 import cmath
+import csv
 import math
 import numpy as np
 
@@ -223,3 +224,13 @@ def reference_phase_samples(m, amplitude, bond_list, L, T, s, budget, rng, batch
             frames = reference_lattice_trajectory(nq[idx], np_[idx], den, m, s, T)
         out.append(reference_phase_sums(frames, amplitude, bond_list, (T,))[T])
     return np.concatenate(out) / math.sqrt(T)
+
+
+def write_csv_rows(path, schema, header, rows):
+    """The row-wise artifact writer: each float cell formatted on its own as repr(float(v))."""
+    with open(path, "w", newline="") as f:
+        f.write(f"# schema: sfflab/{schema} v1\n")
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

@@ -26,6 +26,8 @@ from sfflab.harness import (
 )
 from sfflab.util import spawn_seeds
 
+from oracles import write_csv_rows
+
 
 def _cfg_predict(outdir, **over):
     base = {
@@ -326,6 +328,13 @@ BOUNDARY_ROWS = [
      "clt.T_list[0]"),
     (["clt", "--set", "clt.T_list=[4,65]", "--set", "clt.budget=1000", "--set", "clt.mode=exact"],
      "clt.T_list[1]"),
+    (["clt", "--set", "clt.T_list=[4]", "--set", "clt.budget=1000", "--set", "clt.csv_rows=-5"],
+     "clt.csv_rows"),
+    (["variance", "--set", "variance.samples=0"], "variance.samples"),
+    (["variance", "--set", "variance.invariance_samples=0"], "variance.invariance_samples"),
+    (["variance", "--set", "variance.horizon=2"], "variance.horizon"),
+    (["variance", "--set", "variance.t_max=-1", "--set", "variance.estimator=series"],
+     "variance.t_max"),
 ]
 
 
@@ -408,6 +417,41 @@ def test_failed_rerun_leaves_earlier_run_untouched(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def _row_wise_write_csv(path, schema, header, blocks):
+    write_csv_rows(path, schema, header, [row for columns in blocks for row in zip(*columns)])
+
+
+CSV_WRITER_RUNS = [
+    ("predict", {"L": 2, "chi": 0.9, "T_spacing": "integer", "T_stop": 40.0, "emit_kappa": True}),
+    ("orbits", {"T_list": [1, 2, 3, 4, 5, 6, 7], "inventory_max_T": 5}),
+    ("clt", {"T_list": [3, 40], "budget": 1000, "csv_rows": 600}),
+    ("variance", {"T": 4, "samples": 500, "horizon": 8}),
+    ("quantum-sff", {"N": 4, "Lambda": 0.2, "members": 2, "t_max": 20}),
+    ("compare", {"series_csv": "{series}", "prediction": {"L": 2, "T_H": 16.0, "chi": 0.9}}),
+    ("bound-check", {"families": [{"eta": 0.5, "theta": 1.0}, {"eta": 0.2, "theta": 2.0}],
+                     "T_points": 6}),
+]
+
+
+@pytest.mark.parametrize("kind, section", CSV_WRITER_RUNS, ids=[k for k, _ in CSV_WRITER_RUNS])
+def test_column_writer_matches_row_wise_writer(tmp_path, monkeypatch, kind, section):
+    series = tmp_path / "series.csv"
+    series.write_text("# schema: sfflab/sff_numeric v1\nt,K,K_raw,err,N,L\n"
+                      + "".join(f"{t},{t}.0,{t}.0,0.1,4,2\n" for t in range(1, 21)))
+    if kind == "compare":
+        section = {**section, "series_csv": str(series)}
+    cfg = validate_config({"kind": kind, "seed": 5, "outdir": str(tmp_path / "out"),
+                           harness.KIND_SECTION[kind]: section})
+    runs = []
+    for writer in (harness._write_csv, _row_wise_write_csv):
+        monkeypatch.setattr(harness, "_write_csv", writer)
+        man = run_experiment(cfg)
+        runs.append((man.digests, {k: v for k, v in _tree(tmp_path / "out").items()
+                                   if k != "manifest.json"}))
+    assert runs[0] == runs[1]
+    assert kind == "compare" or any(name.endswith(".csv") for name in runs[0][1])
+
+
 def test_successful_rerun_replaces_run_directory(tmp_path):
     out = tmp_path / "out"
     run_experiment(_cfg_predict(out, emit_kappa=True))
@@ -469,6 +513,18 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_clt_run_does_not_load_scipy_stats(tmp_path):
+    # clt needs only scipy.special.ndtr; scipy.stats would cost about half a second
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    code = ("import sys, sfflab.cli\n"
+            "code = sfflab.cli.main(['clt', '--outdir', sys.argv[1], '--seed', '1',\n"
+            "                        '--set', 'clt.T_list=[4]', '--set', 'clt.budget=1000'])\n"
+            "print(code, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c")], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1].split() == ["0", "True", "False"]
 
 
 def test_numpy_random_is_loaded_before_staging(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,17 @@ def test_orbit_inventory_csv(tmp_path):
     for r in summary:
         assert r["count"] == r["expected_count"]
         assert float(r["sum_rule"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_enumerate_lattice_peak_memory():
+    # the two int64 output arrays take 16 bytes per point; one more full-size
+    # temporary (an allocating % d2) would put the peak at 1.5 times that
+    enumerate_lattice(3, DEFAULT_MAP)
+    tracemalloc.start()
+    try:
+        nq, _, _ = enumerate_lattice(14, DEFAULT_MAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nq) == periodic_point_count(14, DEFAULT_MAP)
+    assert peak < 1.25 * 16 * len(nq)

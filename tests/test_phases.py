@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from sfflab.dynamics import ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, pair_potential
 from sfflab import phases
@@ -178,6 +180,43 @@ def test_clt_diagnostics_selftest_normal():
     assert rep.ks_distance < 0.01
     assert abs(rep.skewness) < 0.05
     assert abs(rep.excess_kurtosis) < 0.08
+
+
+_CLT_ORACLE_INPUTS = {
+    "normal": lambda rng: rng.normal(0.0, 1.0, 100_000),
+    "exponential": lambda rng: rng.exponential(2.0, 50_000),
+    "t3": lambda rng: rng.standard_t(3, 50_000),
+    "near-constant": lambda rng: 3.0 + 1e-6 * rng.random(20_000),
+    # exact mean: zero sigma (NaN KS distance) and zero m2 (NaN moments)
+    "constant-0.5": lambda rng: np.full(5000, 0.5),
+    # inexact mean: sigma > 0, m2 below scipy's constant-sample threshold
+    "constant-0.1": lambda rng: np.full(5000, 0.1),
+    "n=1000": lambda rng: rng.normal(0.3, 2.0, 1000),
+    "exact-set": lambda rng: sample_phase_distribution(SystemSpec(L=2), 6, (0, 1), budget=20_000,
+                                                       seed=22, mode="exact"),
+    "proxy-set": lambda rng: sample_phase_distribution(SystemSpec(L=2), 6, (0, 1), budget=20_000,
+                                                       seed=22, mode="proxy"),
+}
+
+
+@pytest.mark.parametrize("name", _CLT_ORACLE_INPUTS)
+def test_clt_diagnostics_match_scipy_stats(name):
+    samples = _CLT_ORACLE_INPUTS[name](philox(21))
+    rep = clt_diagnostics(samples)
+    vals = samples.phi_tilde if name.endswith("-set") else samples
+    sigma = float(vals.std())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # scipy's catastrophic-cancellation note
+        expected = {
+            "skewness": float(stats.skew(vals)),
+            "excess_kurtosis": float(stats.kurtosis(vals)),
+            "ks_distance": float(stats.kstest(vals, "norm", args=(0.0, sigma)).statistic),
+        }
+    for key, want in expected.items():
+        got = getattr(rep, key)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (key, got, want)
+    assert rep.fitted_variance == sigma * sigma
+    assert rep.n == len(vals) and not rep.degenerate
 
 
 def test_clt_diagnostics_needs_enough_samples():
