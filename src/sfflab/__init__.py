@@ -6,23 +6,13 @@ from .dynamics import (
     CatMapSpec,
     CorrelationEstimate,
     DEFAULT_MAP,
-    ManyBodyPoint,
     SystemSpec,
-    TorusPoint,
-    coupled_step,
     estimate_correlation,
-    interaction_derivative,
-    subsystem_step,
 )
 from .orbits import (
     OrbitFamily,
-    PeriodicPoint,
-    ShiftVector,
     SubsystemOrbit,
-    enumerate_periodic_points,
     family_iterator,
-    group_into_orbits,
-    shift_action,
     stability_amplitude_sq,
     sum_rule_check,
 )
@@ -33,7 +23,6 @@ from .phases import (
     clt_diagnostics,
     per_bond_variance_table,
     phase_difference,
-    quotient_projection,
     sample_phase_distribution,
     variance_series,
     variance_time_average,
@@ -43,7 +32,6 @@ from .potts import (
     SffPrediction,
     closed_form_sff,
     deviation_bound,
-    k0_reference,
     scaled_kappa,
     sff_transfer,
     thouless_time,
@@ -52,7 +40,6 @@ from .potts import (
 from .quantum import (
     CircuitSpec,
     EnsembleSpec,
-    QuantizedMap,
     SffSeries,
     build_circuit,
     compare,

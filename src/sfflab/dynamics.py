@@ -15,55 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import mod1, mod1f, philox
+from .util import mod1, philox
 
 TWO_PI = 2.0 * math.pi
 
 NEAREST_NEIGHBOUR = "nearest-neighbour-periodic"
 ALL_TO_ALL = "all-to-all"
 TOPOLOGIES = (NEAREST_NEIGHBOUR, ALL_TO_ALL)
-INTERACTIONS = ("cosine",)
 
 
 class SpecError(ValueError):
     """Invalid system specification."""
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """Phase-space point on the 2-torus; coordinates reduced into [0, 1)."""
-
-    q: float
-    p: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", mod1f(float(self.q)))
-        object.__setattr__(self, "p", mod1f(float(self.p)))
-
-
-@dataclass(frozen=True)
-class ManyBodyPoint:
-    """Point on the L-fold product torus."""
-
-    sites: tuple[TorusPoint, ...]
-
-    def __post_init__(self):
-        if len(self.sites) < 1:
-            raise SpecError("ManyBodyPoint needs at least one site")
-        object.__setattr__(self, "sites", tuple(self.sites))
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-    def qs(self) -> np.ndarray:
-        return np.array([s.q for s in self.sites])
-
-    def ps(self) -> np.ndarray:
-        return np.array([s.p for s in self.sites])
-
-    @classmethod
-    def from_arrays(cls, q: Sequence[float], p: Sequence[float]) -> "ManyBodyPoint":
-        return cls(tuple(TorusPoint(float(a), float(b)) for a, b in zip(q, p)))
 
 
 @dataclass(frozen=True)
@@ -88,9 +50,6 @@ class CatMapSpec:
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.int64)
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
-
 
 DEFAULT_MAP = CatMapSpec(2, 1, 1, 1)
 
@@ -101,7 +60,6 @@ class SystemSpec:
 
     L: int
     subsystem: CatMapSpec = DEFAULT_MAP
-    interaction: str = "cosine"
     amplitude: float = 1.0
     topology: str = NEAREST_NEIGHBOUR
     epsilon: float = 0.0
@@ -109,24 +67,12 @@ class SystemSpec:
     def __post_init__(self):
         if self.L < 1:
             raise SpecError("L must be >= 1")
-        if self.interaction not in INTERACTIONS:
-            raise SpecError(f"unknown interaction {self.interaction!r}")
         if self.topology not in TOPOLOGIES:
             raise SpecError(f"unknown topology {self.topology!r}")
         if self.topology == NEAREST_NEIGHBOUR and self.L < 2:
             raise SpecError("nearest-neighbour-periodic topology requires L >= 2")
         if self.epsilon < 0:
             raise SpecError("epsilon must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "subsystem": self.subsystem.to_dict(),
-            "interaction": self.interaction,
-            "amplitude": self.amplitude,
-            "topology": self.topology,
-            "epsilon": self.epsilon,
-        }
 
 
 @dataclass(frozen=True)
@@ -148,17 +94,13 @@ class CorrelationEstimate:
 # elementary steps
 
 
-def subsystem_step(x: TorusPoint, m: CatMapSpec) -> TorusPoint:
-    """One application of the linear torus map to a single site."""
-    return TorusPoint(mod1f(m.a * x.q + m.b * x.p), mod1f(m.c * x.q + m.d * x.p))
-
-
 def step_arrays(q: np.ndarray, p: np.ndarray, m: CatMapSpec, scratch=None):
     """Vectorized subsystem step of the float arrays q and p, in place; returns (q, p).
 
-    Same IEEE operations as subsystem_step: a*q + b*p and c*q + d*p, each
-    reduced by mod1.  scratch is a float array of shape (2,) + q.shape that
-    holds the unreduced images (allocated when None).
+    a*q + b*p and c*q + d*p, each reduced by mod1: per element the same IEEE
+    operations, and so the same bits, as the scalar step (a*q + b*p) % 1.0
+    with mod1's >= 1.0 guard.  scratch is a float array of shape
+    (2,) + q.shape that holds the unreduced images (allocated when None).
     """
     u, v = np.empty((2,) + q.shape) if scratch is None else scratch
     np.multiply(q, m.a, out=u)
@@ -211,7 +153,10 @@ def _bond_sum(q: np.ndarray, bond_list, out=None, work=None) -> np.ndarray:
 
 
 def pair_potential(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
-    """V(q) = amplitude * sum over bonds(spec, L, offsets); q has shape (..., L), returns (...)."""
+    """V(q) = amplitude * sum over bonds(spec, L, offsets); q has shape (..., L), returns (...).
+
+    V is also the interaction derivative: d/d(eps) of the generating function at eps = 0.
+    """
     q = np.asarray(q, dtype=float)
     return spec.amplitude * _bond_sum(q, bonds(spec, q.shape[-1], offsets))
 
@@ -246,29 +191,6 @@ def coupled_step_unreduced(q: np.ndarray, p: np.ndarray, spec: SystemSpec, offse
     m = spec.subsystem
     pk = p + spec.epsilon * pair_gradient(q, spec, offsets)
     return m.a * q + m.b * pk, m.c * q + m.d * pk
-
-
-def coupled_step(x: ManyBodyPoint, spec: SystemSpec) -> ManyBodyPoint:
-    """One step of the coupled map: momentum kick by eps * dV/dq, then cat maps."""
-    if len(x) != spec.L:
-        raise SpecError("point has wrong number of sites")
-    q, p = x.qs(), x.ps()
-    pk = mod1(p + spec.epsilon * pair_gradient(q, spec))
-    qn, pn = step_arrays(q, pk, spec.subsystem)
-    return ManyBodyPoint.from_arrays(qn, pn)
-
-
-def interaction_derivative(x, spec: SystemSpec, offsets=None):
-    """d/d(eps) of the generating function at eps = 0: the pair potential V(q).
-
-    Accepts a ManyBodyPoint (returns float) or an array of positions with
-    shape (..., L) (returns shape (...)).
-    """
-    if isinstance(x, ManyBodyPoint):
-        if len(x) != spec.L:
-            raise SpecError("point has wrong number of sites")
-        return float(pair_potential(x.qs(), spec, offsets))
-    return pair_potential(x, spec, offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ _PREDICTION_SCHEMA = {
 _SYSTEM_SCHEMA = {
     "L": (int, _REQUIRED),
     "subsystem": (_MAP_SCHEMA, None),
-    "interaction": (str, "cosine"),
     "amplitude": (float, 1.0),
     "topology": (str, "nearest-neighbour-periodic"),
     "epsilon": (float, 0.0),
@@ -88,7 +87,7 @@ SECTION_SCHEMAS = {
         "sigma2_phi": (float, 1.0),
         "T_H": (float, 100.0),
         "T_start": (float, 1.0, 1),
-        "T_stop": (float, 1e5),
+        "T_stop": (float, 1e5, 1),
         "T_points": (int, 400, 1),
         "T_spacing": (str, "log", ("log", "linear", "integer")),
         "emit_limits": (bool, True),
@@ -97,7 +96,7 @@ SECTION_SCHEMAS = {
     "orbits": {
         "T_list": ([int], _REQUIRED, range(1, MAX_PERIOD + 1)),
         "map": (_MAP_SCHEMA, None),
-        "max_points": (int, 5_000_000),
+        "max_points": (int, 5_000_000, 1),
         "inventory_max_T": (int, 8),
     },
     "clt": {
@@ -117,7 +116,7 @@ SECTION_SCHEMAS = {
         "samples": (int, 20_000, 1),
         "horizon": (int, 256, 4),  # variance_time_average needs 4
         "t_max": (int, 10, 0),
-        "invariance_checks": (int, 0),
+        "invariance_checks": (int, 0, 0),
         "invariance_samples": (int, 20_000, 1),
         "agreement_check": (bool, False),
         "agreement_s": ([int], None),
@@ -131,7 +130,7 @@ SECTION_SCHEMAS = {
         "t_max": (int, 0, 0),  # 0: 1.25 T_H
         "translations": (bool, True),
         "bond_offsets": (bool, True),
-        "memory_budget_mb": (int, 2048),
+        "memory_budget_mb": (int, 2048, 1),
     },
     "compare": {
         "series_csv": (str, _REQUIRED),
@@ -142,13 +141,13 @@ SECTION_SCHEMAS = {
         "use_raw": (bool, False),
     },
     "bound": {
-        "L": (int, 2),
+        "L": (int, 2, 2),  # bound_check needs an asynchronous class: L, T >= 2
         "T_H": (float, 16.0),
         "Lambda": (float, 2.0),
         "f0": (float, 1.0),
         "families": ([_FAMILY_SCHEMA], _REQUIRED),
-        "T_start": (int, 2),
-        "T_stop": (int, 256),
+        "T_start": (int, 2, 2),
+        "T_stop": (int, 256, 2),
         "T_points": (int, 24, 1),
     },
 }
@@ -399,8 +398,8 @@ def _run_orbits(cfg, outdir):
             orbits = subsystem_orbits(T, m, sec["max_points"])
             count = sum(o.primitive_period for o in orbits)
             for o in orbits:
-                r = o.representative
-                for col, v in zip(inventory, (T, r.num_q, r.num_p, r.den, o.primitive_period)):
+                num_q, num_p, den = o.representative
+                for col, v in zip(inventory, (T, num_q, num_p, den, o.primitive_period)):
                     col.append(v)
         else:
             count = len(enumerate_lattice(T, m, sec["max_points"])[0])
@@ -633,12 +632,14 @@ def _run_compare(cfg, outdir):
     return {"passed": out["passed"]}
 
 
-def _check_families(cfg) -> None:
-    for i, fam in enumerate(cfg.section["families"]):
+def _bound_params(cfg) -> PottsParams:
+    sec = cfg.section
+    for i, fam in enumerate(sec["families"]):
         try:
-            check_family(cfg.section["f0"], fam["eta"], fam["theta"])
+            check_family(sec["f0"], fam["eta"], fam["theta"])
         except PottsError as e:
             raise PottsError(f"bound.families[{i}]: {e}") from None
+    return PottsParams(sec["L"], sec["T_H"], sec["Lambda"], sec["f0"] / sec["L"])
 
 
 def _run_bound(cfg, outdir):
@@ -676,9 +677,9 @@ _PIPELINES = {
 }
 
 
-# section -> builder of the domain object its pipeline runs on (for bound, the check of
-# its families); validate_config calls it too, so the object's invariants are the domain
-# rules.  Arithmetic only: no circuit, no lattice.
+# section -> builder of the domain object its pipeline runs on (for bound, the parameters
+# bound_check builds, after the check of its families); validate_config calls it too, so
+# the object's invariants are the domain rules.  Arithmetic only: no circuit, no lattice.
 _BUILDERS = {
     "predict": lambda cfg: _potts_params(cfg.section),
     "compare": _compare_prediction,
@@ -686,7 +687,7 @@ _BUILDERS = {
     "clt": _clt_system,
     "variance": _variance_system,
     "quantum": _circuit_spec,
-    "bound": _check_families,
+    "bound": _bound_params,
 }
 
 

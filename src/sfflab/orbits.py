@@ -11,12 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .dynamics import DEFAULT_MAP, CatMapSpec, SystemSpec, TorusPoint
+from .dynamics import CatMapSpec, SystemSpec
 
 MAX_PERIOD = 64
 
@@ -30,57 +29,26 @@ class ConsistencyError(ValueError):
 
 
 @dataclass(frozen=True)
-class PeriodicPoint:
-    """Exact rational periodic point num_q/den, num_p/den of period T."""
-
-    num_q: int
-    num_p: int
-    den: int
-    period: int
-
-    def __post_init__(self):
-        if self.den < 1 or not (0 <= self.num_q < self.den and 0 <= self.num_p < self.den):
-            raise ValueError("numerators must lie in [0, den)")
-
-    @classmethod
-    def from_lattice(cls, nq: int, np_: int, den: int, period: int) -> "PeriodicPoint":
-        g = math.gcd(math.gcd(nq, np_), den)
-        return cls(nq // g, np_ // g, den // g, period)
-
-    @property
-    def q(self) -> Fraction:
-        return Fraction(self.num_q, self.den)
-
-    @property
-    def p(self) -> Fraction:
-        return Fraction(self.num_p, self.den)
-
-    def to_torus_point(self) -> TorusPoint:
-        return TorusPoint(self.num_q / self.den, self.num_p / self.den)
-
-
-@dataclass(frozen=True)
 class SubsystemOrbit:
-    """A periodic orbit represented by its lexicographically smallest point."""
+    """A periodic orbit represented by its lexicographically smallest point.
 
-    representative: PeriodicPoint
+    representative is that point as the reduced fraction (num_q, num_p, den):
+    gcd(num_q, num_p, den) = 1 and 0 <= num_q, num_p < den.
+    """
+
+    representative: tuple[int, int, int]
     period: int
     primitive_period: int
 
     def cycle_lattice(self, m: CatMapSpec):
         """Positions (num_q[t], num_p[t]) over den for t = 0..period-1, exact."""
-        rep = self.representative
-        nq, np_, den = rep.num_q, rep.num_p, rep.den
+        nq, np_, den = self.representative
         qs, ps = [], []
         for _ in range(self.period):
             qs.append(nq)
             ps.append(np_)
             nq, np_ = _lattice_step(nq, np_, den, m)
         return qs, ps, den
-
-    def position_cycle(self, m: CatMapSpec) -> np.ndarray:
-        qs, _, den = self.cycle_lattice(m)
-        return np.array(qs, dtype=float) / den
 
 
 @dataclass(frozen=True)
@@ -101,29 +69,6 @@ class OrbitFamily:
     @property
     def period(self) -> int:
         return self.reps[0].period
-
-
-@dataclass(frozen=True)
-class ShiftVector:
-    """Element of Z_T^L: per-site time offsets."""
-
-    components: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self):
-        if any(not (0 <= c < self.modulus) for c in self.components):
-            raise ValueError("shift components must lie in {0, ..., T-1}")
-
-    @classmethod
-    def of(cls, components: Sequence[int], modulus: int) -> "ShiftVector":
-        return cls(tuple(int(c) % modulus for c in components), modulus)
-
-    def __add__(self, other: "ShiftVector") -> "ShiftVector":
-        if self.modulus != other.modulus:
-            raise ValueError("mismatched moduli")
-        return ShiftVector.of(
-            [a + b for a, b in zip(self.components, other.components)], self.modulus
-        )
 
 
 def _lattice_step(nq, np_, den: int, m: CatMapSpec, work=None):
@@ -243,14 +188,6 @@ def enumerate_lattice(T: int, m: CatMapSpec, max_points: int = 5_000_000):
     return nq, np_, int(d2)
 
 
-def enumerate_periodic_points(
-    T: int, m: CatMapSpec, max_points: int = 5_000_000
-) -> list[PeriodicPoint]:
-    """All solutions of (M^T - I) x = 0 mod 1 as exact rationals."""
-    nq, np_, den = enumerate_lattice(T, m, max_points)
-    return [PeriodicPoint.from_lattice(int(a), int(b), den, T) for a, b in zip(nq, np_)]
-
-
 def _group_lattice(nq, np_, den: int, T: int, m: CatMapSpec) -> list[SubsystemOrbit]:
     """Cycles of the map on a lattice point set over den, in order of first appearance.
 
@@ -278,20 +215,12 @@ def _group_lattice(nq, np_, den: int, T: int, m: CatMapSpec) -> list[SubsystemOr
         raise ConsistencyError("cycle length does not divide the period")
     heads = np.flatnonzero(first == idx)
     rq, rp = np.divmod(low[heads], den)
+    g = np.gcd(np.gcd(rq, rp), den)
     return [
-        SubsystemOrbit(PeriodicPoint.from_lattice(int(a), int(b), den, T), T, int(prim[h]))
-        for a, b, h in zip(rq, rp, heads)
+        SubsystemOrbit((a, b, d), T, p)
+        for a, b, d, p in zip((rq // g).tolist(), (rp // g).tolist(), (den // g).tolist(),
+                              prim[heads].tolist())
     ]
-
-
-def group_into_orbits(points: Sequence[PeriodicPoint], T: int, m: CatMapSpec = None) -> list[SubsystemOrbit]:
-    """Partition a complete period-T point set into cycles under the map."""
-    if not points:
-        return []
-    den = math.lcm(*(pt.den for pt in points))
-    nq = np.array([pt.num_q * (den // pt.den) for pt in points], dtype=np.int64)
-    np_ = np.array([pt.num_p * (den // pt.den) for pt in points], dtype=np.int64)
-    return _group_lattice(nq, np_, den, T, m or DEFAULT_MAP)
 
 
 def subsystem_orbits(T: int, m: CatMapSpec, max_points: int = 5_000_000) -> list[SubsystemOrbit]:
@@ -309,11 +238,11 @@ def family_iterator(
         yield OrbitFamily(reps=combo)
 
 
-def _as_shift(r, L: int, T: int) -> ShiftVector:
-    shift = r if isinstance(r, ShiftVector) else ShiftVector.of(r, T)
-    if shift.modulus != T or len(shift.components) != L:
-        raise ValueError("shift vector has wrong modulus or length")
-    return shift
+def _as_shift(r, L: int, T: int) -> tuple[int, ...]:
+    """The shift r in Z_T^L as a tuple of components reduced into {0, ..., T-1}."""
+    if len(r) != L:
+        raise ValueError("shift vector has wrong length")
+    return tuple(int(c) % T for c in r)
 
 
 def shift_action_lattice(family: OrbitFamily, r, m: CatMapSpec):
@@ -321,16 +250,10 @@ def shift_action_lattice(family: OrbitFamily, r, m: CatMapSpec):
     T = family.period
     shift = _as_shift(r, family.L, T)
     out = []
-    for orbit, steps in zip(family.reps, shift.components):
+    for orbit, steps in zip(family.reps, shift):
         qs, ps, den = orbit.cycle_lattice(m)
         out.append((qs[steps], ps[steps], den))
     return out
-
-
-def shift_action(family: OrbitFamily, r, m: CatMapSpec = None) -> list[TorusPoint]:
-    """phi_0^r applied to the family's representatives; r = 0 returns them as-is."""
-    return [TorusPoint(nq / den, np_ / den)
-            for nq, np_, den in shift_action_lattice(family, r, m or DEFAULT_MAP)]
 
 
 def _lattice_trajectory(nq, np_, den: int, m: CatMapSpec, s, steps: int):

@@ -29,8 +29,8 @@ from .dynamics import (
     pair_hessian,
     pair_potential,
 )
-from .orbits import (MAX_PERIOD, OrbitFamily, ShiftVector, _as_shift, _lattice_trajectory,
-                     enumerate_lattice, periodic_point_count)
+from .orbits import (MAX_PERIOD, OrbitFamily, _as_shift, _lattice_trajectory, enumerate_lattice,
+                     periodic_point_count)
 from .util import philox, spawn_seeds
 
 
@@ -122,16 +122,6 @@ class VarianceTable:
 # phase differences along families
 
 
-def _family_position_matrix(family: OrbitFamily, shift: ShiftVector, m: CatMapSpec) -> np.ndarray:
-    """Q[t, l] = position of site l at time t + shift_l along the family cycle."""
-    T = family.period
-    cols = []
-    for orbit, off in zip(family.reps, shift.components):
-        cyc = orbit.position_cycle(m)
-        cols.append(np.roll(cyc, -off))
-    return np.column_stack(cols)
-
-
 def phase_difference(family: OrbitFamily, r, s, spec: SystemSpec) -> float:
     """Phi between the orbits phi_0^r Gamma_0 and phi_0^s Gamma_0.
 
@@ -144,9 +134,9 @@ def phase_difference(family: OrbitFamily, r, s, spec: SystemSpec) -> float:
         raise SpecError("family size does not match the system")
     rv = _as_shift(r, family.L, T)
     sv = _as_shift(s, family.L, T)
-    m = spec.subsystem
-    v_r = pair_potential(_family_position_matrix(family, rv, m), spec)
-    v_s = pair_potential(_family_position_matrix(family, sv, m), spec)
+    m, L = spec.subsystem, family.L
+    v_r = pair_potential(_orbit_lift(family, rv, m)[0][:, :L], spec)
+    v_s = pair_potential(_orbit_lift(family, sv, m)[0][:, :L], spec)
     return math.fsum(v_r.tolist() + (-v_s).tolist())
 
 
@@ -170,7 +160,7 @@ class ContinuationResult:
         return all(self.converged)
 
 
-def _orbit_lift(family: OrbitFamily, shift: ShiftVector, m: CatMapSpec):
+def _orbit_lift(family: OrbitFamily, shift: tuple[int, ...], m: CatMapSpec):
     """Unperturbed orbit as floats plus the exact integer lift offsets.
 
     Returns Y0 of shape (T, 2L) with per-time layout [q_0..q_{L-1}, p_0..p_{L-1}]
@@ -178,7 +168,7 @@ def _orbit_lift(family: OrbitFamily, shift: ShiftVector, m: CatMapSpec):
     """
     T, L = family.period, family.L
     lat = []
-    for orbit, off in zip(family.reps, shift.components):
+    for orbit, off in zip(family.reps, shift):
         qs, ps, den = orbit.cycle_lattice(m)
         qs = qs[off:] + qs[:off]
         ps = ps[off:] + ps[:off]
@@ -322,8 +312,8 @@ def action_difference_identity_check(
         phi=phi,
         exponent=exponent,
         converged=tuple(converged),
-        r=rv.components,
-        s=sv.components,
+        r=rv,
+        s=sv,
     )
 
 
@@ -368,12 +358,12 @@ def sample_phase_distribution(
         n = min(batch, budget - done)
         if mode == "exact":
             idx = rng.integers(0, len(nq), size=(n, L))
-            traj = _lattice_trajectory(nq[idx], np_[idx], den, m, sv.components, T)
+            traj = _lattice_trajectory(nq[idx], np_[idx], den, m, sv, T)
         else:
-            traj = _trajectory(rng, n, L, m, ((0,) * L, sv.components), T)
+            traj = _trajectory(rng, n, L, m, ((0,) * L, sv), T)
         out[done:done + n] = _phase_sums(traj, spec.amplitude, bonds(spec, L), (T,))[T]
         done += n
-    return PhaseSampleSet(phi_tilde=out / math.sqrt(T), T=T, s=sv.components, mode=mode, seed=seed)
+    return PhaseSampleSet(phi_tilde=out / math.sqrt(T), T=T, s=sv, mode=mode, seed=seed)
 
 
 def _phase_sums(traj, amplitude, bond_list, checkpoints):
@@ -464,8 +454,8 @@ def variance_time_average(
     """Ergodic estimator: sigma^2 = (1/T) < [sum_t v_s(phi^t x)]^2 > at T = horizon.
 
     Reports a ladder of horizons (quarter, half, full); the plateau flag is
-    set when the last three rungs agree pairwise within one combined
-    standard error.
+    set when each pair of consecutive rungs (quarter and half, half and
+    full) agrees within one combined standard error.
     """
     if horizon < 4:
         raise SpecError("horizon must be >= 4")
@@ -566,17 +556,6 @@ def _fit_tail(c_vals, c_errs):
         raise SeriesError(f"fitted correlations do not decay (eta = {eta:.3f})")
     c_last = usable[-1][1]
     return eta, 8.0 * c_last * eta / (1.0 - eta)
-
-
-def quotient_projection(s, T: int | None = None) -> tuple[int, ...]:
-    """pi(s) = (s_2 - s_1, ..., s_L - s_1) mod T: the class of s in Z_T^{L-1}."""
-    if isinstance(s, ShiftVector):
-        comp, T = s.components, s.modulus
-    else:
-        if T is None:
-            raise SpecError("quotient_projection needs the modulus T")
-        comp = tuple(int(v) for v in s)
-    return tuple((c - comp[0]) % T for c in comp[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class SffPrediction:
     times: np.ndarray
     values: np.ndarray
     log_values: np.ndarray
-    mode: str  # "transfer-matrix" | "closed-form" | "k0-reference" | "scaled-kappa"
+    mode: str  # "transfer-matrix" | "closed-form" | "scaled-kappa"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -167,37 +167,6 @@ def thouless_time(params: PottsParams, cap: float = 1e12) -> float:
     if val > cap:
         raise PottsError(f"Thouless time exceeds the cap {cap:g} (chi too close to 1)")
     return val
-
-
-def k0_reference(params: PottsParams, T_grid) -> SffPrediction:
-    """Instantaneous-decay reference K0(T) = T + (T^L - T) exp(-Lambda tau f0 / 2).
-
-    The normalization ties the all-to-all constant to the homogeneous chain:
-    f([0]) = L * sigma2_phi, i.e. the damping factor is chi^(L tau).
-    """
-    T = np.asarray(T_grid, dtype=float)
-    tau = T / params.T_H
-    chi = params.chi
-    if chi == 1.0:
-        vals = T**params.L
-        logv = params.L * np.log(T)
-    elif chi == 0.0:
-        vals = T.copy()
-        logv = np.log(T)
-    else:
-        log_damp = params.L * tau * math.log(chi)
-        logT = np.log(T)
-        with np.errstate(divide="ignore"):
-            log_rest = np.where(
-                T > 1.0,
-                params.L * logT + np.log1p(-np.minimum(T ** (1.0 - params.L), 1.0)) + log_damp,
-                -np.inf,
-            )
-        logv = np.logaddexp(logT, log_rest)
-        with np.errstate(over="ignore"):
-            vals = np.exp(logv)
-    return SffPrediction(times=T, values=vals, log_values=logv,
-                         mode="k0-reference", params=params.to_dict())
 
 
 def deviation_bound(params: PottsParams, a: float, A: float, T_grid) -> np.ndarray:

@@ -52,13 +52,6 @@ _ANGLES = np.pi * np.array([0.0, (math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 
 _UNITARY_TOL = 1e-12
 
 
-@dataclass
-class QuantizedMap:
-    N: int
-    matrix: np.ndarray
-    provenance: dict
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Averaging recipe: member count, seed, and which families to randomize."""
@@ -174,16 +167,14 @@ def check_convention(m: CatMapSpec, N: int) -> None:
         )
 
 
-def quantize_subsystem(m: CatMapSpec, N: int) -> QuantizedMap:
-    """Discretized e^{iW/hbar} kernel of the linear map; unitary by Gauss sums."""
+def quantize_subsystem(m: CatMapSpec, N: int) -> np.ndarray:
+    """Discretized e^{iW/hbar} kernel of the linear map (N x N); unitary by Gauss sums."""
     check_convention(m, N)
     k = np.arange(N, dtype=np.int64)
     kk, kp = k[None, :], k[:, None]
     modulus = 2 * abs(m.b) * N
     ph = (m.a * kk * kk - 2 * kp * kk + m.d * kp * kp) % modulus
-    U = np.exp(1j * np.pi * ph / (m.b * N)) / np.sqrt(1j * m.b * N)
-    return QuantizedMap(N=N, matrix=U,
-                        provenance={"map": m.to_dict(), "convention": CONVENTION})
+    return np.exp(1j * np.pi * ph / (m.b * N)) / np.sqrt(1j * m.b * N)
 
 
 def torus_translation(N: int, vq: float, vp: float) -> np.ndarray:
@@ -248,7 +239,7 @@ def _check_budget(spec: CircuitSpec, factor: int = 3) -> None:
 
 
 def subsystem_unitaries(spec: CircuitSpec, member: MemberRealization | None = None):
-    base = quantize_subsystem(spec.subsystem, spec.N).matrix
+    base = quantize_subsystem(spec.subsystem, spec.N)
     if member is None:
         return [base] * spec.L
     out = []

@@ -38,12 +38,6 @@ def mod1(x, out=None):
     return out
 
 
-def mod1f(x: float) -> float:
-    """Scalar version of mod1 with identical IEEE semantics."""
-    r = x % 1.0
-    return 0.0 if r >= 1.0 else r
-
-
 def window_width(t: int) -> int:
     """Moving-average window width for SFF series: max(5, t/10)."""
     return max(5, t // 10)

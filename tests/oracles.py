@@ -56,6 +56,31 @@ def straight_line_coupled_step(q1, p1, q2, p2, eps):
     )
 
 
+def scalar_cat_step(q, p, m):
+    """One map step of a single site in Python floats: (a q + b p) % 1.0, with 1.0 read as 0.0."""
+    def reduce(x):
+        r = x % 1.0
+        return 0.0 if r >= 1.0 else r
+
+    return reduce(m.a * q + m.b * p), reduce(m.c * q + m.d * p)
+
+
+def float_position_cycle(representative, T, m):
+    """Positions q_t, t < T, of the orbit through (num_q, num_p, den), by numpy float division."""
+    nq, np_, den = representative
+    qs = []
+    for _ in range(T):
+        qs.append(nq)
+        nq, np_ = (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
+    return np.array(qs, dtype=float) / den
+
+
+def rolled_position_matrix(family, shift, m):
+    """Q[t, l] = position of site l at time t + shift[l]: each float cycle rolled by its shift."""
+    return np.column_stack([np.roll(float_position_cycle(o.representative, family.period, m), -off)
+                            for o, off in zip(family.reps, shift)])
+
+
 def phase_difference_direct(cycles_q, r, s, T):
     """Phi via plain loops: cycles_q[l][t] is site l's position at time t."""
     L = len(cycles_q)

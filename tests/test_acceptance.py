@@ -11,7 +11,7 @@ import numpy as np
 
 from sfflab.dynamics import DEFAULT_MAP, SystemSpec
 from sfflab.harness import validate_config, run_experiment
-from sfflab.orbits import enumerate_periodic_points, family_iterator, periodic_point_count, sum_rule_check
+from sfflab.orbits import enumerate_lattice, family_iterator, periodic_point_count, sum_rule_check
 from sfflab.phases import (
     VarianceTable,
     _fit_tail,
@@ -92,14 +92,15 @@ def test_criterion_03_orbit_count_oracle():
     ok = True
     detail = []
     for T in range(1, 13):
-        n = len(enumerate_periodic_points(T, DEFAULT_MAP))
+        n = len(enumerate_lattice(T, DEFAULT_MAP)[0])
         want = periodic_point_count(T, DEFAULT_MAP)
         ok = ok and n == want
         detail.append(f"T{T}:{n}")
     for T in range(1, 7):
-        pts = {(p.q, p.p) for p in enumerate_periodic_points(T, DEFAULT_MAP)}
-        oracle, det = brute_force_periodic_points(T, 2, 1, 1, 1)
         from fractions import Fraction
+        nq, np_, den = enumerate_lattice(T, DEFAULT_MAP)
+        pts = {(Fraction(a, den), Fraction(b, den)) for a, b in zip(nq.tolist(), np_.tolist())}
+        oracle, det = brute_force_periodic_points(T, 2, 1, 1, 1)
         want = {(Fraction(a, det), Fraction(b, det)) for a, b in oracle}
         ok = ok and pts == want
     _report(3, "orbit counts = |tr M^T - 2| (T<=12), brute-force oracle (T<=6)",

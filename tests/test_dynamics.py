@@ -7,23 +7,19 @@ from sfflab.dynamics import (
     ALL_TO_ALL,
     CatMapSpec,
     DEFAULT_MAP,
-    ManyBodyPoint,
     SpecError,
     SystemSpec,
-    TorusPoint,
     _trajectory,
-    coupled_step,
     coupled_step_unreduced,
     estimate_correlation,
-    interaction_derivative,
     pair_gradient,
     pair_hessian,
     pair_potential,
-    subsystem_step,
+    step_arrays,
 )
 from sfflab.util import mod1, philox
 
-from oracles import straight_line_coupled_step
+from oracles import scalar_cat_step, straight_line_coupled_step
 
 
 def test_cat_map_validation():
@@ -35,23 +31,23 @@ def test_cat_map_validation():
 
 
 def test_subsystem_step_fixed_point():
-    assert subsystem_step(TorusPoint(0.0, 0.0), DEFAULT_MAP) == TorusPoint(0.0, 0.0)
+    q, p = step_arrays(np.zeros(1), np.zeros(1), DEFAULT_MAP)
+    assert q[0] == 0.0 and p[0] == 0.0
 
 
 def test_subsystem_step_direct_substitution():
-    out = subsystem_step(TorusPoint(0.5, 0.5), DEFAULT_MAP)
-    assert out.q == 0.5 and out.p == 0.0
+    q, p = step_arrays(np.array([0.5]), np.array([0.5]), DEFAULT_MAP)
+    assert q[0] == 0.5 and p[0] == 0.0
 
 
 def test_subsystem_step_inverse_roundtrip():
     inv = CatMapSpec(1, -1, -1, 2)  # inverse of the default map
     rng = philox(1)
-    for _ in range(50):
-        x = TorusPoint(float(rng.random()), float(rng.random()))
-        y = subsystem_step(subsystem_step(x, DEFAULT_MAP), inv)
-        dq = min(abs(y.q - x.q), 1.0 - abs(y.q - x.q))
-        dp = min(abs(y.p - x.p), 1.0 - abs(y.p - x.p))
-        assert dq < 1e-12 and dp < 1e-12
+    q0, p0 = rng.random(50), rng.random(50)
+    q, p = step_arrays(*step_arrays(q0.copy(), p0.copy(), DEFAULT_MAP), inv)
+    dq = np.minimum(np.abs(q - q0), 1.0 - np.abs(q - q0))
+    dp = np.minimum(np.abs(p - p0), 1.0 - np.abs(p - p0))
+    assert dq.max() < 1e-12 and dp.max() < 1e-12
 
 
 def test_mod1_half_open_edge():
@@ -75,10 +71,10 @@ def _stepped_directly(q0, p0, shift, t):
     out = np.empty_like(q0)
     for i in range(q0.shape[0]):
         for l in range(q0.shape[1]):
-            x = TorusPoint(q0[i, l], p0[i, l])
+            q, p = float(q0[i, l]), float(p0[i, l])
             for _ in range(shift[l] + t):
-                x = subsystem_step(x, DEFAULT_MAP)
-            out[i, l] = x.q
+                q, p = scalar_cat_step(q, p, DEFAULT_MAP)
+            out[i, l] = q
     return out
 
 
@@ -125,22 +121,22 @@ def test_coupled_step_decouples_bitwise_at_eps0():
     spec = SystemSpec(L=3, epsilon=0.0)
     rng = philox(2)
     for _ in range(20):
-        x = ManyBodyPoint.from_arrays(rng.random(3), rng.random(3))
-        y = coupled_step(x, spec)
-        for site_in, site_out in zip(x.sites, y.sites):
-            ref = subsystem_step(site_in, DEFAULT_MAP)
-            assert site_out.q == ref.q and site_out.p == ref.p
+        q, p = rng.random(3), rng.random(3)
+        qn, pn = (mod1(x) for x in coupled_step_unreduced(q, p, spec))
+        for l in range(3):
+            ref = scalar_cat_step(float(q[l]), float(p[l]), DEFAULT_MAP)
+            assert (qn[l].hex(), pn[l].hex()) == (ref[0].hex(), ref[1].hex())
 
 
 def test_coupled_step_against_straight_line_oracle():
     spec = SystemSpec(L=2, epsilon=1e-3)
-    x = ManyBodyPoint.from_arrays([0.3, 0.1], [0.7, 0.2])
-    y = coupled_step(x, spec)
+    q0, p0 = np.array([0.3, 0.1]), np.array([0.7, 0.2])
+    q, p = (mod1(x) for x in coupled_step_unreduced(q0, p0, spec))
     q1, p1, q2, p2 = straight_line_coupled_step(0.3, 0.7, 0.1, 0.2, 1e-3)
-    assert abs(y.sites[0].q - q1) < 1e-14
-    assert abs(y.sites[0].p - p1) < 1e-14
-    assert abs(y.sites[1].q - q2) < 1e-14
-    assert abs(y.sites[1].p - p2) < 1e-14
+    assert abs(q[0] - q1) < 1e-14
+    assert abs(p[0] - p1) < 1e-14
+    assert abs(q[1] - q2) < 1e-14
+    assert abs(p[1] - p2) < 1e-14
 
 
 def test_coupled_step_jacobian_is_symplectic():
@@ -169,30 +165,32 @@ def test_coupled_step_jacobian_is_symplectic():
         assert abs(np.linalg.det(J) - 1.0) < 1e-8
 
 
+# the interaction derivative (d/d eps of the generating function at eps = 0)
+# is the pair potential V(q)
+
+
 def test_interaction_derivative_two_bonds_at_equal_positions():
     spec = SystemSpec(L=2)
-    x = ManyBodyPoint.from_arrays([0.25, 0.25], [0.1, 0.9])
-    assert interaction_derivative(x, spec) == pytest.approx(2.0, abs=1e-14)
+    assert pair_potential(np.array([0.25, 0.25]), spec) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_interaction_derivative_three_site_ring():
     spec = SystemSpec(L=3)
-    x = ManyBodyPoint.from_arrays([0.0, 1.0 / 3.0, 2.0 / 3.0], [0.0, 0.0, 0.0])
-    assert interaction_derivative(x, spec) == pytest.approx(-1.5, abs=1e-12)
+    q = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0])
+    assert pair_potential(q, spec) == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_interaction_derivative_all_to_all_ordered_pairs():
     spec = SystemSpec(L=3, topology=ALL_TO_ALL)
-    x = ManyBodyPoint.from_arrays([0.4, 0.4, 0.4], [0.1, 0.2, 0.3])
     # six ordered pairs, all at zero separation
-    assert interaction_derivative(x, spec) == pytest.approx(6.0, abs=1e-12)
+    assert pair_potential(np.array([0.4, 0.4, 0.4]), spec) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_interaction_derivative_mean_zero():
     spec = SystemSpec(L=2)
     rng = philox(4)
     n = 1_000_000
-    vals = interaction_derivative(rng.random((n, 2)), spec)
+    vals = pair_potential(rng.random((n, 2)), spec)
     se = vals.std() / math.sqrt(n)
     assert abs(vals.mean()) < 4.0 * se
 

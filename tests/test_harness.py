@@ -335,6 +335,22 @@ BOUNDARY_ROWS = [
     (["variance", "--set", "variance.horizon=2"], "variance.horizon"),
     (["variance", "--set", "variance.t_max=-1", "--set", "variance.estimator=series"],
      "variance.t_max"),
+    (["orbits", "--set", "orbits.T_list=[2]", "--set", "orbits.max_points=-1"], "orbits.max_points"),
+    (["variance", "--set", "variance.invariance_checks=-1"], "variance.invariance_checks"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9", "--set", "predict.T_stop=0.5"],
+     "predict.T_stop"),
+    (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=0.2",
+      "--set", "quantum.memory_budget_mb=0"], "quantum.memory_budget_mb"),
+    (["bound-check", "--set", "bound.families=[{eta: 0.5, theta: 1.0}]", "--set", "bound.T_start=1"],
+     "bound.T_start"),
+    (["bound-check", "--set", "bound.families=[{eta: 0.5, theta: 1.0}]", "--set", "bound.T_stop=1"],
+     "bound.T_stop"),
+    (["bound-check", "--set", "bound.families=[{eta: 0.5, theta: 1.0}]", "--set", "bound.L=1"],
+     "bound.L"),
+    (["bound-check", "--set", "bound.families=[{eta: 0.5, theta: 1.0}]", "--set", "bound.T_H=-1"],
+     "section bound: T_H"),
+    (["bound-check", "--set", "bound.families=[{eta: 0.5, theta: 1.0}]", "--set", "bound.Lambda=-1"],
+     "section bound: Lambda"),
 ]
 
 

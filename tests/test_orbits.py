@@ -12,15 +12,11 @@ from sfflab.orbits import (
     ConsistencyError,
     EnumerationError,
     OrbitFamily,
-    PeriodicPoint,
-    ShiftVector,
+    _group_lattice,
     enumerate_lattice,
-    enumerate_periodic_points,
     family_iterator,
-    group_into_orbits,
     map_power,
     periodic_point_count,
-    shift_action,
     shift_action_lattice,
     stability_amplitude_sq,
     subsystem_orbits,
@@ -34,33 +30,34 @@ from oracles import brute_force_cycles, brute_force_periodic_points
 OTHER_MAP = CatMapSpec(1, 1, 2, 3)
 
 
-def _as_fraction_set(points):
-    return {(p.q, p.p) for p in points}
+def _fractions(T, m):
+    """The enumerated period-T points as exact (q, p) Fractions, in enumeration order."""
+    nq, np_, den = enumerate_lattice(T, m)
+    return [(Fraction(a, den), Fraction(b, den)) for a, b in zip(nq.tolist(), np_.tolist())]
 
 
 def test_point_counts_small_periods():
     for T, expected in ((1, 1), (2, 5), (3, 16)):
-        pts = enumerate_periodic_points(T, DEFAULT_MAP)
-        assert len(pts) == expected == periodic_point_count(T, DEFAULT_MAP)
-    assert _as_fraction_set(enumerate_periodic_points(1, DEFAULT_MAP)) == {(Fraction(0), Fraction(0))}
+        nq, _, _ = enumerate_lattice(T, DEFAULT_MAP)
+        assert len(nq) == expected == periodic_point_count(T, DEFAULT_MAP)
+    assert _fractions(1, DEFAULT_MAP) == [(Fraction(0), Fraction(0))]
 
 
 def test_enumeration_matches_brute_force_oracle():
     for T in range(1, 7):
-        pts = enumerate_periodic_points(T, DEFAULT_MAP)
+        pts = _fractions(T, DEFAULT_MAP)
         oracle, det = brute_force_periodic_points(T, 2, 1, 1, 1)
-        got = _as_fraction_set(pts)
         want = {(Fraction(a, det), Fraction(b, det)) for a, b in oracle}
-        assert got == want
+        assert len(pts) == len(want) and set(pts) == want
 
 
 def test_enumerated_points_are_exactly_periodic():
     for T in (1, 2, 3, 4, 5):
-        for pt in enumerate_periodic_points(T, DEFAULT_MAP):
-            q, p = pt.q, pt.p
+        for pt in _fractions(T, DEFAULT_MAP):
+            q, p = pt
             for _ in range(T):
                 q, p = (2 * q + p) % 1, (q + p) % 1
-            assert (q, p) == (pt.q, pt.p)
+            assert (q, p) == pt
 
 
 def test_group_into_orbits_T1():
@@ -77,8 +74,8 @@ def test_group_into_orbits_T2_structure():
 
 def test_group_partition_property():
     for m, T in itertools.product((DEFAULT_MAP, OTHER_MAP), (2, 3, 4, 6)):
-        pts = enumerate_periodic_points(T, m)
-        orbits = group_into_orbits(pts, T, m)
+        pts = _fractions(T, m)
+        orbits = subsystem_orbits(T, m)
         assert sum(o.primitive_period for o in orbits) == len(pts)
         # union of cycles reproduces the input set exactly
         seen = set()
@@ -86,7 +83,7 @@ def test_group_partition_property():
             qs, ps, den = o.cycle_lattice(m)
             for nq, np_ in zip(qs[: o.primitive_period], ps[: o.primitive_period]):
                 seen.add((Fraction(nq, den), Fraction(np_, den)))
-        assert seen == _as_fraction_set(pts)
+        assert seen == set(pts)
 
 
 def test_grouping_matches_brute_force_cycles():
@@ -94,10 +91,11 @@ def test_grouping_matches_brute_force_cycles():
         orbits = subsystem_orbits(T, m)
         cycles, det = brute_force_cycles(T, m.a, m.b, m.c, m.d)
         want = sorted((Fraction(min(c)[0], det), Fraction(min(c)[1], det), len(c)) for c in cycles)
-        got = sorted((o.representative.q, o.representative.p, o.primitive_period) for o in orbits)
+        got = sorted((Fraction(nq, den), Fraction(np_, den), o.primitive_period)
+                     for o in orbits for nq, np_, den in [o.representative])
         assert got == want
         # one orbit per cycle, in the order its first point is enumerated
-        index = {(p.q, p.p): k for k, p in enumerate(enumerate_periodic_points(T, m))}
+        index = {pt: k for k, pt in enumerate(_fractions(T, m))}
         firsts = []
         for o in orbits:
             qs, ps, den = o.cycle_lattice(m)
@@ -109,16 +107,17 @@ def test_group_representative_is_lexicographic_min():
     for o in subsystem_orbits(3, DEFAULT_MAP):
         qs, ps, den = o.cycle_lattice(DEFAULT_MAP)
         cyc = sorted(zip(qs, ps))
-        rep = o.representative
-        assert (rep.q, rep.p) == (Fraction(cyc[0][0], den), Fraction(cyc[0][1], den))
+        nq, np_, rep_den = o.representative
+        assert (Fraction(nq, rep_den), Fraction(np_, rep_den)) == \
+            (Fraction(cyc[0][0], den), Fraction(cyc[0][1], den))
 
 
 def test_group_detects_incomplete_set():
-    pts = enumerate_periodic_points(2, DEFAULT_MAP)
+    nq, np_, den = enumerate_lattice(2, DEFAULT_MAP)
     with pytest.raises(ConsistencyError):
-        group_into_orbits(pts[:-1], 2, DEFAULT_MAP)
+        _group_lattice(nq[:-1], np_[:-1], den, 2, DEFAULT_MAP)
     with pytest.raises(ConsistencyError, match="divide"):
-        group_into_orbits(pts, 1, DEFAULT_MAP)  # 2-cycles are not period-1 orbits
+        _group_lattice(nq, np_, den, 1, DEFAULT_MAP)  # 2-cycles are not period-1 orbits
 
 
 def test_family_iterator_counts():
@@ -140,33 +139,31 @@ def test_family_multiplicity_identity():
 def test_shift_action_identity_and_periodicity():
     spec = SystemSpec(L=2)
     fam = list(family_iterator(spec, 2))[4]
-    reps = [o.representative.to_torus_point() for o in fam.reps]
-    assert shift_action(fam, (0, 0)) == reps
-    assert shift_action(fam, ShiftVector.of((2, 2), 2)) == reps  # T*(1,1) = identity
+    reps = [o.representative for o in fam.reps]
+    assert shift_action_lattice(fam, (0, 0), DEFAULT_MAP) == reps
+    assert shift_action_lattice(fam, (2, 2), DEFAULT_MAP) == reps  # T*(1,1) = identity
 
 
 def test_shift_action_single_site():
-    from sfflab.dynamics import subsystem_step
-
     spec = SystemSpec(L=2)
     fam = list(family_iterator(spec, 2))[4]
-    moved = shift_action(fam, (1, 0))
-    site0 = subsystem_step(fam.reps[0].representative.to_torus_point(), DEFAULT_MAP)
-    assert moved[0].q == pytest.approx(site0.q, abs=1e-12)
-    assert moved[0].p == pytest.approx(site0.p, abs=1e-12)
-    assert moved[1] == fam.reps[1].representative.to_torus_point()
+    moved = shift_action_lattice(fam, (1, 0), DEFAULT_MAP)
+    nq, np_, den = fam.reps[0].representative
+    assert moved[0] == ((2 * nq + np_) % den, (nq + np_) % den, den)
+    assert moved[0] != fam.reps[0].representative  # a 2-cycle: the step moves the point
+    assert moved[1] == fam.reps[1].representative
 
 
 def test_shift_group_closure_exact():
     spec = SystemSpec(L=2)
     T = 4
     fam = list(family_iterator(spec, T))[7]
-    r = ShiftVector.of((1, 3), T)
-    r2 = ShiftVector.of((2, 3), T)
-    combined = shift_action_lattice(fam, r + r2, DEFAULT_MAP)
+    r = (1, 3)
+    r2 = (2, 3)
+    combined = shift_action_lattice(fam, (r[0] + r2[0], r[1] + r2[1]), DEFAULT_MAP)
     # step the r-result a further r2 by hand
     manual = []
-    for (nq, np_, den), extra in zip(shift_action_lattice(fam, r, DEFAULT_MAP), r2.components):
+    for (nq, np_, den), extra in zip(shift_action_lattice(fam, r, DEFAULT_MAP), r2):
         for _ in range(extra):
             nq, np_ = (2 * nq + np_) % den, (nq + np_) % den
         manual.append((nq, np_, den))
@@ -202,10 +199,14 @@ def test_enumeration_guards():
 
 
 def test_periodic_point_reduction():
-    pt = PeriodicPoint.from_lattice(2, 4, 10, 3)
-    assert (pt.num_q, pt.num_p, pt.den) == (1, 2, 5)
-    with pytest.raises(ValueError):
-        PeriodicPoint(5, 0, 5, 1)
+    # every representative is a plain-int fraction in lowest terms, inside [0, 1)^2
+    assert [o.representative for o in subsystem_orbits(1, DEFAULT_MAP)] == [(0, 0, 1)]
+    for m, T in itertools.product((DEFAULT_MAP, OTHER_MAP), range(1, 9)):
+        for o in subsystem_orbits(T, m):
+            nq, np_, den = o.representative
+            assert all(type(v) is int for v in o.representative)
+            assert math.gcd(nq, np_, den) == 1
+            assert 0 <= nq < den and 0 <= np_ < den
 
 
 def test_family_requires_common_period():

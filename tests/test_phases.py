@@ -7,7 +7,8 @@ from scipy import stats
 
 from sfflab.dynamics import ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, pair_potential
 from sfflab import phases
-from sfflab.orbits import MAX_PERIOD, ShiftVector, enumerate_lattice, family_iterator
+from sfflab.orbits import (MAX_PERIOD, OrbitFamily, enumerate_lattice, family_iterator,
+                           subsystem_orbits)
 from sfflab.phases import (
     SeriesError,
     TableError,
@@ -18,14 +19,14 @@ from sfflab.phases import (
     clt_diagnostics,
     per_bond_variance_table,
     phase_difference,
-    quotient_projection,
     sample_phase_distribution,
     variance_series,
     variance_time_average,
 )
 from sfflab.util import philox
 
-from oracles import geometric_series_variance, phase_difference_direct
+from oracles import (float_position_cycle, geometric_series_variance, phase_difference_direct,
+                     rolled_position_matrix)
 
 
 def _full_period_family(spec, T, index=0):
@@ -62,11 +63,41 @@ def test_phase_against_direct_summation_oracle():
     spec = SystemSpec(L=2)
     T = 2
     fam = _full_period_family(spec, T)
-    cycles = [o.position_cycle(DEFAULT_MAP).tolist() for o in fam.reps]
+    cycles = [float_position_cycle(o.representative, T, DEFAULT_MAP).tolist() for o in fam.reps]
     for r, s in (((0, 0), (0, 1)), ((1, 0), (0, 1)), ((0, 1), (1, 1))):
         want = phase_difference_direct(cycles, r, s, T)
         got = phase_difference(fam, r, s, spec)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("L, picks", [
+    (2, [(0, 1), (1, 2), (-1, 1), (2, 2)]),
+    (3, [(1, 2, 3), (0, 1, 2), (-1, 2, 1)]),
+])
+def test_phase_difference_bitwise_equals_rolled_float_cycles(L, picks):
+    # phase_difference reads positions off the exact lift (Python int / int);
+    # the reference divides the float numerators in numpy and rolls each
+    # cycle by its shift.  Both round the exact rational once, so positions
+    # and Phi agree bit for bit.
+    spec = SystemSpec(L=L)
+    m = spec.subsystem
+    for T in range(3, 7):
+        orbits = subsystem_orbits(T, m)
+        stair = tuple(range(L))
+        pairs = [((0,) * L, stair), (stair, (0,) * L), (stair, tuple((v + 1) % T for v in stair)),
+                 ((1,) + (0,) * (L - 1), (0,) * (L - 1) + (T - 1,)), (stair, stair),
+                 ((2,) * L, (T - 1,) + (1,) * (L - 1))]
+        for pick in picks:
+            fam = OrbitFamily(tuple(orbits[i] for i in pick))
+            for r, s in pairs:
+                for shift in (r, s):
+                    got = phases._orbit_lift(fam, shift, m)[0][:, :L]
+                    want = rolled_position_matrix(fam, shift, m)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                v_r = pair_potential(rolled_position_matrix(fam, r, m), spec)
+                v_s = pair_potential(rolled_position_matrix(fam, s, m), spec)
+                want = math.fsum(v_r.tolist() + (-v_s).tolist())
+                assert phase_difference(fam, r, s, spec).hex() == want.hex()
 
 
 def test_action_identity_eps0_and_quadratic_residual():
@@ -87,17 +118,6 @@ def test_action_identity_synchronous_pair_vanishes():
     res = action_difference_identity_check(fam, spec, [1e-3, 1e-4], (0, 1), (1, 2))
     assert res.phi == 0.0
     assert all(abs(d) < 1e-9 for d in res.deltas)
-
-
-def test_quotient_projection():
-    T = 4
-    assert quotient_projection((3, 3, 3), T) == (0, 0)
-    assert quotient_projection((1, 2, 3), T) == (1, 2)
-    s = (0, 2, 1)
-    shifted = tuple((v + 3) % T for v in s)
-    assert quotient_projection(s, T) == quotient_projection(shifted, T)
-    sv = ShiftVector.of((1, 2, 3), 4)
-    assert quotient_projection(sv) == (1, 2)
 
 
 def test_sample_phase_distribution_zero_shift():

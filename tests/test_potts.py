@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from sfflab.potts import (
     closed_form_sff,
     deviation_bound,
     fit_bound_constants,
-    k0_reference,
     perp_distance,
     scaled_kappa,
     sff_from_class_variances,
@@ -144,19 +144,25 @@ def test_thouless_time():
 
 
 def test_k0_reference_values():
-    grid = np.array([1.0, 2.0, 8.0, 64.0])
-    p0 = PottsParams(L=3, T_H=16.0, lam=0.0)
-    assert np.allclose(k0_reference(p0, grid).values, grid**3, rtol=1e-12)
+    # bound_check's instantaneous-decay reference K0(T) = T + (T^L - T) exp(-Lambda tau f0 / 2)
+    grid = np.array([2, 8, 64])
+    res = bound_check(L=3, T_H=16.0, lam=0.0, f0=3.0, eta=0.5, theta=1.0, T_grid=grid)
+    assert np.allclose(res.K0, grid**3.0, rtol=1e-12)
+    # f0 = L sigma2_phi ties it to the chain: the damping factor is chi^(L tau)
     p = PottsParams.from_chi(L=3, T_H=16.0, chi=0.5)
-    assert k0_reference(p, [1.0]).values[0] == pytest.approx(1.0, abs=1e-12)
+    res = bound_check(L=3, T_H=16.0, lam=p.lam, f0=3.0 * p.sigma2_phi, eta=0.5, theta=1.0,
+                      T_grid=grid)
+    assert np.allclose(res.K0, grid + (grid**3.0 - grid) * 0.5 ** (3.0 * grid / 16.0), rtol=1e-12)
 
 
 def test_k0_equals_closed_form_at_L2():
-    # for two sites the ring and the all-to-all conventions coincide
-    grid = np.geomspace(1, 512, 40)
+    # for two sites the ring and the all-to-all conventions coincide: K0 with
+    # f0 = 2 sigma2_phi is the closed form
+    grid = np.unique(np.geomspace(2, 512, 40).astype(int))
     for chi in (0.3, 0.9, 0.99):
         p = PottsParams.from_chi(L=2, T_H=64.0, chi=chi)
-        k0 = k0_reference(p, grid).values
+        k0 = bound_check(L=2, T_H=64.0, lam=p.lam, f0=2.0 * p.sigma2_phi, eta=0.5, theta=1.0,
+                         T_grid=grid).K0
         kc = closed_form_sff(p, grid).values
         assert np.allclose(k0, kc, rtol=1e-12)
 
@@ -185,6 +191,16 @@ def test_perp_distance():
     assert perp_distance((0, 1), 8) == 1
     assert perp_distance((0, 7), 8) == 1  # wraps
     assert perp_distance((0, 4), 8) == 4
+
+
+def test_perp_distance_depends_only_on_the_class():
+    # a function of the class of s in Z_T^L modulo synchronous shifts (1, ..., 1)
+    T = 4
+    assert perp_distance((3, 3, 3), T) == 0
+    assert perp_distance((1, 2, 3), T) == perp_distance((0, 1, 2), T) == 2
+    for s in itertools.product(range(T), repeat=3):
+        for c in range(1, T):
+            assert perp_distance(tuple((v + c) % T for v in s), T) == perp_distance(s, T)
 
 
 def test_synthetic_family_and_bound_dominance():
