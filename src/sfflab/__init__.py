@@ -39,7 +39,6 @@ from .potts import (
 )
 from .quantum import (
     CircuitSpec,
-    EnsembleSpec,
     SffSeries,
     build_circuit,
     compare,

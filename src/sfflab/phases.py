@@ -39,7 +39,7 @@ class SeriesError(ValueError):
 
 
 class TableError(ValueError):
-    """Variance table is incomplete or inconsistent."""
+    """Variance table is malformed or inconsistent."""
 
 
 @dataclass
@@ -87,35 +87,33 @@ class SeriesVariance:
 
 @dataclass
 class VarianceTable:
-    """Per-relative-shift variances; the sole dynamical input to the SFF."""
+    """Per-bond variances sigma2[s~] and their standard errors for the relative
+    shifts s~ = 0..T-1; the sole dynamical input to the SFF."""
 
-    T: int
-    kind: str  # "per-bond" | "full-shift"
-    values: dict  # key -> (sigma2, std_error)
+    sigma2: np.ndarray
+    std_error: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("per-bond", "full-shift"):
-            raise TableError(f"unknown table kind {self.kind!r}")
-        if self.kind == "per-bond" and 0 in self.values:
-            s0, _ = self.values[0]
-            if s0 != 0.0:
-                raise TableError("per-bond table must have sigma2(0) = 0")
-        for k, (v, e) in self.values.items():
-            if v < -3.0 * e - 1e-12:
-                raise TableError(f"negative variance at shift {k}")
+        self.sigma2 = np.asarray(self.sigma2, dtype=float)
+        self.std_error = np.asarray(self.std_error, dtype=float)
+        if self.sigma2.ndim != 1 or self.sigma2.shape != self.std_error.shape or not self.T:
+            raise TableError(f"sigma2 and std_error must be nonempty 1-D arrays of one length, "
+                             f"got shapes {self.sigma2.shape} and {self.std_error.shape}")
+        if self.sigma2[0] != 0.0:
+            raise TableError("per-bond table must have sigma2(0) = 0")
+        negative = np.flatnonzero(self.sigma2 < -3.0 * self.std_error - 1e-12)
+        if negative.size:
+            raise TableError(f"negative variance at shift {negative[0]}")
+
+    @property
+    def T(self) -> int:
+        return len(self.sigma2)
 
     @classmethod
     def potts(cls, T: int, sigma2_phi: float) -> "VarianceTable":
-        vals = {0: (0.0, 0.0)}
-        for st in range(1, T):
-            vals[st] = (float(sigma2_phi), 0.0)
-        return cls(T=T, kind="per-bond", values=vals)
-
-    def sigma2_array(self) -> np.ndarray:
-        missing = [st for st in range(self.T) if st not in self.values]
-        if missing:
-            raise TableError(f"table missing relative shifts {missing}")
-        return np.array([self.values[st][0] for st in range(self.T)])
+        sigma2 = np.full(T, float(sigma2_phi))
+        sigma2[0] = 0.0
+        return cls(sigma2, np.zeros(T))
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +121,26 @@ class VarianceTable:
 
 
 def phase_difference(family: OrbitFamily, r, s, spec: SystemSpec) -> float:
-    """Phi between the orbits phi_0^r Gamma_0 and phi_0^s Gamma_0.
+    """Phi between the orbits phi_0^r Gamma_0 and phi_0^s Gamma_0."""
+    return _shifted_lifts(family, r, s, spec)[-1]
 
-    Summed with math.fsum so that synchronous pairs (s - r parallel to the
-    diagonal) cancel exactly: the two sums then contain identical floating
+
+def _shifted_lifts(family: OrbitFamily, r, s, spec: SystemSpec):
+    """(r, s, lift of r, lift of s, Phi): each orbit lifted once (see _orbit_lift).
+
+    Phi is summed with math.fsum so that synchronous pairs (s - r parallel to
+    the diagonal) cancel exactly: the two sums then contain identical floating
     terms as multisets.
     """
-    T = family.period
     if family.L != spec.L:
         raise SpecError("family size does not match the system")
-    rv = _as_shift(r, family.L, T)
-    sv = _as_shift(s, family.L, T)
-    m, L = spec.subsystem, family.L
-    v_r = pair_potential(_orbit_lift(family, rv, m)[0][:, :L], spec)
-    v_s = pair_potential(_orbit_lift(family, sv, m)[0][:, :L], spec)
-    return math.fsum(v_r.tolist() + (-v_s).tolist())
+    rv = _as_shift(r, family.L, family.period)
+    sv = _as_shift(s, family.L, family.period)
+    lift_r = _orbit_lift(family, rv, spec.subsystem)
+    lift_s = _orbit_lift(family, sv, spec.subsystem)
+    v_r = pair_potential(lift_r[0][:, :spec.L], spec)
+    v_s = pair_potential(lift_s[0][:, :spec.L], spec)
+    return rv, sv, lift_r, lift_s, math.fsum(v_r.tolist() + (-v_s).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +274,7 @@ def action_difference_identity_check(
     tol: float = 1e-12,
 ) -> ContinuationResult:
     """Continue the orbit pair (phi^r, phi^s) in eps and test Delta = eps*Phi + O(eps^2)."""
-    T = family.period
-    m = spec.subsystem
-    rv = _as_shift(r, family.L, T)
-    sv = _as_shift(s, family.L, T)
-    phi = phase_difference(family, rv, sv, spec)
-    lift_r = _orbit_lift(family, rv, m)
-    lift_s = _orbit_lift(family, sv, m)
+    rv, sv, lift_r, lift_s, phi = _shifted_lifts(family, r, s, spec)
 
     deltas, residuals, converged = [], [], []
     for eps in eps_list:
@@ -584,12 +581,11 @@ def per_bond_variance_table(
         return _correlation(m, amplitude, bond, 2, shift, n, sd)
 
     seeds = spawn_seeds(seed, T)
-    values = {0: (0.0, 0.0)}
+    sigma2, err = np.zeros(T), np.zeros(T)
     for st in range(1, T):
         if estimator == "time-average":
             ladder = _time_average_ladder(m, amplitude, bond, 2, (st, 0), horizon, samples, seeds[st])
-            values[st] = ladder[-1][1:]
+            _, sigma2[st], err[st] = ladder[-1]
         else:
-            sigma2, err, _ = _series_sum(correlation, (st, 0), t_max, samples, seeds[st])
-            values[st] = (sigma2, err)
-    return VarianceTable(T=T, kind="per-bond", values=values)
+            sigma2[st], err[st], _ = _series_sum(correlation, (st, 0), t_max, samples, seeds[st])
+    return VarianceTable(sigma2, err)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phases import TableError, VarianceTable
+from .phases import VarianceTable
 
 
 class PottsError(ValueError):
@@ -75,18 +75,8 @@ class SffPrediction:
 
 def transfer_eigenvalues(table: VarianceTable, lam: float, tau: float) -> np.ndarray:
     """Circulant eigenvalues lambda_n = sum_s exp(-lam tau sigma2(s)/2 + 2 pi i n s/T)."""
-    if table.kind != "per-bond":
-        raise TableError("transfer matrix needs a per-bond variance table")
-    row = np.exp(-lam * tau * table.sigma2_array() / 2.0)
+    row = np.exp(-lam * tau * table.sigma2 / 2.0)
     return table.T * np.fft.ifft(row)
-
-
-def transfer_matrix(table: VarianceTable, lam: float, tau: float) -> np.ndarray:
-    """The explicit circulant transfer matrix (small-T oracle path)."""
-    row = np.exp(-lam * tau * table.sigma2_array() / 2.0)
-    T = table.T
-    idx = (np.arange(T)[:, None] - np.arange(T)[None, :]) % T
-    return row[idx]
 
 
 def sff_transfer(table: VarianceTable, params: PottsParams) -> SffPrediction:

@@ -351,6 +351,28 @@ BOUNDARY_ROWS = [
      "section bound: T_H"),
     (["bound-check", "--set", "bound.families=[{eta: 0.5, theta: 1.0}]", "--set", "bound.Lambda=-1"],
      "section bound: Lambda"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9", "--set", "predict.T_spacing=integer",
+      "--set", "predict.T_start=10", "--set", "predict.T_stop=5"], "predict.T_stop"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9", "--set", "predict.T_spacing=log",
+      "--set", "predict.T_start=10", "--set", "predict.T_stop=5"], "predict.T_stop"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9", "--set", "predict.T_spacing=linear",
+      "--set", "predict.T_start=10", "--set", "predict.T_stop=5"], "predict.T_stop"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9", "--set", "predict.T_spacing=integer",
+      "--set", "predict.T_start=1.5", "--set", "predict.T_stop=1.7"], "predict.T_stop"),
+    (["variance", "--set", "variance.T=2", "--set", "variance.samples=1000",
+      "--set", "variance.horizon=8", "--set", "variance.t_max=1",
+      "--set", "variance.agreement_check=true", "--set", "variance.agreement_s=[0,-1]"],
+     "variance.agreement_s[1]"),
+    # settings that never changed a run: a system is given only as a system mapping,
+    # has no epsilon there, and the averaging ensemble always uses both families
+    (["clt", "--set", "clt.T_list=[4]", "--set", "clt.budget=1000", "--set", "clt.L=3"], "clt.L"),
+    (["variance", "--set", "variance.T=2", "--set", "variance.L=3"], "variance.L"),
+    (["clt", "--set", "clt.T_list=[4]", "--set", "clt.budget=1000",
+      "--set", "clt.system={L: 2, epsilon: 0.7}"], "clt.system.epsilon"),
+    (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=0.2",
+      "--set", "quantum.members=1", "--set", "quantum.translations=false"], "quantum.translations"),
+    (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=0.2",
+      "--set", "quantum.members=1", "--set", "quantum.bond_offsets=false"], "quantum.bond_offsets"),
 ]
 
 
@@ -388,6 +410,16 @@ def test_domain_rules_are_checked_at_validation(kind, section, match):
     with pytest.raises(ConfigError, match=match):
         validate_config({"kind": kind, "seed": 1, "outdir": "unused",
                          harness.KIND_SECTION[kind]: section})
+
+
+def test_missing_series_csv_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--outdir", str(out), "--seed", "1",
+                     "--set", f"compare.series_csv={missing}",
+                     "--set", "compare.prediction={L: 2, T_H: 16.0, chi: 0.9}"]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_reads_config_through_the_harness_loader(tmp_path, capsys):

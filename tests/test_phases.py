@@ -120,6 +120,38 @@ def test_action_identity_synchronous_pair_vanishes():
     assert all(abs(d) < 1e-9 for d in res.deltas)
 
 
+def test_action_identity_phi_bitwise_equals_phase_difference():
+    # the continuation takes Phi from the lifts it continues; it must be
+    # phase_difference's value bit for bit, synchronous pairs (exactly 0) included
+    spec = SystemSpec(L=2)
+    for T in range(3, 7):
+        pairs = [((0, 0), (0, 1)), ((1, 0), (0, T - 1)), ((2, 2), (T - 1, 1)),
+                 ((0, 1), (1, 2)), ((0, 1), (0, 1)), ((1, 1), (T - 1, T - 1))]
+        fams = [f for f in family_iterator(spec, T) if all(o.primitive_period == T for o in f.reps)]
+        for fam in fams[:3]:
+            for r, s in pairs:
+                phi = action_difference_identity_check(fam, spec, [0.0], r, s).phi
+                assert phi.hex() == phase_difference(fam, r, s, spec).hex()
+                if (s[0] - r[0] - s[1] + r[1]) % T == 0:
+                    assert phi == 0.0
+
+
+def test_action_identity_lifts_each_orbit_once(monkeypatch):
+    lifted = []
+    lift = phases._orbit_lift
+
+    def counted(family, shift, m):
+        lifted.append(shift)
+        return lift(family, shift, m)
+
+    monkeypatch.setattr(phases, "_orbit_lift", counted)
+    spec = SystemSpec(L=2)
+    fam = _full_period_family(spec, 3, index=1)
+    res = action_difference_identity_check(fam, spec, [1e-3, 1e-4], (0, 1), (2, 0))
+    assert res.all_converged
+    assert lifted == [(0, 1), (2, 0)]
+
+
 def test_sample_phase_distribution_zero_shift():
     spec = SystemSpec(L=2)
     sset = sample_phase_distribution(spec, 4, (0, 0), budget=2000, seed=1)
@@ -269,7 +301,7 @@ def test_variance_nearest_neighbour_additivity_three_sites():
         st = abs(s[l] - s[(l + 1) % 3])
         table = per_bond_variance_table(SystemSpec(L=2), st + 1, samples=40_000, seed=seed,
                                         horizon=256)
-        parts.append(table.values[st])
+        parts.append((table.sigma2[st], table.std_error[st]))
     total = sum(v for v, _ in parts)
     comb = math.sqrt(full.std_error**2 + sum(e**2 for _, e in parts))
     assert abs(full.sigma2 - total) <= 3.0 * comb
@@ -320,12 +352,12 @@ def test_variance_estimators_agree_on_default_system():
 def test_per_bond_table_structure():
     spec = SystemSpec(L=2)
     table = per_bond_variance_table(spec, 5, samples=10_000, seed=17, horizon=160)
-    assert table.values[0] == (0.0, 0.0)
+    assert table.sigma2[0] == 0.0 and table.std_error[0] == 0.0
     for st in range(1, 5):
-        v, e = table.values[st]
+        v, e = table.sigma2[st], table.std_error[st]
         assert v == pytest.approx(1.0, abs=4.0 * e)
-    arr = table.sigma2_array()
-    assert arr.shape == (5,)
+    assert table.T == 5
+    assert table.sigma2.shape == table.std_error.shape == (5,)
 
 
 def test_per_bond_table_series_estimator():
@@ -333,7 +365,7 @@ def test_per_bond_table_series_estimator():
     table = per_bond_variance_table(spec, 3, estimator="series", samples=60_000,
                                     seed=18, t_max=5)
     for st in (1, 2):
-        v, e = table.values[st]
+        v, e = table.sigma2[st], table.std_error[st]
         assert v == pytest.approx(1.0, abs=4.0 * e)
 
 
@@ -343,10 +375,9 @@ def test_per_bond_table_requires_nn_topology():
 
 
 def test_variance_table_validation():
-    with pytest.raises(TableError):
-        VarianceTable(T=3, kind="per-bond", values={0: (0.5, 0.0), 1: (1.0, 0.0), 2: (1.0, 0.0)})
-    with pytest.raises(TableError):
-        VarianceTable(T=2, kind="per-bond", values={0: (0.0, 0.0), 1: (-1.0, 0.0)})
-    t = VarianceTable(T=3, kind="per-bond", values={0: (0.0, 0.0), 2: (1.0, 0.0)})
-    with pytest.raises(TableError):
-        t.sigma2_array()
+    with pytest.raises(TableError, match="sigma2"):
+        VarianceTable([0.5, 1.0, 1.0], [0.0, 0.0, 0.0])
+    with pytest.raises(TableError, match="negative variance at shift 1"):
+        VarianceTable([0.0, -1.0], [0.0, 0.0])
+    # a negative estimate within three standard errors of zero is noise, not an error
+    VarianceTable([0.0, -0.2], [0.0, 0.1])

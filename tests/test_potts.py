@@ -20,7 +20,6 @@ from sfflab.potts import (
     synthetic_class_variances,
     thouless_time,
     transfer_eigenvalues,
-    transfer_matrix,
 )
 
 from oracles import circulant_trace_power
@@ -53,7 +52,7 @@ def test_transfer_eigenvalue_row_sum_and_potts_form():
     x = params.chi**tau
     table = VarianceTable.potts(T, 1.0)
     lams = transfer_eigenvalues(table, params.lam, tau)
-    row = np.exp(-params.lam * tau * table.sigma2_array() / 2.0)
+    row = np.exp(-params.lam * tau * table.sigma2 / 2.0)
     assert lams[0].real == pytest.approx(row.sum(), rel=1e-12)
     assert lams[0].real == pytest.approx(1 - x + T * x, rel=1e-12)
     # remaining eigenvalues are (T-1)-fold degenerate at 1 - chi^tau
@@ -64,9 +63,15 @@ def test_transfer_eigenvalue_row_sum_and_potts_form():
 
 
 def test_transfer_eigenvalues_requires_complete_table():
-    t = VarianceTable(T=4, kind="per-bond", values={0: (0.0, 0.0), 1: (1.0, 0.0)})
+    # a table is one sigma2 and one std_error per relative shift s~ = 0..T-1
     with pytest.raises(TableError):
-        transfer_eigenvalues(t, 1.0, 0.5)
+        VarianceTable(np.zeros(4), np.zeros(2))
+    with pytest.raises(TableError):
+        VarianceTable(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(TableError):
+        VarianceTable(np.zeros(0), np.zeros(0))
+    t = VarianceTable([0.0, 1.0, 1.0, 1.0], np.zeros(4))
+    assert t.T == 4 and len(transfer_eigenvalues(t, 1.0, 0.5)) == 4
 
 
 def test_sff_transfer_single_site_and_uncoupled():
@@ -82,16 +87,13 @@ def test_sff_transfer_matches_matrix_power_oracle():
         params = PottsParams.from_chi(L=L, T_H=10.0, chi=chi)
         table = VarianceTable.potts(T, 1.0)
         tau = T / params.T_H
-        row = np.exp(-params.lam * tau * table.sigma2_array() / 2.0)
+        row = np.exp(-params.lam * tau * table.sigma2 / 2.0)
         want = circulant_trace_power(row, L).real
         got = sff_transfer(table, params).values[0]
         assert got == pytest.approx(want, rel=1e-10)
         # and the explicit matrix agrees with the DFT route
-        M = transfer_matrix(table, params.lam, tau)
         lams = transfer_eigenvalues(table, params.lam, tau)
-        assert np.trace(np.linalg.matrix_power(M, L)).real == pytest.approx(
-            np.sum(lams**L).real, rel=1e-10
-        )
+        assert want == pytest.approx(np.sum(lams**L).real, rel=1e-10)
 
 
 def test_closed_form_limits_exact():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from sfflab import quantum
 from sfflab.quantum import (
     CircuitSpec,
     ConventionError,
-    EnsembleSpec,
     GridError,
     MemoryBudgetError,
     UnitarityError,
@@ -93,7 +93,7 @@ def test_coupling_operator_classical_limit():
 
 
 def test_build_circuit_tensor_identity_at_eps0():
-    spec = CircuitSpec(L=2, N=8, epsilon=0.0, ensemble=EnsembleSpec(members=1, seed=3))
+    spec = CircuitSpec(L=2, N=8, epsilon=0.0, members=1, seed=3)
     mem = ensemble_members(spec)[0]
     U = build_circuit(spec, mem)
     subs = subsystem_unitaries(spec, mem)
@@ -128,7 +128,7 @@ def _matrix_power_traces(U, t_max):
 
 def test_trace_powers_match_matrix_powers():
     for N in (6, 8):
-        spec = CircuitSpec(L=2, N=N, lam=0.4, ensemble=EnsembleSpec(members=1, seed=4))
+        spec = CircuitSpec(L=2, N=N, lam=0.4, members=1, seed=4)
         U = build_circuit(spec, ensemble_members(spec)[0])
         t_max = int(round(1.25 * spec.T_H))
         assert np.abs(trace_powers(U, t_max) - _matrix_power_traces(U, t_max)).max() < 1e-8
@@ -147,7 +147,7 @@ def test_trace_powers_exact_and_repeated_eigenvalues():
 
 
 def test_trace_powers_rejects_non_unitary(monkeypatch):
-    spec = CircuitSpec(L=2, N=6, lam=0.4, ensemble=EnsembleSpec(members=1, seed=4))
+    spec = CircuitSpec(L=2, N=6, lam=0.4, members=1, seed=4)
     U = build_circuit(spec, ensemble_members(spec)[0])
     S = np.eye(len(U)) + 0.1 * np.triu(np.ones_like(U), 1)
     non_normal = S @ np.diag(np.exp(1j * np.linspace(0.0, 6.0, len(U)))) @ np.linalg.inv(S)
@@ -182,7 +182,7 @@ def test_spec_requires_exactly_one_coupling():
 
 
 def test_sff_numeric_nonnegative_and_factorization():
-    spec = CircuitSpec(L=2, N=16, epsilon=0.0, ensemble=EnsembleSpec(members=3, seed=5))
+    spec = CircuitSpec(L=2, N=16, epsilon=0.0, members=3, seed=5)
     series = sff_numeric(spec, 30)
     assert np.all(series.raw_values >= 0.0)
     mem = ensemble_members(spec)[0]
@@ -194,8 +194,8 @@ def test_sff_numeric_nonnegative_and_factorization():
 
 def test_sff_numeric_error_scaling():
     base = dict(L=2, N=8, lam=0.3)
-    s1 = sff_numeric(CircuitSpec(**base, ensemble=EnsembleSpec(members=40, seed=6)), 24)
-    s2 = sff_numeric(CircuitSpec(**base, ensemble=EnsembleSpec(members=160, seed=6)), 24)
+    s1 = sff_numeric(CircuitSpec(**base, members=40, seed=6), 24)
+    s2 = sff_numeric(CircuitSpec(**base, members=160, seed=6), 24)
     ratio = np.median(s2.errors / np.maximum(s1.errors, 1e-300))
     assert 0.3 < ratio < 0.75  # expect ~1/2
 
@@ -208,7 +208,7 @@ def test_sff_numeric_calls_trace_powers_once_per_member(monkeypatch):
         return trace_powers(U, t_max)
 
     monkeypatch.setattr(quantum, "trace_powers", counted)
-    spec = CircuitSpec(L=2, N=6, lam=0.2, ensemble=EnsembleSpec(members=4, seed=7))
+    spec = CircuitSpec(L=2, N=6, lam=0.2, members=4, seed=7)
     series = sff_numeric(spec, 15)
     assert calls == [15] * 4
     assert 0.0 <= series.meta["unitarity_residual_max"] < 1e-10
@@ -229,7 +229,7 @@ def test_window_average_rows_match_one_row_at_a_time():
 
 
 def test_sff_numeric_worker_isolation():
-    spec = CircuitSpec(L=2, N=6, lam=0.2, ensemble=EnsembleSpec(members=4, seed=7))
+    spec = CircuitSpec(L=2, N=6, lam=0.2, members=4, seed=7)
     a = sff_numeric(spec, 15, workers=1)
     b = sff_numeric(spec, 15, workers=2)
     assert np.array_equal(a.values, b.values)
@@ -237,11 +237,11 @@ def test_sff_numeric_worker_isolation():
 
 
 def test_ensemble_member_bond_offset_constraint():
-    spec = CircuitSpec(L=2, N=8, lam=0.1, ensemble=EnsembleSpec(members=5, seed=8))
+    spec = CircuitSpec(L=2, N=8, lam=0.1, members=5, seed=8)
     for mem in ensemble_members(spec):
         d1, d2 = mem.bond_offsets
         assert (d1 - d2) % 1.0 == pytest.approx(0.25, abs=1e-12)
-    spec3 = CircuitSpec(L=3, N=4, lam=0.1, ensemble=EnsembleSpec(members=5, seed=8))
+    spec3 = CircuitSpec(L=3, N=4, lam=0.1, members=5, seed=8)
     offs = {m.bond_offsets for m in ensemble_members(spec3)}
     assert len(offs) == 5
 
@@ -253,6 +253,23 @@ def test_compare_self_is_exact():
     assert np.all(rep.ratio == 1.0)
     assert rep.chi2_per_point == 0.0
     assert rep.slope_ok
+
+
+def test_compare_verdict():
+    params = PottsParams.from_chi(L=2, T_H=64.0, chi=0.9)
+    pred = closed_form_sff(params, np.arange(1.0, 65.0))
+    exact = series_from_prediction(pred)
+    high = dataclasses.replace(exact, values=1.3 * exact.values)
+    # slope_tol wide enough that the ratio alone decides
+    strict = compare(high, pred, T_H=64.0, slope_tol=1.0, ratio_tol=0.25)
+    assert strict.late_mean_ratio == pytest.approx(1.3, rel=1e-12)
+    assert strict.slope_ok and not strict.ratio_ok and not strict.passed
+    loose = compare(high, pred, T_H=64.0, slope_tol=1.0, ratio_tol=0.35)
+    assert loose.slope_ok and loose.ratio_ok and loose.passed
+    # a late window with no series point gives a NaN ratio, which never passes
+    empty = compare(exact, pred, late_window=(5.0, 6.0), T_H=64.0, ratio_tol=math.inf)
+    assert math.isnan(empty.late_mean_ratio)
+    assert not empty.ratio_ok and not empty.passed
 
 
 def test_compare_disjoint_grids_error():
