@@ -43,7 +43,6 @@ from .quantum import (
     build_circuit,
     compare,
     coupling_operator,
-    lambda_sweep,
     quantize_subsystem,
     sff_numeric,
 )

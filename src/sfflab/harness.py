@@ -308,7 +308,7 @@ def _write_json(path, payload):
 
 
 def read_sff_csv(path) -> SffSeries:
-    """Read back an sff_numeric.csv artifact."""
+    """Read back an sff_numeric.csv artifact; SchemaError names the path if it is malformed."""
     try:
         with open(path) as f:
             if "sfflab/sff_numeric" not in f.readline():
@@ -318,19 +318,17 @@ def read_sff_csv(path) -> SffSeries:
         raise SchemaError(f"{path}: {e}") from None
     if not rows:
         raise SchemaError(f"{path}: empty series")
-    for fieldname in ("t", "K", "K_raw", "err"):
+    for fieldname in ("t", "K", "K_raw", "err", "N", "L"):
         if fieldname not in rows[0]:
             raise SchemaError(f"{path}: missing field {fieldname}")
-    times = np.array([int(r["t"]) for r in rows])
-    vals = np.array([float(r["K"]) for r in rows])
-    raw = np.array([float(r["K_raw"]) for r in rows])
-    err = np.array([float(r["err"]) for r in rows])
-    meta = {}
-    for key in ("N", "L"):
-        if key in rows[0]:
-            meta[key] = int(rows[0][key])
-    return SffSeries(times=times, values=vals, errors=err, raw_values=raw,
-                     raw_errors=err.copy(), meta=meta)
+    try:
+        return SffSeries(times=np.array([int(r["t"]) for r in rows]),
+                         values=np.array([float(r["K"]) for r in rows]),
+                         errors=np.array([float(r["err"]) for r in rows]),
+                         raw_values=np.array([float(r["K_raw"]) for r in rows]),
+                         N=int(rows[0]["N"]), L=int(rows[0]["L"]))
+    except (ValueError, TypeError) as e:  # SpecError is a ValueError
+        raise SchemaError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -609,20 +607,17 @@ def report_text(rep_dict: dict) -> str:
 
 
 def _compare_prediction(cfg) -> PottsParams:
-    if len(cfg.section["late_window"]) != 2:
-        raise SpecError("compare.late_window needs two entries (start, stop), "
-                        f"got {cfg.section['late_window']}")
+    window = cfg.section["late_window"]
+    if len(window) != 2 or not window[0] < window[1]:
+        raise SpecError(f"compare.late_window needs two entries start < stop, got {window}")
     return _potts_params(cfg.section["prediction"])
 
 
 def _run_compare(cfg, outdir):
-    import dataclasses
-
     sec = cfg.section
     series = read_sff_csv(sec["series_csv"])
     if sec["use_raw"]:
-        series = dataclasses.replace(series, values=series.raw_values,
-                                     errors=series.raw_errors)
+        series.values = series.raw_values
     pred, t_th = _prediction_for(sec["prediction"], series.times)
     rep = compare(series, pred, late_window=tuple(sec["late_window"]),
                   slope_tol=sec["slope_tol"], ratio_tol=sec["ratio_tol"])

@@ -317,6 +317,10 @@ def action_difference_identity_check(
 # ---------------------------------------------------------------------------
 # phase-distribution sampling and CLT diagnostics
 
+# "auto" sampling enumerates the period-T set up to this many points and samples
+# by proxy beyond; for the default map T = 10 (15 125 points) is the last exact period
+EXACT_SAMPLING_MAX_POINTS = 20_000
+
 
 def sample_phase_distribution(
     spec: SystemSpec,
@@ -325,7 +329,6 @@ def sample_phase_distribution(
     budget: int,
     seed: int,
     mode: str = "auto",
-    exact_limit: int = 20000,
     batch: int = 1 << 15,
 ) -> PhaseSampleSet:
     """Draw rescaled phases Phi_s/sqrt(T) with stability-amplitude weights.
@@ -335,13 +338,14 @@ def sample_phase_distribution(
     where enumeration is infeasible, "proxy" mode samples uniform initial
     conditions instead (the amplitude-squared measure is Lebesgue); the mode
     is recorded on the returned set; "auto" picks exact when T <= MAX_PERIOD
-    and the period-T set has at most exact_limit points.
+    and the period-T set has at most EXACT_SAMPLING_MAX_POINTS points.
     """
     if budget <= 0:
         raise SpecError("sampling budget must be positive")
     sv = _as_shift(s, spec.L, T)
     if mode == "auto":
-        exact = T <= MAX_PERIOD and periodic_point_count(T, spec.subsystem) <= exact_limit
+        exact = (T <= MAX_PERIOD
+                 and periodic_point_count(T, spec.subsystem) <= EXACT_SAMPLING_MAX_POINTS)
         mode = "exact" if exact else "proxy"
     if mode not in ("exact", "proxy"):
         raise SpecError(f"unknown sampling mode {mode!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ALL_TO_ALL, NEAREST_NEIGHBOUR, CatMapSpec, DEFAULT_MAP, SpecError, SystemSpec, pair_potential
+from .dynamics import CatMapSpec, DEFAULT_MAP, SpecError, SystemSpec, pair_potential
 from .potts import SffPrediction
 from .util import philox, run_tasks, window_average
 
@@ -34,7 +34,7 @@ class MemoryBudgetError(RuntimeError):
 
 
 class GridError(ValueError):
-    """Comparison grids do not overlap."""
+    """A series and a prediction are not on the same time grid."""
 
 
 class UnitarityError(ValueError):
@@ -54,17 +54,15 @@ _UNITARY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """L-site circuit at subsystem dimension N; coupling via epsilon or Lambda.
+    """L-site circuit of DEFAULT_MAP sites at dimension N; coupling via epsilon or Lambda.
 
     members and seed fix the averaging ensemble (see ensemble_members).
     """
 
     L: int
     N: int
-    subsystem: CatMapSpec = DEFAULT_MAP
     epsilon: float | None = None
     lam: float | None = None
-    amplitude: float = 1.0
     members: int = 1
     seed: int = 0
     memory_budget_bytes: int = 2 << 30
@@ -78,7 +76,7 @@ class CircuitSpec:
             raise SpecError("specify exactly one of epsilon or Lambda")
         if (self.lam if self.epsilon is None else self.epsilon) < 0:
             raise SpecError("epsilon and Lambda must be >= 0")
-        check_convention(self.subsystem, self.N)
+        check_convention(DEFAULT_MAP, self.N)
 
     @property
     def T_H(self) -> int:
@@ -95,9 +93,7 @@ class CircuitSpec:
         return self.epsilon
 
     def system(self) -> SystemSpec:
-        topo = NEAREST_NEIGHBOUR if self.L >= 2 else ALL_TO_ALL
-        return SystemSpec(L=self.L, subsystem=self.subsystem, amplitude=self.amplitude,
-                          topology=topo, epsilon=self.eps_effective)
+        return SystemSpec(L=self.L, epsilon=self.eps_effective)
 
 
 @dataclass(frozen=True)
@@ -110,19 +106,26 @@ class MemberRealization:
 
 @dataclass
 class SffSeries:
-    """Numerical K(t): window-averaged values plus the raw ensemble means."""
+    """Numerical K(t) of an L-site circuit at dimension N, as sff_numeric.csv holds it.
+
+    values are window-averaged, raw_values the raw ensemble means; meta holds
+    the eigensolve health that goes to the manifest, not to the CSV.
+    """
 
     times: np.ndarray
     values: np.ndarray
     errors: np.ndarray
     raw_values: np.ndarray
-    raw_errors: np.ndarray
+    N: int
+    L: int
     meta: dict = field(default_factory=dict)
     member_values: np.ndarray | None = None  # windowed rows, one per member
 
     def __post_init__(self):
         if np.any(self.raw_values < 0) or np.any(self.errors < 0):
             raise SpecError("SFF series values and errors must be nonnegative")
+        if self.N < 1 or self.L < 1:
+            raise SpecError(f"need N >= 1 and L >= 1, got N = {self.N}, L = {self.L}")
 
     def band_mean(self, t_lo: float, t_hi: float) -> tuple[float, float]:
         """Ensemble mean and standard error of the series averaged over a band.
@@ -131,7 +134,7 @@ class SffSeries:
         understate the error; requires member_values.
         """
         if self.member_values is None:
-            raise SpecError("band_mean needs a series built with keep_members=True")
+            raise SpecError("band_mean needs the per-member rows of sff_numeric")
         sel = (self.times >= t_lo) & (self.times <= t_hi)
         if not sel.any():
             raise SpecError("empty time band")
@@ -228,7 +231,7 @@ def _check_budget(spec: CircuitSpec, factor: int = 3) -> None:
 
 
 def subsystem_unitaries(spec: CircuitSpec, member: MemberRealization | None = None):
-    base = quantize_subsystem(spec.subsystem, spec.N)
+    base = quantize_subsystem(DEFAULT_MAP, spec.N)
     if member is None:
         return [base] * spec.L
     return [torus_translation(spec.N, vq, vp) @ base for vq, vp in member.site_translations]
@@ -323,8 +326,7 @@ def _member_sff_task(args) -> tuple[np.ndarray, float, float]:
     return np.abs(tr) ** 2, _unitarity_residual(U), float(abs(tr[0] - np.trace(U)))
 
 
-def sff_numeric(spec: CircuitSpec, t_max: int, workers: int = 1,
-                keep_members: bool = False) -> SffSeries:
+def sff_numeric(spec: CircuitSpec, t_max: int, workers: int = 1) -> SffSeries:
     """Ensemble- and window-averaged K(t) = <|tr U^t|^2>, t = 1..t_max.
 
     Members are independent tasks; the reduction order is fixed by the
@@ -340,61 +342,19 @@ def sff_numeric(spec: CircuitSpec, t_max: int, workers: int = 1,
     win = window_average(raw, times)
     n = len(members)
     sem = np.sqrt(np.maximum(win.var(axis=0, ddof=1), 0.0) / n) if n > 1 else np.zeros(t_max)
-    sem_raw = np.sqrt(np.maximum(raw.var(axis=0, ddof=1), 0.0) / n) if n > 1 else np.zeros(t_max)
     return SffSeries(
         times=times,
         values=win.mean(axis=0),
         errors=sem,
         raw_values=raw.mean(axis=0),
-        raw_errors=sem_raw,
-        member_values=win if keep_members else None,
+        N=spec.N,
+        L=spec.L,
+        member_values=win,
         meta={
-            "N": spec.N,
-            "L": spec.L,
             "unitarity_residual_max": max(residuals),
             "trace_check_max": max(s1_errors),
         },
     )
-
-
-@dataclass
-class LambdaSweepResult:
-    lam: float
-    series: dict  # N -> SffSeries
-    tau_grid: np.ndarray
-    kappa: dict  # N -> (values, errors) on tau_grid
-
-
-def lambda_sweep(
-    L: int,
-    N_list,
-    lam: float,
-    members: int,
-    seed: int,
-    subsystem: CatMapSpec = DEFAULT_MAP,
-    t_max_factor: float = 1.25,
-    tau_points: int = 64,
-    amplitude: float = 1.0,
-) -> LambdaSweepResult:
-    """Run sff_numeric at fixed Lambda across N and rescale onto a common tau grid."""
-    series = {}
-    for i, N in enumerate(sorted(N_list)):
-        spec = CircuitSpec(
-            L=L, N=int(N), subsystem=subsystem, lam=lam, amplitude=amplitude,
-            members=members, seed=seed + i,
-        )
-        series[int(N)] = sff_numeric(spec, int(round(t_max_factor * spec.T_H)))
-    tau_lo = max(1.0 / (int(n) ** L) for n in N_list)
-    tau_grid = np.linspace(max(0.05, 2 * tau_lo), min(t_max_factor, 1.0), tau_points)
-    kappa = {}
-    for N, s in series.items():
-        T_H = N**L
-        tau = s.times / T_H
-        kappa[N] = (
-            np.interp(tau_grid, tau, s.values / T_H),
-            np.interp(tau_grid, tau, s.errors / T_H),
-        )
-    return LambdaSweepResult(lam=lam, series=series, tau_grid=tau_grid, kappa=kappa)
 
 
 @dataclass
@@ -428,26 +388,17 @@ class CompareReport:
         }
 
 
-def _interp_prediction(prediction: SffPrediction, times: np.ndarray) -> np.ndarray:
-    pt = np.asarray(prediction.times, dtype=float)
-    if np.array_equal(pt, np.asarray(times, dtype=float)):
-        return prediction.values.copy()
-    if times.min() < pt.min() - 1e-9 or times.max() > pt.max() + 1e-9:
-        raise GridError("series times fall outside the prediction grid")
-    logv = np.interp(np.log(times), np.log(pt), prediction.log_values)
-    return np.exp(logv)
-
-
 def compare(
     series: SffSeries,
     prediction: SffPrediction,
     late_window: tuple = (0.4, 1.0),
-    T_H: float | None = None,
     slope_tol: float = 0.25,
     ratio_tol: float = 0.25,
 ) -> CompareReport:
     """Per-time deviation of a numerical series from an analytic prediction.
 
+    The prediction must be evaluated on the series' own times (GridError
+    otherwise).  late_window is a fraction of T_H = N^L of the series.
     The late-time ramp slopes are compared with an absolute normalization,
     |slope_s - slope_p| <= slope_tol * max(1, |slope_p|), which stays
     meaningful when the reference curve is nearly flat.  The comparison
@@ -456,16 +407,16 @@ def compare(
     fails).
     """
     t = np.asarray(series.times, dtype=float)
-    pv = _interp_prediction(prediction, t)
+    if not np.array_equal(np.asarray(prediction.times, dtype=float), t):
+        raise GridError("the prediction is not on the series' time grid")
+    pv = prediction.values
     sv = series.values
     ratio = sv / np.maximum(pv, np.finfo(float).tiny)
     err = np.asarray(series.errors)
     mask = err > 0
     chi2 = float(np.mean(((sv[mask] - pv[mask]) / err[mask]) ** 2)) if mask.any() else 0.0
 
-    if T_H is None:
-        meta = series.meta
-        T_H = float(meta["N"] ** meta["L"]) if "N" in meta and "L" in meta else float(t[-1])
+    T_H = float(series.N**series.L)
     lo, hi = late_window[0] * T_H, late_window[1] * T_H
     late = (t >= lo) & (t <= hi)
     if late.sum() >= 2:
@@ -478,7 +429,7 @@ def compare(
     slope_ok = bool(abs(slope_s - slope_p) <= slope_tol * max(1.0, abs(slope_p)))
     ratio_ok = bool(abs(late_mean_ratio - 1.0) <= ratio_tol)
 
-    early = t <= max(2.0 * T_H ** (1.0 / series.meta.get("L", 1)), t[0])
+    early = t <= max(2.0 * T_H ** (1.0 / series.L), t[0])
     bump_time = int(t[early][np.argmax(sv[early])]) if early.any() else None
 
     return CompareReport(
@@ -495,12 +446,3 @@ def compare(
         passed=slope_ok and ratio_ok,
         bump_time=bump_time,
     )
-
-
-def series_from_prediction(prediction: SffPrediction) -> SffSeries:
-    """Wrap an analytic curve as a zero-error series (self-comparison oracle)."""
-    vals = prediction.values.copy()
-    z = np.zeros_like(vals)
-    return SffSeries(times=prediction.times.copy(), values=vals, errors=z,
-                     raw_values=vals.copy(), raw_errors=z,
-                     meta={"mode": prediction.mode, **prediction.params})

@@ -251,7 +251,7 @@ def test_criterion_10_quantum_vs_prediction():
     lam = -2.0 * math.log(chi)  # per-bond sigma2_phi = 1 for the default observable
     spec = CircuitSpec(L=2, N=16, lam=lam, members=384, seed=1010)
     T_H = spec.T_H
-    series = sff_numeric(spec, t_max=320, keep_members=True)
+    series = sff_numeric(spec, t_max=320)
 
     # bump-then-ramp ordering: the band a few subsystem Heisenberg times in
     # (where the subsystem bump tops out) sits above the mid-time dip band
@@ -275,8 +275,7 @@ def test_criterion_10_quantum_vs_prediction():
     kline = T_H * np.asarray(scaled_kappa(params, tau))
     pred = SffPrediction(times=t.astype(float), values=kline, log_values=np.log(kline),
                          mode="scaled-kappa", params=params.to_dict())
-    rep = compare(series, pred, late_window=(0.4, 1.0), T_H=float(T_H), slope_tol=0.25,
-                  ratio_tol=0.25)
+    rep = compare(series, pred, late_window=(0.4, 1.0), slope_tol=0.25, ratio_tol=0.25)
     ok = bump_ok and rep.passed
     _report(10, "quantum SFF: bump-then-ramp ordering and late-time theory agreement",
             ok,

@@ -104,7 +104,7 @@ def test_quantum_and_compare_pipeline(tmp_path):
     })
     man = run_experiment(qcfg)
     series = read_sff_csv(tmp_path / "q/sff_numeric.csv")
-    assert len(series.times) == 80 and series.meta["N"] == 8
+    assert len(series.times) == 80 and series.N == 8 and series.L == 2
     # eigensolve health goes to the manifest, never into the CSV body
     for key in ("unitarity_residual_max", "trace_check_max"):
         assert 0.0 <= man.extras[key] < 1e-10
@@ -373,6 +373,8 @@ BOUNDARY_ROWS = [
       "--set", "quantum.members=1", "--set", "quantum.translations=false"], "quantum.translations"),
     (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=0.2",
       "--set", "quantum.members=1", "--set", "quantum.bond_offsets=false"], "quantum.bond_offsets"),
+    (["compare", "--set", "compare.series_csv={series}", "--set", "compare.late_window=[1.0, 0.4]",
+      "--set", "compare.prediction={L: 2, T_H: 16.0, chi: 0.9}"], "compare.late_window"),
 ]
 
 
@@ -420,6 +422,31 @@ def test_missing_series_csv_exits_2_naming_it(tmp_path, capsys):
                      "--set", "compare.prediction={L: 2, T_H: 16.0, chi: 0.9}"]) == 2
     assert str(missing) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# sff_numeric.csv bodies that read_sff_csv rejects, each with a row of t = 1..20
+MALFORMED_SERIES = {
+    "non-numeric cell": ("t,K,K_raw,err,N,L", lambda t: f"{t},{'x' if t == 7 else t},{t},0.1,4,2"),
+    "negative err": ("t,K,K_raw,err,N,L", lambda t: f"{t},{t},{t},{-0.1 if t == 3 else 0.1},4,2"),
+    "missing N": ("t,K,K_raw,err,L", lambda t: f"{t},{t},{t},0.1,2"),
+    "missing L": ("t,K,K_raw,err,N", lambda t: f"{t},{t},{t},0.1,4"),
+    "L = 0": ("t,K,K_raw,err,N,L", lambda t: f"{t},{t},{t},0.1,4,0"),
+    "short row": ("t,K,K_raw,err,N,L", lambda t: f"{t},{t},{t}" + ("" if t == 5 else ",0.1,4,2")),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SERIES)
+def test_malformed_series_csv_exits_2_naming_it(tmp_path, capsys, case):
+    header, row = MALFORMED_SERIES[case]
+    series = tmp_path / "series.csv"
+    series.write_text(f"# schema: sfflab/sff_numeric v1\n{header}\n"
+                      + "".join(row(t) + "\n" for t in range(1, 21)))
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--outdir", str(out), "--seed", "1",
+                     "--set", f"compare.series_csv={series}",
+                     "--set", "compare.prediction={L: 2, T_H: 16.0, chi: 0.9}"]) == 2
+    assert str(series) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
 
 def test_cli_reads_config_through_the_harness_loader(tmp_path, capsys):

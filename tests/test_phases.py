@@ -8,8 +8,9 @@ from scipy import stats
 from sfflab.dynamics import ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, pair_potential
 from sfflab import phases
 from sfflab.orbits import (MAX_PERIOD, OrbitFamily, enumerate_lattice, family_iterator,
-                           subsystem_orbits)
+                           periodic_point_count, subsystem_orbits)
 from sfflab.phases import (
+    EXACT_SAMPLING_MAX_POINTS,
     SeriesError,
     TableError,
     VarianceTable,
@@ -187,6 +188,15 @@ def test_auto_mode_takes_proxy_above_max_period(monkeypatch):
     sset = sample_phase_distribution(SystemSpec(L=2), MAX_PERIOD + 1, (0, 1), budget=1000, seed=4)
     assert sset.mode == "proxy"
     assert np.all(np.isfinite(sset.phi_tilde))
+
+
+def test_auto_mode_switches_to_proxy_above_the_point_limit():
+    counts = [periodic_point_count(T, DEFAULT_MAP) for T in (10, 11)]
+    assert counts == [15_125, 39_601]
+    assert counts[0] <= EXACT_SAMPLING_MAX_POINTS < counts[1]
+    modes = [sample_phase_distribution(SystemSpec(L=2), T, (0, 1), budget=1000, seed=4).mode
+             for T in (10, 11)]
+    assert modes == ["exact", "proxy"]
 
 
 def test_exact_sampling_matches_cycle_reference():

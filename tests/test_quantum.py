@@ -12,15 +12,14 @@ from sfflab.quantum import (
     ConventionError,
     GridError,
     MemoryBudgetError,
+    SffSeries,
     UnitarityError,
     build_circuit,
     compare,
     coupling_operator,
     ensemble_members,
-    lambda_sweep,
     position_grid,
     quantize_subsystem,
-    series_from_prediction,
     sff_numeric,
     subsystem_unitaries,
     torus_translation,
@@ -246,10 +245,17 @@ def test_ensemble_member_bond_offset_constraint():
     assert len(offs) == 5
 
 
+def _series_of(pred):
+    """The prediction as a zero-error series of an N = 8, L = 2 circuit (T_H = 64)."""
+    z = np.zeros_like(pred.values)
+    return SffSeries(times=pred.times.copy(), values=pred.values.copy(), errors=z,
+                     raw_values=pred.values.copy(), N=8, L=2)
+
+
 def test_compare_self_is_exact():
     params = PottsParams.from_chi(L=2, T_H=64.0, chi=0.9)
     pred = closed_form_sff(params, np.arange(1.0, 65.0))
-    rep = compare(series_from_prediction(pred), pred, T_H=64.0)
+    rep = compare(_series_of(pred), pred)
     assert np.all(rep.ratio == 1.0)
     assert rep.chi2_per_point == 0.0
     assert rep.slope_ok
@@ -258,35 +264,59 @@ def test_compare_self_is_exact():
 def test_compare_verdict():
     params = PottsParams.from_chi(L=2, T_H=64.0, chi=0.9)
     pred = closed_form_sff(params, np.arange(1.0, 65.0))
-    exact = series_from_prediction(pred)
+    exact = _series_of(pred)
     high = dataclasses.replace(exact, values=1.3 * exact.values)
     # slope_tol wide enough that the ratio alone decides
-    strict = compare(high, pred, T_H=64.0, slope_tol=1.0, ratio_tol=0.25)
+    strict = compare(high, pred, slope_tol=1.0, ratio_tol=0.25)
     assert strict.late_mean_ratio == pytest.approx(1.3, rel=1e-12)
     assert strict.slope_ok and not strict.ratio_ok and not strict.passed
-    loose = compare(high, pred, T_H=64.0, slope_tol=1.0, ratio_tol=0.35)
+    loose = compare(high, pred, slope_tol=1.0, ratio_tol=0.35)
     assert loose.slope_ok and loose.ratio_ok and loose.passed
     # a late window with no series point gives a NaN ratio, which never passes
-    empty = compare(exact, pred, late_window=(5.0, 6.0), T_H=64.0, ratio_tol=math.inf)
+    empty = compare(exact, pred, late_window=(5.0, 6.0), ratio_tol=math.inf)
     assert math.isnan(empty.late_mean_ratio)
     assert not empty.ratio_ok and not empty.passed
+
+
+def test_compare_takes_T_H_from_the_series():
+    # on t = 1..20 the bump is the largest K up to 2 N, and the late window
+    # (0.4, 1.0) holds the times 0.4 N^2 <= t <= N^2
+    t = np.arange(1.0, 21.0)
+    pred = closed_form_sff(PottsParams.from_chi(L=2, T_H=16.0, chi=0.9), t)
+    for N in (4, 2):
+        series = SffSeries(times=t, values=t.copy(), errors=np.zeros(20), raw_values=t.copy(),
+                           N=N, L=2)
+        rep = compare(series, pred)
+        late = (t >= 0.4 * N**2) & (t <= N**2)
+        assert rep.bump_time == 2 * N
+        assert rep.late_mean_ratio == pytest.approx(np.mean(t[late] / pred.values[late]),
+                                                    rel=1e-12)
 
 
 def test_compare_disjoint_grids_error():
     params = PottsParams.from_chi(L=2, T_H=64.0, chi=0.9)
     pred = closed_form_sff(params, np.arange(1.0, 10.0))
-    series = series_from_prediction(closed_form_sff(params, np.arange(50.0, 60.0)))
+    series = _series_of(closed_form_sff(params, np.arange(50.0, 60.0)))
     with pytest.raises(GridError):
-        compare(series, pred, T_H=64.0)
+        compare(series, pred)
 
 
 def test_lambda_sweep_collapse():
-    res = lambda_sweep(L=2, N_list=[12, 16, 24], lam=1.0, members=60, seed=9)
-    mask = res.tau_grid >= 0.3
+    # sff_numeric at fixed Lambda across N, rescaled onto a common tau grid
+    N_list, L = (12, 16, 24), 2
+    tau_grid = np.linspace(max(0.05, 2 * max(1.0 / N**L for N in N_list)), 1.0, 64)
+    kappa = {}
+    for i, N in enumerate(N_list):
+        spec = CircuitSpec(L=L, N=N, lam=1.0, members=60, seed=9 + i)
+        s = sff_numeric(spec, int(round(1.25 * spec.T_H)))
+        tau = s.times / spec.T_H
+        kappa[N] = (np.interp(tau_grid, tau, s.values / spec.T_H),
+                    np.interp(tau_grid, tau, s.errors / spec.T_H))
+    mask = tau_grid >= 0.3
     pairs = [(12, 16), (16, 24), (12, 24)]
     for na, nb in pairs:
-        ka, ea = res.kappa[na]
-        kb, eb = res.kappa[nb]
+        ka, ea = kappa[na]
+        kb, eb = kappa[nb]
         diff = np.abs(ka - kb)[mask]
         comb = np.sqrt(ea**2 + eb**2)[mask]
         # rescaled curves agree within combined error bars on the resolvable window
