@@ -202,9 +202,12 @@ def _trajectory(rng: np.random.Generator, n: int, L: int, m: CatMapSpec, shifts,
 
     Draws q0, then p0, each of shape (n, L), from rng.  Copy k starts with
     site l advanced shifts[k][l] map steps, one column at a time; then all
-    copies are stepped together.  Yields arrays of shape (len(shifts), n, L).
-    Every element sees the same sequence of IEEE operations as stepping it
-    alone, so the positions are bit-identical to direct per-column stepping.
+    copies are stepped together.  A site whose shift is the same in every
+    copy is stepped in copy 0 only and its positions copied into the others
+    (their momenta there are never read).  Yields arrays of shape
+    (len(shifts), n, L).  Every element sees the same sequence of IEEE
+    operations as stepping it alone, so the positions are bit-identical to
+    direct per-column stepping.
 
     The batch is stepped in place: a yielded frame is a view of the position
     buffer and is valid only until the next step; copy it to keep it.
@@ -216,13 +219,24 @@ def _trajectory(rng: np.random.Generator, n: int, L: int, m: CatMapSpec, shifts,
     scratch = np.empty((2,) + q.shape)
     q[:] = rng.random((n, L)).T
     p[:] = rng.random((n, L)).T
+    shared = [len({shift[l] for shift in shifts}) == 1 for l in range(L)]
     for k, shift in enumerate(shifts):
         for l, s in enumerate(shift):
-            for _ in range(s):
+            for _ in range(0 if k and shared[l] else s):
                 step_arrays(q[k, l], p[k, l], m, scratch[:, k, l])
+    # runs of adjacent sites that are all shared or all not, stepped as one view
+    runs, start = [], 0
+    for l in range(1, L + 1):
+        if l == L or shared[l] != shared[start]:
+            runs.append((shared[start], slice(start, l)))
+            start = l
     for t in range(steps):
-        if t:
-            step_arrays(q, p, m, scratch)
+        for common, sites in runs:
+            if t:
+                k = 0 if common else slice(None)
+                step_arrays(q[k, sites], p[k, sites], m, scratch[:, k, sites])
+            if common:
+                q[1:, sites] = q[0, sites]
         yield q.transpose(0, 2, 1)
 
 

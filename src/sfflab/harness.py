@@ -20,7 +20,7 @@ import yaml
 
 from . import __version__
 from .dynamics import DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec
-from .orbits import MAX_PERIOD, enumerate_lattice, periodic_point_count, stability_amplitude_sq, subsystem_orbits
+from .orbits import MAX_PERIOD, _smith_lattice, periodic_point_count, stability_amplitude_sq, subsystem_orbits
 from .phases import (
     clt_diagnostics,
     per_bond_variance_table,
@@ -321,12 +321,20 @@ def read_sff_csv(path) -> SffSeries:
     for fieldname in ("t", "K", "K_raw", "err", "N", "L"):
         if fieldname not in rows[0]:
             raise SchemaError(f"{path}: missing field {fieldname}")
+    for i, r in enumerate(rows, start=1):
+        if None in r or None in r.values():  # DictReader's marks for extra and missing cells
+            raise SchemaError(f"{path}: data row {i} does not have one cell per field")
     try:
+        sizes = {(int(r["N"]), int(r["L"])) for r in rows}
+        if len(sizes) > 1:
+            raise SchemaError(f"{path}: rows disagree on (N, L): {sorted(sizes)}")
+        ((N, L),) = sizes
         return SffSeries(times=np.array([int(r["t"]) for r in rows]),
                          values=np.array([float(r["K"]) for r in rows]),
                          errors=np.array([float(r["err"]) for r in rows]),
-                         raw_values=np.array([float(r["K_raw"]) for r in rows]),
-                         N=int(rows[0]["N"]), L=int(rows[0]["L"]))
+                         raw_values=np.array([float(r["K_raw"]) for r in rows]), N=N, L=L)
+    except SchemaError:
+        raise
     except (ValueError, TypeError) as e:  # SpecError is a ValueError
         raise SchemaError(f"{path}: {e}") from None
 
@@ -408,9 +416,11 @@ def _run_orbits(cfg, outdir):
                 for col, v in zip(inventory, (T, num_q, num_p, den, o.primitive_period)):
                     col.append(v)
         else:
-            count = len(enumerate_lattice(T, m, sec["max_points"])[0])
+            # the Smith invariants count the points without listing them
+            d1, d2, _ = _smith_lattice(T, m, sec["max_points"])
+            count = d1 * d2
         # every period-T point of a linear map carries the same A^2, so the
-        # sum rule over the enumerated points is count * A^2 (see sum_rule_check)
+        # sum rule over the points is count * A^2 (see sum_rule_check)
         amp2 = stability_amplitude_sq(T, m)
         for col, v in zip(summary, (T, count, periodic_point_count(T, m), amp2, count * amp2)):
             col.append(v)

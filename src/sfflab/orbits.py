@@ -9,7 +9,6 @@ the map on enumerated points is exact.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,7 +24,7 @@ class EnumerationError(ValueError):
 
 
 class ConsistencyError(ValueError):
-    """A point set handed to orbit grouping is not closed under the map."""
+    """A point count or point set fails an exact check (e.g. not closed under the map)."""
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,12 @@ def _smith_2x2(A):
         col_op(0, 1, 1)
 
 
-def enumerate_lattice(T: int, m: CatMapSpec, max_points: int = 5_000_000):
-    """All period-T points as integer numerator arrays over a common denominator."""
+def _smith_lattice(T: int, m: CatMapSpec, max_points: int = 5_000_000):
+    """Smith form (d1, d2, W) of M^T - I; the period-T points number d1 * d2.
+
+    Refuses a singular M^T - I or more than max_points points, and checks
+    d1 * d2 = |det(M^T - I)|.  No point is built.
+    """
     pa, pb, pc, pd = map_power(m, T)
     A = [[pa - 1, pb], [pc, pd - 1]]
     count = abs(A[0][0] * A[1][1] - A[0][1] * A[1][0])
@@ -174,6 +177,14 @@ def enumerate_lattice(T: int, m: CatMapSpec, max_points: int = 5_000_000):
             f"{count} period-{T} points exceed the enumeration budget {max_points}"
         )
     d1, d2, W = _smith_2x2(A)
+    if d1 * d2 != count:
+        raise ConsistencyError("Smith form does not match the period-T point count")
+    return d1, d2, W
+
+
+def enumerate_lattice(T: int, m: CatMapSpec, max_points: int = 5_000_000):
+    """All period-T points as integer numerator arrays over a common denominator."""
+    d1, d2, W = _smith_lattice(T, m, max_points)
     scale = d2 // d1
     i = np.arange(d1, dtype=np.int64)[:, None]
     j = np.arange(d2, dtype=np.int64)[None, :]
@@ -182,10 +193,7 @@ def enumerate_lattice(T: int, m: CatMapSpec, max_points: int = 5_000_000):
     nq %= d2
     np_ = (W[1][0] * scale % d2) * i + (W[1][1] % d2) * j
     np_ %= d2
-    nq, np_ = nq.ravel(), np_.ravel()
-    if len(nq) != count:
-        raise ConsistencyError("Smith enumeration produced wrong point count")
-    return nq, np_, int(d2)
+    return nq.ravel(), np_.ravel(), int(d2)
 
 
 def _group_lattice(nq, np_, den: int, T: int, m: CatMapSpec) -> list[SubsystemOrbit]:
@@ -284,11 +292,12 @@ def stability_amplitude_sq(T: int, m: CatMapSpec) -> float:
 
 
 def sum_rule_check(T: int, m: CatMapSpec, max_points: int = 5_000_000) -> float:
-    """Sum of A^2 over all enumerated period-T points; equals 1 for a chaotic map.
+    """Sum of A^2 over all period-T points; equals 1 for a chaotic map.
 
-    For a linear map this reduces to count * (1/count), so the real oracle is
-    the exact count check of acceptance 03.
+    For a linear map every point carries the same A^2, so the sum is the
+    Smith count d1 * d2 times A^2, the correctly rounded product (what an
+    exact sum of count equal terms rounds to).  The real oracle is the exact
+    count check of acceptance 03.
     """
-    nq, _, _ = enumerate_lattice(T, m, max_points)
-    amp2 = stability_amplitude_sq(T, m)
-    return math.fsum(amp2 for _ in range(len(nq)))
+    d1, d2, _ = _smith_lattice(T, m, max_points)
+    return d1 * d2 * stability_amplitude_sq(T, m)

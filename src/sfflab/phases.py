@@ -200,31 +200,36 @@ def _periodicity_residual(Y, n_off, spec: SystemSpec):
     return img - np.roll(Y, -1, axis=0)
 
 
+def _periodicity_jacobian(Y, spec: SystemSpec):
+    """Jacobian of _periodicity_residual: slot t's step Jacobian minus the identity at t+1."""
+    T, twoL = Y.shape
+    L = twoL // 2
+    m = spec.subsystem
+    eye = np.eye(L)
+    slots = np.arange(T)
+    J = np.zeros((T * twoL, T * twoL))
+    Jb = J.reshape(T, twoL, T, twoL)  # Jb[t, :, u, :] is the (t, u) block
+    Jb[slots, :L, slots, L:] = m.b * eye
+    Jb[slots, L:, slots, L:] = m.d * eye
+    for t in range(T):
+        H = spec.epsilon * pair_hessian(Y[t, :L], spec)
+        Jb[t, :L, t, :L] = m.a * eye + m.b * H
+        Jb[t, L:, t, :L] = m.c * eye + m.d * H
+    Jb[slots, :, (slots + 1) % T, :] -= np.eye(twoL)
+    return J
+
+
 def _newton_periodic(Y0, n_off, spec: SystemSpec, tol=1e-12, max_iter=60):
     """Damped Newton on the T-step periodicity system in the fixed lift."""
     T, twoL = Y0.shape
-    L = twoL // 2
-    m = spec.subsystem
     Y = Y0.copy()
     G = _periodicity_residual(Y, n_off, spec)
     res = np.abs(G).max()
     for _ in range(max_iter):
         if res < tol:
             return Y, True
-        J = np.zeros((T * twoL, T * twoL))
-        eye = np.eye(L)
-        for t in range(T):
-            H = spec.epsilon * pair_hessian(Y[t, :L], spec)
-            block = np.block([
-                [m.a * eye + m.b * H, m.b * eye],
-                [m.c * eye + m.d * H, m.d * eye],
-            ])
-            r0 = t * twoL
-            J[r0:r0 + twoL, r0:r0 + twoL] = block
-            c1 = ((t + 1) % T) * twoL
-            J[r0:r0 + twoL, c1:c1 + twoL] -= np.eye(twoL)
         try:
-            dY = np.linalg.solve(J, -G.reshape(-1)).reshape(T, twoL)
+            dY = np.linalg.solve(_periodicity_jacobian(Y, spec), -G.reshape(-1)).reshape(T, twoL)
         except np.linalg.LinAlgError:
             return Y, False
         improved = False

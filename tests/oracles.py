@@ -251,6 +251,26 @@ def reference_phase_samples(m, amplitude, bond_list, L, T, s, budget, rng, batch
     return np.concatenate(out) / math.sqrt(T)
 
 
+def block_periodicity_jacobian(Y, spec, pair_hessian):
+    """Newton Jacobian of the T-step periodicity residual, one np.block per time slot."""
+    T, twoL = Y.shape
+    L = twoL // 2
+    m = spec.subsystem
+    J = np.zeros((T * twoL, T * twoL))
+    eye = np.eye(L)
+    for t in range(T):
+        H = spec.epsilon * pair_hessian(Y[t, :L], spec)
+        block = np.block([
+            [m.a * eye + m.b * H, m.b * eye],
+            [m.c * eye + m.d * H, m.d * eye],
+        ])
+        r0 = t * twoL
+        J[r0:r0 + twoL, r0:r0 + twoL] = block
+        c1 = ((t + 1) % T) * twoL
+        J[r0:r0 + twoL, c1:c1 + twoL] -= np.eye(twoL)
+    return J
+
+
 def write_csv_rows(path, schema, header, rows):
     """The row-wise artifact writer: each float cell formatted on its own as repr(float(v))."""
     with open(path, "w", newline="") as f:

@@ -432,6 +432,16 @@ MALFORMED_SERIES = {
     "missing L": ("t,K,K_raw,err,N", lambda t: f"{t},{t},{t},0.1,4"),
     "L = 0": ("t,K,K_raw,err,N,L", lambda t: f"{t},{t},{t},0.1,4,0"),
     "short row": ("t,K,K_raw,err,N,L", lambda t: f"{t},{t},{t}" + ("" if t == 5 else ",0.1,4,2")),
+    "row without N and L": ("t,K,K_raw,err,N,L",
+                            lambda t: f"{t},{t},{t},0.1" + ("" if t == 5 else ",4,2")),
+    "empty N and L cells": ("t,K,K_raw,err,N,L",
+                            lambda t: f"{t},{t},{t},0.1," + ("," if t == 5 else "4,2")),
+    "row with an extra cell": ("t,K,K_raw,err,N,L",
+                               lambda t: f"{t},{t},{t},0.1,4,2" + (",7" if t == 5 else "")),
+    "N disagrees with the first row": ("t,K,K_raw,err,N,L",
+                                       lambda t: f"{t},{t},{t},0.1,{5 if t == 9 else 4},2"),
+    "L disagrees with the first row": ("t,K,K_raw,err,N,L",
+                                       lambda t: f"{t},{t},{t},0.1,4,{3 if t == 20 else 2}"),
 }
 
 

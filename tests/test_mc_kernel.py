@@ -83,6 +83,18 @@ def test_time_average_ladder_matches_allocating_kernel(monkeypatch, m, L, amplit
 
 
 @pytest.mark.parametrize("m, L, amplitude, topology, offsets, start", CASES)
+def test_time_average_ladder_with_shared_sites(monkeypatch, m, L, amplitude, topology, offsets,
+                                               start):
+    # a site with shift 0 is stepped once for both copies; (15, 0) is a per-bond
+    # table row, (0, 2, 0) shares the sites on both sides of the shifted one
+    _, bl = _setup(monkeypatch, m, L, amplitude, topology, offsets, start)
+    s = (15, 0) if L == 2 else (0, 2, 0)
+    got = phases._time_average_ladder(m, amplitude, bl, L, s, 16, 700, 3, batch=300)
+    want = reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("m, L, amplitude, topology, offsets, start", CASES)
 def test_correlation_matches_allocating_kernel(monkeypatch, m, L, amplitude, topology, offsets,
                                                start):
     _, bl = _setup(monkeypatch, m, L, amplitude, topology, offsets, start)

@@ -3,16 +3,18 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from sfflab.dynamics import DEFAULT_MAP, CatMapSpec
-from sfflab.harness import run_experiment, validate_config
+from sfflab.harness import _run_orbits, run_experiment, validate_config
 from sfflab.orbits import (
     ConsistencyError,
     EnumerationError,
     OrbitFamily,
     _group_lattice,
+    _smith_lattice,
     enumerate_lattice,
     family_iterator,
     map_power,
@@ -186,16 +188,48 @@ def test_sum_rule():
 
 
 def test_count_identity_up_to_T14():
-    for T in range(1, 15):
-        nq, _, _ = enumerate_lattice(T, DEFAULT_MAP)
-        assert len(nq) == periodic_point_count(T, DEFAULT_MAP)
+    for m, T in itertools.product((DEFAULT_MAP, OTHER_MAP), range(1, 15)):
+        count = periodic_point_count(T, m)
+        # no point is built, so the count needs no enumeration budget
+        d1, d2, _ = _smith_lattice(T, m, max_points=count)
+        a, b, c, d = map_power(m, T)
+        assert d1 * d2 == count
+        assert d1 == math.gcd(a - 1, b, c, d - 1) and d2 % d1 == 0
+        if count <= 2_000_000:  # OTHER_MAP passes 10^8 points by T = 14
+            assert len(enumerate_lattice(T, m)[0]) == count
 
 
 def test_enumeration_guards():
     with pytest.raises(EnumerationError):
         map_power(DEFAULT_MAP, 100)
-    with pytest.raises(EnumerationError):
-        enumerate_lattice(20, DEFAULT_MAP, max_points=1000)
+    budget = "228826125 period-20 points exceed the enumeration budget 1000"
+    assert periodic_point_count(20, DEFAULT_MAP) == 228826125
+    for count_points in (_smith_lattice, enumerate_lattice, sum_rule_check):
+        with pytest.raises(EnumerationError, match=budget):
+            count_points(20, DEFAULT_MAP, max_points=1000)
+    # a parabolic shear slips past CatMapSpec's hyperbolicity check only by duck typing
+    shear = SimpleNamespace(a=1, b=1, c=0, d=1)
+    for count_points in (_smith_lattice, enumerate_lattice, sum_rule_check):
+        with pytest.raises(EnumerationError, match="M\\^T - I is singular; map is not hyperbolic"):
+            count_points(3, shear)
+
+
+def test_orbits_beyond_inventory_lists_no_point(tmp_path):
+    # T = 16 has 4,870,845 points; listing them took 74 MiB.  The pipeline is
+    # traced alone: run_experiment hashes its artifacts in 1 MiB reads.
+    cfg = validate_config({"kind": "orbits", "seed": 1, "outdir": str(tmp_path),
+                           "orbits": {"T_list": [16], "inventory_max_T": 8}})
+    tracemalloc.start()
+    try:
+        _run_orbits(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "orbit_summary.csv") as f:
+        f.readline()
+        (row,) = csv.DictReader(f)
+    assert row["count"] == row["expected_count"] == "4870845"
+    assert peak < 1 << 20
 
 
 def test_periodic_point_reduction():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sfflab.dynamics import ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, pair_potential
+from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, pair_hessian,
+                             pair_potential)
 from sfflab import phases
 from sfflab.orbits import (MAX_PERIOD, OrbitFamily, enumerate_lattice, family_iterator,
                            periodic_point_count, subsystem_orbits)
@@ -26,8 +27,29 @@ from sfflab.phases import (
 )
 from sfflab.util import philox
 
-from oracles import (float_position_cycle, geometric_series_variance, phase_difference_direct,
-                     rolled_position_matrix)
+from oracles import (block_periodicity_jacobian, float_position_cycle, geometric_series_variance,
+                     phase_difference_direct, rolled_position_matrix)
+
+
+@pytest.mark.parametrize("T", [1, 2, 5])
+@pytest.mark.parametrize("spec", [SystemSpec(L=2, epsilon=0.3),
+                                  SystemSpec(L=3, subsystem=CatMapSpec(1, -1, -1, 2),
+                                             epsilon=0.7, topology=ALL_TO_ALL)],
+                         ids=["L2", "L3-all-to-all"])
+def test_periodicity_jacobian(spec, T):
+    Y = philox(31).uniform(-1.0, 2.0, (T, 2 * spec.L))
+    J = phases._periodicity_jacobian(Y, spec)
+    want = block_periodicity_jacobian(Y, spec, pair_hessian)
+    assert np.array_equal(J.view(np.uint64), want.view(np.uint64))
+    n_off = np.zeros(Y.shape)
+    h = 1e-6
+    for k in range(Y.size):
+        dY = np.zeros(Y.size)
+        dY[k] = h
+        dY = dY.reshape(Y.shape)
+        diff = (phases._periodicity_residual(Y + dY, n_off, spec)
+                - phases._periodicity_residual(Y - dY, n_off, spec)) / (2 * h)
+        assert np.allclose(J[:, k], diff.reshape(-1), atol=1e-6)
 
 
 def _full_period_family(spec, T, index=0):
