@@ -30,7 +30,8 @@ from .phases import (
 )
 from .potts import (PottsError, PottsParams, SffPrediction, bound_check, check_family,
                     closed_form_sff, scaled_kappa, thouless_time)
-from .quantum import CircuitSpec, ConventionError, SffSeries, compare, sff_numeric
+from .quantum import (CircuitSpec, ConventionError, SffSeries, compare, reference_trace_error,
+                      sff_numeric)
 from .util import philox, sha256_file, spawn_seeds
 
 KINDS = ("predict", "orbits", "clt", "variance", "quantum-sff", "compare", "bound-check")
@@ -575,6 +576,8 @@ def _run_quantum(cfg, outdir):
     sec = cfg.section
     spec = _circuit_spec(cfg)
     t_max = sec["t_max"] or int(round(1.25 * spec.T_H))
+    # first, while no member rows are held, so its solve adds nothing to the peak RSS
+    reference_error = reference_trace_error(spec, t_max)
     series = sff_numeric(spec, t_max, workers=cfg.workers)
     n = len(series.times)
     _write_csv(outdir / "sff_numeric.csv", "sff_numeric",
@@ -584,7 +587,8 @@ def _run_quantum(cfg, outdir):
                  [float(spec.lam or 0.0)] * n]])
     return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"],
             "unitarity_residual_max": series.meta["unitarity_residual_max"],
-            "trace_check_max": series.meta["trace_check_max"]}
+            "trace_check_max": series.meta["trace_check_max"],
+            "reference_trace_error_max": reference_error}
 
 
 def _prediction_for(sec_pred, times) -> tuple[SffPrediction, float | None]:

@@ -9,6 +9,7 @@ the map on enumerated points is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -96,14 +97,18 @@ def map_power(m: CatMapSpec, T: int) -> tuple[int, int, int, int]:
         raise EnumerationError(
             f"period {T} exceeds the supported maximum {MAX_PERIOD}; use a smaller T"
         )
+    return _power(m, T)
+
+
+def _power(m: CatMapSpec, T: int) -> tuple[int, int, int, int]:
+    """Entries of M^T, T >= 0, by repeated squaring in Python ints (no period cap)."""
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(T):
-        a, b, c, d = (
-            m.a * a + m.b * c,
-            m.a * b + m.b * d,
-            m.c * a + m.d * c,
-            m.c * b + m.d * d,
-        )
+    sa, sb, sc, sd = m.a, m.b, m.c, m.d
+    while T:
+        if T & 1:
+            a, b, c, d = a * sa + b * sc, a * sb + b * sd, c * sa + d * sc, c * sb + d * sd
+        sa, sb, sc, sd = sa * sa + sb * sc, sa * sb + sb * sd, sc * sa + sd * sc, sc * sb + sd * sd
+        T >>= 1
     return a, b, c, d
 
 
@@ -111,6 +116,23 @@ def periodic_point_count(T: int, m: CatMapSpec) -> int:
     """|det(M^T - I)| = |tr M^T - 2|."""
     a, _, _, d = map_power(m, T)
     return abs(a + d - 2)
+
+
+def lattice_fixed_count(t: int, m: CatMapSpec, N: int) -> int:
+    """Number of x in (Z/N)^2 with (M^t - I) x = 0 mod N, for any t >= 1.
+
+    The Smith invariants of M^t - I are g, the gcd of its entries, and
+    |det(M^t - I)|/g, so the count is gcd(N, g) gcd(N, |det(M^t - I)|/g).
+    For the untranslated quantized map u at dimension N it equals |tr u^t|^2
+    (Hannay & Berry, Physica D 1, 267 (1980); Keating, Nonlinearity 4, 309
+    (1991)).  Python ints throughout, so there is no MAX_PERIOD cap.
+    """
+    if t < 1:
+        raise EnumerationError("period must be >= 1")
+    a, b, c, d = _power(m, t)
+    a, d = a - 1, d - 1
+    g = math.gcd(a, b, c, d)  # nonzero: a hyperbolic M^t has no eigenvalue 1
+    return math.gcd(N, g) * math.gcd(N, abs(a * d - b * c) // g)
 
 
 def _smith_2x2(A):

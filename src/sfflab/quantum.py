@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import CatMapSpec, DEFAULT_MAP, SpecError, SystemSpec, pair_potential
+from .orbits import lattice_fixed_count
 from .potts import SffPrediction
 from .util import philox, run_tasks, window_average
 
@@ -41,15 +43,16 @@ class UnitarityError(ValueError):
     """trace_powers input is not unitary to working precision."""
 
 
-# Rotations of trace_powers' Hermitian projections: 0 and two angles
-# incommensurate with pi and with each other.  The per-t least-squares system
-# [cos t a_j, sin t a_j] then has condition number <= 27.6 for t <= 320 and
-# <= 30.9 for t <= 1280; like any fixed set it grows on longer ranges (305 by
-# t = 5000), since some t brings both t a_j / pi close to integers.
-_ANGLES = np.pi * np.array([0.0, (math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0])
 # Deviation from unitarity trace_powers accepts, per unit vector and per
 # eigenvalue; built circuits measure <= 1e-14 up to dim 1024.
 _UNITARY_TOL = 1e-12
+# Rotation of the first Cayley pole, -e^{i alpha}: incommensurate with pi, so
+# the rational eigenphases of untranslated cat maps never sit on it.
+_ALPHA0 = math.pi * (math.sqrt(5.0) - 1.0) / 2.0
+# eigvalsh errs by about eps * max|lambda| on every lambda, and an eigenphase
+# 2 arctan(lambda) moves by at most twice that, so below this bound every
+# eigenphase stays within _UNITARY_TOL / 2 (about 1126).
+_POLE_BOUND = _UNITARY_TOL / (4.0 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -221,8 +224,9 @@ def ensemble_members(spec: CircuitSpec) -> list[MemberRealization]:
     return out
 
 
-def _check_budget(spec: CircuitSpec, factor: int = 3) -> None:
-    need = factor * 16 * spec.T_H * spec.T_H
+def _check_budget(spec: CircuitSpec) -> None:
+    # trace_powers holds up to four dense complex matrices at once (during inv)
+    need = 4 * 16 * spec.T_H * spec.T_H
     if need > spec.memory_budget_bytes:
         raise MemoryBudgetError(
             f"circuit of dimension {spec.T_H} needs ~{need / 2**30:.1f} GiB "
@@ -258,72 +262,111 @@ def _unitarity_residual(U: np.ndarray) -> float:
     return float(np.linalg.norm(np.conj(U.T @ np.conj(U @ x)) - x))
 
 
-def trace_powers(U: np.ndarray, t_max: int) -> np.ndarray:
-    """tr U^t for t = 1..t_max of a unitary U, from three Hermitian eigensolves.
+class TracePowers(NamedTuple):
+    """tr U^t for t = 1..t_max and the health of the solve that gave them."""
 
-    H_a = (e^{-ia} U + e^{ia} U^H)/2 has eigenvalues c_k = cos(theta_k - a), and
-    by the Chebyshev identity sum_k cos(t arccos c_k) = Re(e^{-ita} tr U^t).  The
-    three rotations _ANGLES give three such projections of each S_t = tr U^t, so
-    no eigenvalue of one H_a is ever paired with one of another; S_t is their
-    least-squares solution and the third, redundant projection its consistency
-    check.  Raises UnitarityError instead of returning a trace of a non-unitary
-    matrix or an inconsistent solve.
+    traces: np.ndarray
+    unitarity_residual: float  # ||U^H U x - x|| on the fixed probe
+    trace_check: float  # |S_1 - tr U|
+
+
+def _cayley_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of K = i(X - X^H), X = A^{-1}; A is left intact.
+
+    eigvalsh reads one triangle only, so the Hermitian part is formed
+    explicitly.  Raises LinAlgError when A is exactly singular.
+    """
+    X = np.linalg.inv(A)
+    X -= X.conj().T
+    X *= 1j
+    return np.linalg.eigvalsh(X)
+
+
+def _move_pole(A: np.ndarray, alpha: float, new_alpha: float) -> float:
+    """Turn A = I + e^{-i alpha} U into I + e^{-i new_alpha} U in place."""
+    step = A.shape[0] + 1
+    A.flat[::step] -= 1.0
+    A *= np.exp(-1j * (new_alpha - alpha))
+    A.flat[::step] += 1.0
+    return new_alpha
+
+
+def trace_powers(U: np.ndarray, t_max: int) -> TracePowers:
+    """tr U^t for t = 1..t_max of a unitary U, from one Hermitian eigensolve.
+
+    The Cayley transform K = i(I - V)(I + V)^{-1} of V = e^{-i alpha} U is
+    Hermitian, and its eigenvalues lambda = tan((theta - alpha)/2) map one to
+    one back to e^{i theta} = e^{i alpha} (1 + i lambda)/(1 - i lambda), so no
+    eigenvalue is paired or sign-resolved.  Rounding in eigvalsh grows with
+    max|lambda|, which an eigenphase near the pole -e^{i alpha} makes large:
+    above _POLE_BOUND the pole moves to the middle of the widest gap of the
+    first spectrum and the solve runs once more (after one at the opposite
+    pole when the first pole is exactly an eigenvalue).  Raises
+    UnitarityError instead of returning traces of a matrix that fails the
+    unitarity probe, or whose S_1 and S_2 miss tr U and sum_ij U_ij U_ji.
     """
     dim = U.shape[0]
     residual = _unitarity_residual(U)
     if not residual <= _UNITARY_TOL:
         raise UnitarityError(f"U is not unitary: ||U^H U x - x|| = {residual:.3g} "
                              f"(tolerance {_UNITARY_TOL:g})")
-    c = np.empty((len(_ANGLES), dim))
-    H = np.empty_like(U)  # in place, so only U, H and eigvalsh's copy of H are alive
-    for j, a in enumerate(_ANGLES):
-        np.conjugate(U.T, out=H)
-        H *= np.exp(2j * a)
-        H += U
-        H *= np.exp(-1j * a)  # e^{-ia} U + e^{ia} U^H
-        c[j] = np.linalg.eigvalsh(H)
-    del H  # freed before the small arrays below: keeping it raised peak RSS by ~0.9 MB
-    c /= 2.0
-    overshoot = np.abs(c).max() - 1.0
-    if not overshoot <= _UNITARY_TOL:
-        raise UnitarityError(f"Hermitian projection eigenvalue exceeds 1 by {overshoot:.3g}")
-    np.clip(c, -1.0, 1.0, out=c)
-    z = c + 1j * np.sqrt((1.0 - c) * (1.0 + c))  # e^{i arccos c}
-    proj = np.empty((t_max, len(_ANGLES)))
+    direct = (np.trace(U), np.einsum("ij,ji->", U, U))  # tr U, tr U^2 in O(dim^2)
+    alpha = _ALPHA0
+    A = U * np.exp(-1j * alpha)
+    del U  # a circuit the caller holds no reference to is freed before inv's buffers
+    A.flat[:: dim + 1] += 1.0
+    try:
+        lam = _cayley_eigenvalues(A)
+    except np.linalg.LinAlgError:  # an eigenvalue sits exactly on the pole
+        alpha = _move_pole(A, alpha, alpha + np.pi)
+        lam = _cayley_eigenvalues(A)
+    if not np.abs(lam).max() <= _POLE_BOUND:
+        theta = alpha + 2.0 * np.arctan(lam)  # ascending, within (alpha - pi, alpha + pi)
+        gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+        k = int(np.argmax(gaps))
+        alpha = _move_pole(A, alpha, theta[k] + 0.5 * gaps[k] - np.pi)
+        lam = _cayley_eigenvalues(A)
+    del A
+    z = np.exp(1j * alpha) * (1.0 + 1j * lam) / (1.0 - 1j * lam)
+    # each eigenphase within _UNITARY_TOL, so S_t within t dim _UNITARY_TOL
+    misses = [abs((z**t).sum() - want) for t, want in enumerate(direct, start=1)]
+    for t, miss in enumerate(misses, start=1):
+        if not miss <= _UNITARY_TOL * dim * t:
+            raise UnitarityError(f"tr U^{t} from the eigenphases is off by {miss:.3g} "
+                                 f"(tolerance {_UNITARY_TOL * dim * t:.3g})")
+    out = np.empty(t_max, dtype=complex)
     cur = np.ones_like(z)
     for t in range(t_max):
         cur *= z
-        proj[t] = cur.real.sum(axis=1)
-    # least squares for (Re S_t, Im S_t) from proj_j = cos(t a_j) Re S_t + sin(t a_j) Im S_t,
-    # by the 2x2 normal equations, which square a condition number of ~31 (t <= 1280)
-    t = np.arange(1, t_max + 1)
-    ca, sa = np.cos(t[:, None] * _ANGLES), np.sin(t[:, None] * _ANGLES)
-    g11, g12, g22 = (ca * ca).sum(axis=1), (ca * sa).sum(axis=1), (sa * sa).sum(axis=1)
-    b1, b2 = (ca * proj).sum(axis=1), (sa * proj).sum(axis=1)
-    det = g11 * g22 - g12 * g12
-    re, im = (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
-    fit = np.abs(proj - ca * re[:, None] - sa * im[:, None]).max(axis=1)
-    # each c_k off by up to _UNITARY_TOL, amplified by |T_t'| <= t^2, over dim terms
-    tol = _UNITARY_TOL * dim * t.astype(float) ** 2
-    bad = np.flatnonzero(~(fit <= tol))
-    if bad.size:
-        raise UnitarityError(f"inconsistent Hermitian projections at t = {bad[0] + 1}: "
-                             f"residual {fit[bad[0]]:.3g} (tolerance {tol[bad[0]]:.3g})")
-    out = re + 1j * im
-    if t_max and not abs(out[0] - np.trace(U)) <= tol[0]:
-        raise UnitarityError(f"tr U from the projections is off by {abs(out[0] - np.trace(U)):.3g}")
-    return out
+        out[t] = cur.sum()
+    return TracePowers(out, residual, float(misses[0]))
 
 
 def _member_sff_task(args) -> tuple[np.ndarray, float, float]:
     """|tr U^t|^2 for one ensemble member, its unitarity residual and |S_1 - tr U|.
 
-    Top-level for process pools.
+    Top-level for process pools.  The circuit goes straight into trace_powers,
+    so no reference here keeps it alive through the eigensolve.
     """
     spec, member, t_max = args
-    U = build_circuit(spec, member)
-    tr = trace_powers(U, t_max)
-    return np.abs(tr) ** 2, _unitarity_residual(U), float(abs(tr[0] - np.trace(U)))
+    tr, residual, trace_check = trace_powers(build_circuit(spec, member), t_max)
+    return np.abs(tr) ** 2, residual, trace_check
+
+
+def reference_trace_error(spec: CircuitSpec, t_max: int) -> float:
+    """Largest |K(t) - n_t^L| / (1 + n_t^L), t = 1..t_max, of trace_powers on the
+    untranslated eps = 0 circuit at spec's N and L.
+
+    That circuit's K(t) = |tr U^t|^2 is exactly n_t^L, n_t =
+    lattice_fixed_count(t, DEFAULT_MAP, N), so this checks the eigensolve
+    against integers at the dimension of the run.
+    """
+    ref = CircuitSpec(L=spec.L, N=spec.N, epsilon=0.0,
+                      memory_budget_bytes=spec.memory_budget_bytes)
+    K = np.abs(trace_powers(build_circuit(ref), t_max).traces) ** 2
+    exact = np.array([float(lattice_fixed_count(t, DEFAULT_MAP, spec.N)) ** spec.L
+                      for t in range(1, t_max + 1)])
+    return float((np.abs(K - exact) / (1.0 + exact)).max())
 
 
 def sff_numeric(spec: CircuitSpec, t_max: int, workers: int = 1) -> SffSeries:

@@ -1,7 +1,6 @@
 """Shared helpers: seeded RNG, modular reduction, windows, task pool."""
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 from typing import Callable, Sequence
 
@@ -64,6 +63,8 @@ def run_tasks(fn: Callable, items: Sequence, workers: int = 1) -> list:
     """Run fn over items; results in input order regardless of worker count."""
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    import concurrent.futures  # here only: it loads logging and threading
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 

@@ -236,9 +236,10 @@ def test_criterion_09_quantum_factorization():
     spec = CircuitSpec(L=2, N=16, epsilon=0.0, members=2, seed=99)
     worst = 0.0
     for mem in ensemble_members(spec):
-        k_full = np.abs(trace_powers(build_circuit(spec, mem), 64)) ** 2
+        k_full = np.abs(trace_powers(build_circuit(spec, mem), 64).traces) ** 2
         subs = subsystem_unitaries(spec, mem)
-        k_prod = np.abs(trace_powers(subs[0], 64)) ** 2 * np.abs(trace_powers(subs[1], 64)) ** 2
+        k_prod = (np.abs(trace_powers(subs[0], 64).traces) ** 2
+                  * np.abs(trace_powers(subs[1], 64).traces) ** 2)
         worst = max(worst, float(np.max(np.abs(k_full - k_prod) / np.maximum(k_prod, 1.0))))
     _report(9, "K(t) factorizes exactly over subsystem traces at eps = 0 (L=2, N=16)",
             worst <= 1e-9, f"max relative deviation {worst:.2e} (floating rounding only)",

@@ -106,7 +106,7 @@ def test_quantum_and_compare_pipeline(tmp_path):
     series = read_sff_csv(tmp_path / "q/sff_numeric.csv")
     assert len(series.times) == 80 and series.N == 8 and series.L == 2
     # eigensolve health goes to the manifest, never into the CSV body
-    for key in ("unitarity_residual_max", "trace_check_max"):
+    for key in ("unitarity_residual_max", "trace_check_max", "reference_trace_error_max"):
         assert 0.0 <= man.extras[key] < 1e-10
         assert key not in (tmp_path / "q/sff_numeric.csv").read_text()
 
@@ -595,6 +595,16 @@ def test_cli_import_does_not_load_scipy():
     # importing scipy.stats is most of a CLI start; only clt_diagnostics needs it
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
     code = "import sys, sfflab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # concurrent.futures brings logging and threading; only workers > 1 needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    code = ("import sys, sfflab.cli\n"
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from sfflab.orbits import (
     _smith_lattice,
     enumerate_lattice,
     family_iterator,
+    lattice_fixed_count,
     map_power,
     periodic_point_count,
     shift_action_lattice,
@@ -197,6 +198,27 @@ def test_count_identity_up_to_T14():
         assert d1 == math.gcd(a - 1, b, c, d - 1) and d2 % d1 == 0
         if count <= 2_000_000:  # OTHER_MAP passes 10^8 points by T = 14
             assert len(enumerate_lattice(T, m)[0]) == count
+
+
+def _fixed_points_mod(t, m, N):
+    """Brute-force count of x in (Z/N)^2 with (M^t - I) x = 0 mod N, M^t taken mod N."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(t):
+        a, b, c, d = ((m.a * a + m.b * c) % N, (m.a * b + m.b * d) % N,
+                      (m.c * a + m.d * c) % N, (m.c * b + m.d * d) % N)
+    return sum(((a - 1) * x + b * y) % N == 0 and (c * x + (d - 1) * y) % N == 0
+               for x in range(N) for y in range(N))
+
+
+def test_lattice_fixed_count_against_brute_force():
+    for m, N in itertools.product((DEFAULT_MAP, OTHER_MAP), (2, 3, 4, 6, 9, 10, 16)):
+        for t in range(1, 3 * N + 1):
+            assert lattice_fixed_count(t, m, N) == _fixed_points_mod(t, m, N), (m, N, t)
+    # no MAX_PERIOD cap: the entries of M^1280 have about 530 digits
+    for t, N in ((65, 16), (320, 16), (1280, 32), (1250, 10)):
+        assert lattice_fixed_count(t, DEFAULT_MAP, N) == _fixed_points_mod(t, DEFAULT_MAP, N)
+    with pytest.raises(EnumerationError):
+        lattice_fixed_count(0, DEFAULT_MAP, 8)
 
 
 def test_enumeration_guards():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sfflab.dynamics import CatMapSpec, DEFAULT_MAP, SpecError, pair_gradient
+from sfflab.orbits import lattice_fixed_count
 from sfflab.potts import PottsParams, closed_form_sff
 from sfflab import quantum
 from sfflab.quantum import (
@@ -66,7 +67,7 @@ def test_single_map_ramp_over_translation_ensemble():
         for _ in range(members):
             vq, vp = rng.random(2)
             M = torus_translation(N, float(vq), float(vp)) @ U
-            acc += np.abs(trace_powers(M, t_max)) ** 2
+            acc += np.abs(trace_powers(M, t_max).traces) ** 2
         acc /= members
         ratio = np.median(acc / np.arange(1, t_max + 1))
         assert 0.75 < ratio < 1.25, f"N={N}: median K/t = {ratio}"
@@ -97,8 +98,8 @@ def test_build_circuit_tensor_identity_at_eps0():
     U = build_circuit(spec, mem)
     subs = subsystem_unitaries(spec, mem)
     assert np.array_equal(U, np.kron(subs[0], subs[1]))
-    tr = trace_powers(U, 12)
-    tr_prod = trace_powers(subs[0], 12) * trace_powers(subs[1], 12)
+    tr = trace_powers(U, 12).traces
+    tr_prod = trace_powers(subs[0], 12).traces * trace_powers(subs[1], 12).traces
     assert np.abs(tr - tr_prod).max() < 1e-9
     assert np.abs(U.conj().T @ U - np.eye(64)).max() < 1e-10
 
@@ -114,6 +115,11 @@ def test_memory_budget_preflight():
     spec = CircuitSpec(L=2, N=512, epsilon=0.0, memory_budget_bytes=2 << 30)
     with pytest.raises(MemoryBudgetError):
         build_circuit(spec)
+    # the budget covers the four dim x dim complex matrices trace_powers holds during inv
+    need = 4 * 16 * 64**2
+    build_circuit(CircuitSpec(L=2, N=8, epsilon=0.0, memory_budget_bytes=need))
+    with pytest.raises(MemoryBudgetError):
+        build_circuit(CircuitSpec(L=2, N=8, epsilon=0.0, memory_budget_bytes=need - 1))
 
 
 def _matrix_power_traces(U, t_max):
@@ -125,12 +131,48 @@ def _matrix_power_traces(U, t_max):
     return np.array(out)
 
 
+def _lattice_K(N, L, t_max):
+    """Exact K(t) = n_t^L of the untranslated eps = 0 circuit, t = 1..t_max."""
+    return np.array([float(lattice_fixed_count(t, DEFAULT_MAP, N)) ** L
+                     for t in range(1, t_max + 1)])
+
+
+def test_untranslated_circuit_K_is_the_lattice_count():
+    # |tr u^t|^2 is the number of period-t lattice points mod N, so K = n_t^L;
+    # checked against traces of explicit matrix powers
+    for L, N in ((1, 2), (1, 10), (1, 16), (2, 4), (2, 6), (2, 8), (3, 4)):
+        spec = CircuitSpec(L=L, N=N, epsilon=0.0)
+        U = build_circuit(spec)
+        t_max = 3 * N**L
+        K = np.abs(_matrix_power_traces(U, t_max)) ** 2
+        exact = _lattice_K(N, L, t_max)
+        assert np.abs(K - exact).max() <= 1e-9 * (1.0 + exact).max(), (L, N)
+        # the manifest's reference_trace_error_max is this comparison for trace_powers
+        K = np.abs(trace_powers(U, t_max).traces) ** 2
+        want = (np.abs(K - exact) / (1.0 + exact)).max()
+        assert quantum.reference_trace_error(spec, t_max) == want
+
+
+@pytest.mark.parametrize("L, N", [(2, 16), (2, 24), (2, 32), (3, 8), (3, 10)])
+def test_trace_powers_against_lattice_counts(L, N, monkeypatch):
+    # dims 256 to 1024, every t <= 1.25 T_H; the second pass forces the
+    # re-solve at the widest gap, so both eigen paths meet the integers
+    spec = CircuitSpec(L=L, N=N, epsilon=0.0)
+    t_max = int(round(1.25 * spec.T_H))
+    exact = _lattice_K(N, L, t_max)
+    for bound in (quantum._POLE_BOUND, 0.0):
+        monkeypatch.setattr(quantum, "_POLE_BOUND", bound)
+        K = np.abs(trace_powers(build_circuit(spec), t_max).traces) ** 2
+        err = np.abs(K - exact) / (1.0 + exact)
+        assert err.max() <= 1e-9, (bound, int(np.argmax(err)) + 1, err.max())
+
+
 def test_trace_powers_match_matrix_powers():
     for N in (6, 8):
         spec = CircuitSpec(L=2, N=N, lam=0.4, members=1, seed=4)
         U = build_circuit(spec, ensemble_members(spec)[0])
         t_max = int(round(1.25 * spec.T_H))
-        assert np.abs(trace_powers(U, t_max) - _matrix_power_traces(U, t_max)).max() < 1e-8
+        assert np.abs(trace_powers(U, t_max).traces - _matrix_power_traces(U, t_max)).max() < 1e-8
 
 
 def test_trace_powers_exact_and_repeated_eigenvalues():
@@ -142,7 +184,7 @@ def test_trace_powers_exact_and_repeated_eigenvalues():
     phases = np.array([0.0, 0.5, 0.5, 0.5, 1.0, 1.5, 1.5, 0.3, 0.3, 1.7]) * np.pi
     D = np.diag(np.exp(1j * phases))
     for U in (P, D):
-        assert np.abs(trace_powers(U, 40) - _matrix_power_traces(U, 40)).max() < 1e-8
+        assert np.abs(trace_powers(U, 40).traces - _matrix_power_traces(U, 40)).max() < 1e-8
 
 
 def test_trace_powers_rejects_non_unitary(monkeypatch):
@@ -150,15 +192,72 @@ def test_trace_powers_rejects_non_unitary(monkeypatch):
     U = build_circuit(spec, ensemble_members(spec)[0])
     S = np.eye(len(U)) + 0.1 * np.triu(np.ones_like(U), 1)
     non_normal = S @ np.diag(np.exp(1j * np.linspace(0.0, 6.0, len(U)))) @ np.linalg.inv(S)
-    for bad in (1.001 * U, non_normal):
+    for bad in (1.001 * U, 0.999 * U, non_normal):
         with pytest.raises(UnitarityError, match="not unitary"):
             trace_powers(bad, 10)
-    # past the probe, the eigenvalue bound and the consistency of the projections
+    # past the probe, S_1 and S_2 of the eigenphases against tr U and sum_ij U_ij U_ji
     monkeypatch.setattr(quantum, "_unitarity_residual", lambda U: 0.0)
-    with pytest.raises(UnitarityError, match="exceeds 1"):
-        trace_powers(1.001 * U, 10)
-    with pytest.raises(UnitarityError, match="inconsistent"):
-        trace_powers(0.999 * U, 10)
+    for bad in (1.001 * U, 0.999 * U, non_normal):
+        with pytest.raises(UnitarityError, match=r"tr U\^[12] from the eigenphases is off"):
+            trace_powers(bad, 10)
+
+
+def test_trace_powers_checks_S2_against_the_direct_sum(monkeypatch):
+    # every non-unitary case above already fails at S_1; this one misses only
+    # S_2 = sum_ij U_ij U_ji, which trace_powers takes from np.einsum
+    spec = CircuitSpec(L=2, N=6, lam=0.4, members=1, seed=4)
+    U = build_circuit(spec, ensemble_members(spec)[0])
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: einsum(*args) + 1e-6)
+    with pytest.raises(UnitarityError, match=r"tr U\^2 from the eigenphases is off by 1e-06"):
+        trace_powers(U, 10)
+
+
+def _counting_inv(monkeypatch):
+    """Patch np.linalg.inv to record each call, including those that raise."""
+    calls, inv = [], np.linalg.inv
+
+    def counted(A):
+        calls.append(A.shape)
+        return inv(A)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+def test_trace_powers_eigenvalue_on_the_pole(monkeypatch):
+    # pole -e^{i alpha} at -1, so I + e^{-i alpha} D has an exact zero pivot: the
+    # first LU fails and the opposite pole is used
+    monkeypatch.setattr(quantum, "_ALPHA0", 0.0)
+    calls = _counting_inv(monkeypatch)
+    phases = np.pi * np.array([1.0, 0.1, 0.35, 0.6, 1.3, 1.45, 1.7, 1.9])
+    D = np.diag(np.exp(1j * phases))
+    D[0, 0] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.eye(len(D)) + D)
+    calls.clear()
+    got = trace_powers(D, 40).traces
+    assert len(calls) == 2
+    assert np.abs(got - _matrix_power_traces(D, 40)).max() < 1e-10
+
+
+def test_trace_powers_eigenvalue_near_the_pole(monkeypatch):
+    # one eigenphase 1e-6 from the first pole: max|lambda| ~ 2e6 is over
+    # _POLE_BOUND, so the pole moves to the widest gap and the solve runs again;
+    # rotated by a random unitary so that the eigensolve mixes the eigenvalues,
+    # and once more in Fortran order, which the in-place pole moves must handle
+    calls = _counting_inv(monkeypatch)
+    pole = quantum._ALPHA0 + np.pi
+    phases = pole + np.array([1e-6, 0.4, 1.1, 1.5, 2.3, 3.0, 3.9, 4.4, 5.2, 5.9])
+    D = np.diag(np.exp(1j * phases))
+    rng = philox(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+    R = Q @ D @ Q.conj().T
+    for U in (D, R, np.asfortranarray(R)):
+        calls.clear()
+        got = trace_powers(U, 40).traces
+        assert len(calls) == 2
+        assert np.abs(got - _matrix_power_traces(U, 40)).max() < 1e-10
 
 
 def test_lambda_scaling_of_epsilon():
@@ -186,8 +285,9 @@ def test_sff_numeric_nonnegative_and_factorization():
     assert np.all(series.raw_values >= 0.0)
     mem = ensemble_members(spec)[0]
     subs = subsystem_unitaries(spec, mem)
-    k_prod = np.abs(trace_powers(subs[0], 30)) ** 2 * np.abs(trace_powers(subs[1], 30)) ** 2
-    k_full = np.abs(trace_powers(build_circuit(spec, mem), 30)) ** 2
+    k_prod = (np.abs(trace_powers(subs[0], 30).traces) ** 2
+              * np.abs(trace_powers(subs[1], 30).traces) ** 2)
+    k_full = np.abs(trace_powers(build_circuit(spec, mem), 30).traces) ** 2
     assert np.abs(k_full - k_prod).max() <= 1e-9 * max(1.0, k_prod.max())
 
 
