@@ -9,6 +9,7 @@ linear map never return to their own Fourier mode).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -93,23 +94,56 @@ class CorrelationEstimate:
 # ---------------------------------------------------------------------------
 # elementary steps
 
+# Generator.random() returns k / 2**53 with k an integer, so a uniform Monte
+# Carlo start is exactly a lattice point over this denominator
+DYADIC_DEN = 2**53
 
-def step_arrays(q: np.ndarray, p: np.ndarray, m: CatMapSpec, scratch=None):
-    """Vectorized subsystem step of the float arrays q and p, in place; returns (q, p).
 
-    a*q + b*p and c*q + d*p, each reduced by mod1: per element the same IEEE
-    operations, and so the same bits, as the scalar step (a*q + b*p) % 1.0
-    with mod1's >= 1.0 guard.  scratch is a float array of shape
-    (2,) + q.shape that holds the unreduced images (allocated when None).
+def step_arrays(q, p, m: CatMapSpec, den: int, work=None):
+    """One exact map step of the lattice numerators q, p over den; returns (q, p).
+
+    (a q + b p, c q + d p), each reduced by mod1.  Without work, q and p are
+    Python ints or int64 arrays and the image is new.  With work, an int64
+    array of shape (2,) + q.shape, the int64 arrays q and p are overwritten
+    with the image.  The unreduced image must fit in int64 (check_lattice_map).
     """
-    u, v = np.empty((2,) + q.shape) if scratch is None else scratch
+    if work is None:
+        return mod1(m.a * q + m.b * p, den), mod1(m.c * q + m.d * p, den)
+    u, v = work
     np.multiply(q, m.a, out=u)
     np.multiply(p, m.b, out=v)
     u += v
     np.multiply(q, m.c, out=q)
     np.multiply(p, m.d, out=p)
-    np.add(q, p, out=v)
-    return mod1(u, out=q), mod1(v, out=p)
+    p += q
+    return mod1(u, den, out=q), mod1(p, den, out=p)
+
+
+def check_lattice_map(m: CatMapSpec, den: int = DYADIC_DEN) -> None:
+    """SpecError unless a k + b l and c k + d l stay below 2**63 for numerators below den.
+
+    On the Monte Carlo lattice (den = 2**53) that is |a| + |b| < 2**10 and
+    |c| + |d| < 2**10.
+    """
+    for name, row in (("|a| + |b|", abs(m.a) + abs(m.b)), ("|c| + |d|", abs(m.c) + abs(m.d))):
+        if row * den >= 2**63:
+            raise SpecError(f"{name} = {row} overflows the int64 lattice step over "
+                            f"den = {den}; need {name} < {-(-2**63 // den)}")
+
+
+def check_aliasing(m: CatMapSpec, steps: int, den: int = DYADIC_DEN) -> None:
+    """SpecError if the carried position row e1^T M^k is +-e1^T mod den for some 1 <= k <= steps.
+
+    A site's position after k steps is e1^T M^k x; such a return would make
+    it equal +-its start on every lattice point, a correlation that the
+    continuum map does not have.  Python ints throughout.
+    """
+    r0, r1 = 1, 0
+    for k in range(1, steps + 1):
+        r0, r1 = (r0 * m.a + r1 * m.c) % den, (r0 * m.b + r1 * m.d) % den
+        if r1 == 0 and r0 in (1, den - 1):
+            raise SpecError(f"the lattice over den = {den} aliases: e1^T M^{k} = "
+                            f"{'-' if r0 != 1 else '+'}e1^T mod den, within {steps} steps")
 
 
 def bonds(spec: SystemSpec, L: int, offsets=None) -> list[tuple[int, int, float]]:
@@ -128,18 +162,15 @@ def bonds(spec: SystemSpec, L: int, offsets=None) -> list[tuple[int, int, float]
     return [(l, (l + 1) % L, offsets[l]) for l in range(L)]
 
 
-def _bond_sum(q: np.ndarray, bond_list, out=None, work=None) -> np.ndarray:
-    """sum over bonds of cos(2*pi*(q_i - q_j + offset)), written into out; q has shape (..., L).
+def _bond_sum(q: np.ndarray, bond_list) -> np.ndarray:
+    """sum over bonds of cos(2*pi*(q_i - q_j + offset)) at the float positions q of shape (..., L).
 
-    out and work are float arrays of shape q.shape[:-1] (allocated when
-    None); work holds one bond's cosine at a time.  A bond (j, i, -offset)
-    right after (i, j, offset) adds that cosine again: its difference, sum
-    and product are the exact negatives of the first bond's, since rounding
-    is symmetric, and np.cos is even bit for bit.
+    A bond (j, i, -offset) right after (i, j, offset) adds that cosine again:
+    its difference, sum and product are the exact negatives of the first
+    bond's, since rounding is symmetric, and np.cos is even bit for bit.
     """
-    out = np.empty(q.shape[:-1]) if out is None else out
-    work = np.empty_like(out) if work is None else work
-    out.fill(0.0)
+    out = np.zeros(q.shape[:-1])
+    work = np.empty_like(out)
     last = None
     for i, j, off in bond_list:
         if last != (j, i, -off):
@@ -149,6 +180,85 @@ def _bond_sum(q: np.ndarray, bond_list, out=None, work=None) -> np.ndarray:
             np.cos(work, out=work)
             last = (i, j, off)
         out += work
+    return out
+
+
+# the lattice cosine reads cos and sin at 2**TABLE_BITS angles and corrects the rest by Taylor
+TABLE_BITS = 12
+
+
+@functools.lru_cache(maxsize=8)
+def _cos_table(den: int):
+    """(q, cos table, sin table) for den: entry h holds the angle 2 pi h q / den.
+
+    q is the smallest power of two with den <= 4096 q (2**41 for den = 2**53),
+    so h = d // q and d - h q are a shift and a mask.  Built once per den, in
+    long double, each entry rounded once to float64.
+    """
+    q = 1 << max(0, (den - 1).bit_length() - TABLE_BITS)
+    h = np.arange(1 << TABLE_BITS, dtype=np.int64) * q % den
+    angle = np.arctan(np.longdouble(1)) * 8 * h.astype(np.longdouble) / den
+    return q, np.cos(angle).astype(float), np.sin(angle).astype(float)
+
+
+def _lattice_pairs(bond_list) -> list[tuple[int, int, int]]:
+    """The bonds of the lattice bond sum as (i, j, weight): each unordered pair once.
+
+    A pair's mirror (j, i) adds the same cosine, so it raises the first
+    one's weight instead of being evaluated.  Lattice bond sums take no offsets.
+    """
+    weights = {}
+    for i, j, off in bond_list:
+        if off != 0.0:
+            raise SpecError("Monte Carlo bond sums take no offsets")
+        key = (j, i) if (j, i) in weights else (i, j)
+        weights[key] = weights.get(key, 0) + 1
+    return [(i, j, w) for (i, j), w in weights.items()]
+
+
+def _lattice_bond_sum(k: np.ndarray, pairs, den: int, out: np.ndarray, work: np.ndarray):
+    """sum over pairs (i, j, w) of w cos(2 pi d / den), d = (k_i - k_j) mod den, written into out.
+
+    k holds numerators of shape (copies, L, n); out is a float array of
+    shape (copies, n).  The cosine is exact integer arithmetic up to the
+    table: h = d // q picks cos and sin of the table angle, and the leftover
+    angle delta = 2 pi (d - h q) / den, below 2 pi / 4096 when den is a power
+    of two and below 4 pi / 4096 otherwise, corrects them by a degree-5
+    Taylor step,
+        cos = C - (C (1 - cos delta) + S sin delta).
+    work is an int64 array of shape (3, copies, n), (4, ...) for more than
+    one pair; its planes are reused as float views.
+    """
+    q, cos_t, sin_t = _cos_table(den)
+    shift, scale = q.bit_length() - 1, TWO_PI / den
+    a, b = work[:2]
+    af, bf, sf = work[:3].view(float)
+    for n, (i, j, w) in enumerate(pairs):
+        c = out if n == 0 else work[3].view(float)
+        np.subtract(k[:, i], k[:, j], out=a)
+        mod1(a, den, out=a)
+        np.right_shift(a, shift, out=b)  # h
+        np.bitwise_and(a, q - 1, out=a)  # the leftover numerator d - h q
+        np.take(cos_t, b, out=c, mode="clip")
+        np.take(sin_t, b, out=sf, mode="clip")
+        np.multiply(a, scale, out=bf)  # delta
+        np.multiply(bf, bf, out=af)  # u = delta^2
+        sf *= bf  # S delta
+        np.multiply(af, 1.0 / 120.0, out=bf)
+        bf -= 1.0 / 6.0
+        bf *= af
+        bf *= sf
+        sf += bf  # S sin(delta) = S delta (1 + u (-1/6 + u / 120))
+        np.multiply(af, -1.0 / 24.0, out=bf)
+        bf += 0.5
+        bf *= af
+        bf *= c  # C (1 - cos(delta)) = C u (1/2 - u / 24)
+        bf += sf
+        c -= bf
+        if w != 1:
+            c *= w
+        if n:
+            out += c
     return out
 
 
@@ -197,52 +307,73 @@ def coupled_step_unreduced(q: np.ndarray, p: np.ndarray, spec: SystemSpec, offse
 # Monte Carlo correlation estimator
 
 
-def _trajectory(rng: np.random.Generator, n: int, L: int, m: CatMapSpec, shifts, steps: int):
-    """Positions of shifted copies of n uniform samples at t = 0..steps-1.
+def _dyadic_starts(rng: np.random.Generator, n: int, L: int):
+    """n uniform starts of L sites as int64 numerators over DYADIC_DEN: q, then p, from rng.
 
-    Draws q0, then p0, each of shape (n, L), from rng.  Copy k starts with
-    site l advanced shifts[k][l] map steps, one column at a time; then all
-    copies are stepped together.  A site whose shift is the same in every
-    copy is stepped in copy 0 only and its positions copied into the others
-    (their momenta there are never read).  Yields arrays of shape
-    (len(shifts), n, L).  Every element sees the same sequence of IEEE
-    operations as stepping it alone, so the positions are bit-identical to
-    direct per-column stepping.
-
-    The batch is stepped in place: a yielded frame is a view of the position
-    buffer and is valid only until the next step; copy it to keep it.
+    Each draw k / 2**53 times 2**53 is exact, so these are the points the
+    float draws stand for.
     """
-    # site-major layout: each (copy, site) column is contiguous; the draws
-    # are not kept, so a batch holds only the stepped copies and one scratch
-    q = np.empty((len(shifts), L, n))
+    return tuple((rng.random((n, L)) * DYADIC_DEN).astype(np.int64) for _ in "qp")
+
+
+def _trajectory(q0: np.ndarray, p0: np.ndarray, den: int, m: CatMapSpec, shifts, steps: int,
+                work=None):
+    """Position numerators over den of shifted copies of lattice starts at t = 0..steps-1.
+
+    q0, p0 are int64 numerator arrays of shape (n, L): Monte Carlo draws
+    (_dyadic_starts) or enumerated periodic points.  Copy k starts with site
+    l advanced shifts[k][l] map steps; then all copies are stepped together,
+    one site at a time, with step_arrays.  A site whose shift is the same in
+    every copy is stepped in copy 0 only and its positions copied into the
+    others (their momenta there are never read).  Yields int64 arrays of
+    shape (len(shifts), L, n), each the exact orbit M^t x of its start.
+
+    work is an int64 array of shape (w, len(shifts), n) with w >= 2 (two
+    planes are allocated when None); its first two planes are the step's
+    scratch, so the reader may use them between frames.  The batch is
+    stepped in place: a yielded frame is a view of the position buffer and
+    is valid only until the next step; copy it to keep it.
+    """
+    check_lattice_map(m, den)
+    n, L = q0.shape
+    # site-major layout: each (copy, site) row is contiguous
+    q = np.empty((len(shifts), L, n), dtype=np.int64)
     p = np.empty_like(q)
-    scratch = np.empty((2,) + q.shape)
-    q[:] = rng.random((n, L)).T
-    p[:] = rng.random((n, L)).T
+    q[:] = q0.T
+    p[:] = p0.T
+    del q0, p0  # the starts are not kept
+    work = np.empty((2,) + q[:, 0].shape, dtype=np.int64) if work is None else work
     shared = [len({shift[l] for shift in shifts}) == 1 for l in range(L)]
     for k, shift in enumerate(shifts):
         for l, s in enumerate(shift):
             for _ in range(0 if k and shared[l] else s):
-                step_arrays(q[k, l], p[k, l], m, scratch[:, k, l])
-    # runs of adjacent sites that are all shared or all not, stepped as one view
-    runs, start = [], 0
-    for l in range(1, L + 1):
-        if l == L or shared[l] != shared[start]:
-            runs.append((shared[start], slice(start, l)))
-            start = l
+                step_arrays(q[k, l], p[k, l], m, den, work[:2, k])
     for t in range(steps):
-        for common, sites in runs:
-            if t:
-                k = 0 if common else slice(None)
-                step_arrays(q[k, sites], p[k, sites], m, scratch[:, k, sites])
-            if common:
-                q[1:, sites] = q[0, sites]
-        yield q.transpose(0, 2, 1)
+        for l in range(L):
+            if shared[l]:
+                if t:
+                    step_arrays(q[0, l], p[0, l], m, den, work[:2, 0])
+                q[1:, l] = q[0, l]
+            elif t:
+                step_arrays(q[:, l], p[:, l], m, den, work[:2])
+        yield q
+
+
+def _monte_carlo_trajectory(rng, n, L, m, shifts, steps, work=None):
+    """_trajectory from n uniform lattice starts drawn from rng, after the aliasing guard."""
+    check_aliasing(m, steps + max(max(shift) for shift in shifts))
+    return _trajectory(*_dyadic_starts(rng, n, L), DYADIC_DEN, m, shifts, steps, work)
+
+
+def _lattice_work(n_pairs: int, copies: int, n: int) -> np.ndarray:
+    """The int64 scratch that _trajectory and _lattice_bond_sum share."""
+    return np.empty((3 if n_pairs == 1 else 4, copies, n), dtype=np.int64)
 
 
 def _correlation(m: CatMapSpec, amplitude: float, bond_list, L: int,
                  shift: tuple[int, ...], samples: int, seed: int, batch: int = 1 << 17):
-    """(C(shift), std_error) of W = amplitude * _bond_sum under uniform initial conditions."""
+    """(C(shift), std_error) of W = amplitude * lattice bond sum under uniform initial conditions."""
+    pairs = _lattice_pairs(bond_list)
     rng = philox(seed)
     m_off = max(0, -min(shift))
     shifts = ((m_off,) * L, tuple(m_off + s for s in shift))
@@ -250,8 +381,11 @@ def _correlation(m: CatMapSpec, amplitude: float, bond_list, L: int,
     s_p = s_p2 = s_a = s_b = 0.0
     while n_done < samples:
         n = min(batch, samples - n_done)
-        (q,) = _trajectory(rng, n, L, m, shifts, 1)
-        a, b = amplitude * _bond_sum(q, bond_list)
+        work = _lattice_work(len(pairs), 2, n)
+        (q,) = _monte_carlo_trajectory(rng, n, L, m, shifts, 1, work)
+        a, b = _lattice_bond_sum(q, pairs, DYADIC_DEN, np.empty((2, n)), work)
+        a *= amplitude
+        b *= amplitude
         prod = a * b
         s_p += prod.sum()
         s_p2 += (prod * prod).sum()
@@ -274,7 +408,8 @@ def estimate_correlation(
 ) -> CorrelationEstimate:
     """C_w(shift) = <W(phi^shift x) W(x)> - <W>^2 for W the interaction derivative.
 
-    Uniform (Lebesgue = SRB) initial conditions.  Negative shift components
+    Uniform (Lebesgue = SRB) initial conditions, drawn as points of the 2**53
+    lattice and stepped exactly (_monte_carlo_trajectory).  Negative shift components
     are handled by translating both factors with a synchronous offset, using
     the invariance of the measure.
     """

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec
+from .dynamics import DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, check_lattice_map
 from .orbits import MAX_PERIOD, _smith_lattice, periodic_point_count, stability_amplitude_sq, subsystem_orbits
 from .phases import (
     clt_diagnostics,
@@ -437,10 +437,16 @@ def _staircase(L, T):
 
 
 def _system_from(cfg) -> SystemSpec:
+    """The section's Monte Carlo system; its map must step the 2**53 lattice in int64."""
     system = cfg.section["system"]
-    if system:
-        return SystemSpec(**{**system, "subsystem": _cat_map(system["subsystem"])})
-    return SystemSpec(L=2)
+    if not system:
+        return SystemSpec(L=2)
+    spec = SystemSpec(**{**system, "subsystem": _cat_map(system["subsystem"])})
+    try:
+        check_lattice_map(spec.subsystem)
+    except SpecError as e:
+        raise SpecError(f"{KIND_SECTION[cfg.kind]}.system.subsystem: {e}") from None
+    return spec
 
 
 def _check_shift_length(cfg, key, L):

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dynamics import CatMapSpec, SystemSpec
+from .dynamics import CatMapSpec, SystemSpec, step_arrays
 
 MAX_PERIOD = 64
 
@@ -47,7 +47,7 @@ class SubsystemOrbit:
         for _ in range(self.period):
             qs.append(nq)
             ps.append(np_)
-            nq, np_ = _lattice_step(nq, np_, den, m)
+            nq, np_ = step_arrays(nq, np_, m, den)
         return qs, ps, den
 
 
@@ -69,24 +69,6 @@ class OrbitFamily:
     @property
     def period(self) -> int:
         return self.reps[0].period
-
-
-def _lattice_step(nq, np_, den: int, m: CatMapSpec, work=None):
-    """One exact map step of numerators over den; Python ints or int64 arrays.
-
-    With work, an int64 array of shape (2,) + nq.shape, the arrays nq and
-    np_ are overwritten with the image and returned.
-    """
-    if work is None:
-        return (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
-    u, v = work
-    np.multiply(nq, m.a, out=u)
-    np.multiply(np_, m.b, out=v)
-    u += v
-    np.multiply(nq, m.c, out=nq)
-    np.multiply(np_, m.d, out=np_)
-    np_ += nq
-    return np.remainder(u, den, out=nq), np.remainder(np_, den, out=np_)
 
 
 def map_power(m: CatMapSpec, T: int) -> tuple[int, int, int, int]:
@@ -227,7 +209,7 @@ def _group_lattice(nq, np_, den: int, T: int, m: CatMapSpec) -> list[SubsystemOr
     """
     key = nq * den + np_
     order = np.argsort(key)
-    iq, ip = _lattice_step(nq, np_, den, m)
+    iq, ip = step_arrays(nq, np_, m, den)
     img_key = iq * den + ip
     pos = np.minimum(np.searchsorted(key[order], img_key), len(key) - 1)
     if not np.array_equal(key[order[pos]], img_key):
@@ -284,28 +266,6 @@ def shift_action_lattice(family: OrbitFamily, r, m: CatMapSpec):
         qs, ps, den = orbit.cycle_lattice(m)
         out.append((qs[steps], ps[steps], den))
     return out
-
-
-def _lattice_trajectory(nq, np_, den: int, m: CatMapSpec, s, steps: int):
-    """Positions of lattice points and of their s-shifted copies at t = 0..steps-1.
-
-    nq, np_ are numerator arrays of shape (n, L) over den; the copy starts
-    with site l advanced s[l] map steps.  Yields (2, n, L) float arrays
-    (unshifted, shifted), the exact numerators divided by den.
-
-    The numerators are stepped in place and divided into one reused buffer:
-    a yielded frame is valid only until the next step; copy it to keep it.
-    """
-    nq, np_ = np.stack([nq, nq]), np.stack([np_, np_])
-    work = np.empty((2,) + nq.shape, dtype=nq.dtype)
-    frame = np.empty(nq.shape)
-    for l, k in enumerate(s):
-        for _ in range(k):
-            _lattice_step(nq[1, :, l], np_[1, :, l], den, m, work[:, 1, :, l])
-    for t in range(steps):
-        if t:
-            _lattice_step(nq, np_, den, m, work)
-        yield np.divide(nq, den, out=frame)
 
 
 def stability_amplitude_sq(T: int, m: CatMapSpec) -> float:

@@ -16,12 +16,16 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
+    DYADIC_DEN,
     NEAREST_NEIGHBOUR,
     CatMapSpec,
     SpecError,
     SystemSpec,
-    _bond_sum,
     _correlation,
+    _lattice_bond_sum,
+    _lattice_pairs,
+    _lattice_work,
+    _monte_carlo_trajectory,
     _trajectory,
     bonds,
     coupled_step_unreduced,
@@ -29,8 +33,7 @@ from .dynamics import (
     pair_hessian,
     pair_potential,
 )
-from .orbits import (MAX_PERIOD, OrbitFamily, _as_shift, _lattice_trajectory, enumerate_lattice,
-                     periodic_point_count)
+from .orbits import MAX_PERIOD, OrbitFamily, _as_shift, enumerate_lattice, periodic_point_count
 from .util import philox, spawn_seeds
 
 
@@ -355,38 +358,43 @@ def sample_phase_distribution(
     if mode not in ("exact", "proxy"):
         raise SpecError(f"unknown sampling mode {mode!r}")
     m, L = spec.subsystem, spec.L
+    pairs = _lattice_pairs(bonds(spec, L))
+    shifts = ((0,) * L, sv)
     if mode == "exact":
         nq, np_, den = enumerate_lattice(T, m)
+    else:
+        den = DYADIC_DEN
     rng = philox(seed)
     out = np.empty(budget)
     done = 0
     while done < budget:
         n = min(batch, budget - done)
+        work = _lattice_work(len(pairs), 2, n)
         if mode == "exact":
             idx = rng.integers(0, len(nq), size=(n, L))
-            traj = _lattice_trajectory(nq[idx], np_[idx], den, m, sv, T)
+            traj = _trajectory(nq[idx], np_[idx], den, m, shifts, T, work)
         else:
-            traj = _trajectory(rng, n, L, m, ((0,) * L, sv), T)
-        out[done:done + n] = _phase_sums(traj, spec.amplitude, bonds(spec, L), (T,))[T]
+            traj = _monte_carlo_trajectory(rng, n, L, m, shifts, T, work)
+        out[done:done + n] = _phase_sums(traj, spec.amplitude, pairs, den, (T,), work)[T]
         done += n
     return PhaseSampleSet(phi_tilde=out / math.sqrt(T), T=T, s=sv, mode=mode, seed=seed)
 
 
-def _phase_sums(traj, amplitude, bond_list, checkpoints):
+def _phase_sums(traj, amplitude, pairs, den, checkpoints, work):
     """Phi_t = sum_{t' < t} [V(q_t') - V(q^s_t')] at each checkpoint t.
 
-    traj yields the (unshifted, shifted) positions, shape (2, n, L), at
-    t' = 0, 1, ...; V is amplitude * _bond_sum.  Returns {t: array of shape (n,)}.
-    Each frame is read before the next is requested, so traj may reuse its
-    buffer; the sums accumulate in place and are copied at checkpoints.
+    traj yields the (unshifted, shifted) position numerators over den, shape
+    (2, L, n), at t' = 0, 1, ...; V is amplitude * _lattice_bond_sum over
+    pairs, with work the scratch traj shares.  Returns {t: array of shape
+    (n,)}.  Each frame is read before the next is requested, so traj may
+    reuse its buffers; the sums accumulate in place and are copied at
+    checkpoints.
     """
+    v = np.empty(work.shape[1:])
+    acc = np.zeros(v.shape[1:])
     out = {}
     for t, q in enumerate(traj, start=1):
-        if t == 1:
-            v = np.empty(q.shape[:-1])
-            work = np.empty_like(v)
-            acc = np.zeros(v.shape[1:])
-        _bond_sum(q, bond_list, v, work)
+        _lattice_bond_sum(q, pairs, den, v, work)
         v *= amplitude
         v[0] -= v[1]
         acc += v[0]
@@ -470,26 +478,30 @@ def variance_time_average(
         raise SpecError("shift must be a length-L tuple of nonnegative integers")
     ladder = _time_average_ladder(spec.subsystem, spec.amplitude, bonds(spec, spec.L), spec.L,
                                   s_t, horizon, samples, seed, batch)
-    plateau_ok = True
-    for (c1, v1, e1), (c2, v2, e2) in zip(ladder, ladder[1:]):
-        if abs(v1 - v2) > math.sqrt(e1 * e1 + e2 * e2):
-            plateau_ok = False
     _, sig2, err = ladder[-1]
     return VarianceEstimate(sigma2=sig2, std_error=err, horizon=horizon,
-                            plateau_ok=plateau_ok, ladder=ladder, s=s_t, seed=seed)
+                            plateau_ok=_plateau_ok(ladder), ladder=ladder, s=s_t, seed=seed)
+
+
+def _plateau_ok(ladder) -> bool:
+    """True when each pair of consecutive rungs agrees within one combined standard error."""
+    return all(abs(v1 - v2) <= math.sqrt(e1 * e1 + e2 * e2)
+               for (_, v1, e1), (_, v2, e2) in zip(ladder, ladder[1:]))
 
 
 def _time_average_ladder(m, amplitude, bond_list, L, s, horizon, samples, seed, batch=1 << 15):
     """((t, sigma2, err), ...) of (1/t) <Phi_t^2> at t = horizon/4, horizon/2, horizon."""
     checkpoints = sorted({max(1, horizon // 4), max(1, horizon // 2), horizon})
+    pairs = _lattice_pairs(bond_list)
     sums = {c: 0.0 for c in checkpoints}
     sums2 = {c: 0.0 for c in checkpoints}
     rng = philox(seed)
     done = 0
     while done < samples:
         n = min(batch, samples - done)
-        traj = _trajectory(rng, n, L, m, ((0,) * L, s), horizon)
-        for t, acc in _phase_sums(traj, amplitude, bond_list, checkpoints).items():
+        work = _lattice_work(len(pairs), 2, n)
+        traj = _monte_carlo_trajectory(rng, n, L, m, ((0,) * L, s), horizon, work)
+        for t, acc in _phase_sums(traj, amplitude, pairs, DYADIC_DEN, checkpoints, work).items():
             vals = acc * acc / t
             sums[t] += vals.sum()
             sums2[t] += (vals * vals).sum()

@@ -1,4 +1,4 @@
-"""Shared helpers: seeded RNG, modular reduction, windows, task pool."""
+"""Shared helpers: seeded RNG, lattice reduction, windows, task pool."""
 from __future__ import annotations
 
 import hashlib
@@ -18,23 +18,19 @@ def spawn_seeds(master_seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-def mod1(x, out=None):
-    """Floor-based reduction into [0, 1), written into out (a new array when None).
+def mod1(x, den, out=None):
+    """Lattice numerators x over den reduced into [0, den): the point x/den mod 1.
 
-    x - floor(x) is the exact fractional part rounded once, so it equals
-    np.mod(x, 1.0) bit for bit while skipping the division.  Guards the
-    float edge where that rounds up to exactly 1.0 (e.g. x = -1e-18), which
-    would break the half-open invariant.  out must not share memory with x:
-    the floor is written there before the subtraction reads x.
+    Python ints stay Python ints (x % den).  For arrays the result is
+    written into out (a new array when None; out may be x itself): a
+    power-of-two den is a mask, exact for negative x in two's complement,
+    any other den np.remainder.
     """
     if out is None:
-        out = np.empty(np.shape(x))
-    elif np.may_share_memory(x, out):
-        raise ValueError("mod1 cannot reduce in place: out shares memory with x")
-    np.floor(x, out=out)
-    np.subtract(x, out, out=out)
-    out[out >= 1.0] = 0.0
-    return out
+        return x % den
+    if den & (den - 1) == 0:
+        return np.bitwise_and(x, den - 1, out=out)
+    return np.remainder(x, den, out=out)
 
 
 def window_width(t: int) -> int:

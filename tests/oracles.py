@@ -128,49 +128,82 @@ def geometric_series_variance(eta):
 
 
 # ---------------------------------------------------------------------------
-# allocating Monte Carlo kernel: fresh arrays at every step and for every bond
+# allocating lattice Monte Carlo kernel: fresh arrays at every step and for every bond
+
+DYADIC = 2**53
 
 
-def reference_mod1(x):
+def float_mod1(x):
     """x - floor(x) with the guard that maps a result rounded up to 1.0 to 0.0."""
     r = x - np.floor(x)
     return np.where(r >= 1.0, 0.0, r)
 
 
-def _reference_step(q, p, m):
-    return reference_mod1(m.a * q + m.b * p), reference_mod1(m.c * q + m.d * p)
+def reference_starts(rng, n, L):
+    """q, then p: uniform draws of shape (n, L) as numerators over 2**53 (k / 2**53 -> k)."""
+    return [np.ldexp(rng.random((n, L)), 53).astype(np.int64) for _ in range(2)]
 
 
-def reference_trajectory(rng, n, L, m, shifts, steps):
-    """Frames (copies, n, L) at t = 0..steps-1; copy k starts with site l stepped shifts[k][l] times."""
-    q0, p0 = rng.random((n, L)), rng.random((n, L))
+def reference_trajectory(q0, p0, den, m, shifts, steps):
+    """Numerator frames (copies, n, L) at t = 0..steps-1; copy k starts with site l stepped shifts[k][l] times."""
     qs, ps = [], []
     for shift in shifts:
         q, p = q0.copy(), p0.copy()
         for l, s in enumerate(shift):
             for _ in range(s):
-                q[:, l], p[:, l] = _reference_step(q[:, l], p[:, l], m)
+                a, b = q[:, l], p[:, l]
+                q[:, l], p[:, l] = (m.a * a + m.b * b) % den, (m.c * a + m.d * b) % den
         qs.append(q)
         ps.append(p)
     for t in range(steps):
         if t:
-            stepped = [_reference_step(q, p, m) for q, p in zip(qs, ps)]
+            stepped = [((m.a * q + m.b * p) % den, (m.c * q + m.d * p) % den) for q, p in zip(qs, ps)]
             qs, ps = [q for q, _ in stepped], [p for _, p in stepped]
         yield np.stack(qs)
 
 
-def reference_lattice_trajectory(nq, np_, den, m, s, steps):
-    """Frames (2, n, L) of lattice points and of their s-shifted copies, fresh arrays per step."""
-    shifted_q, shifted_p = nq.copy(), np_.copy()
-    for l, k in enumerate(s):
-        for _ in range(k):
-            a, b = shifted_q[:, l], shifted_p[:, l]
-            shifted_q[:, l], shifted_p[:, l] = (m.a * a + m.b * b) % den, (m.c * a + m.d * b) % den
-    cur = [(nq, np_), (shifted_q, shifted_p)]
-    for t in range(steps):
-        if t:
-            cur = [((m.a * a + m.b * b) % den, (m.c * a + m.d * b) % den) for a, b in cur]
-        yield np.stack([a / den for a, _ in cur])
+def reference_lattice_cos(d, den):
+    """cos(2 pi d / den) for integer d in [0, den): 4096-entry table angle plus a degree-5 Taylor step.
+
+    Each element's table angle 2 pi h q / den, q the smallest power of two
+    with den <= 4096 q, h = d // q, is evaluated on its own in long double;
+    the leftover angle delta = 2 pi (d - h q) / den corrects it:
+    cos = C - (C (1 - cos delta) + S sin delta).
+    """
+    q = 1
+    while 4096 * q < den:
+        q *= 2
+    h = d // q
+    angle = np.arctan(np.longdouble(1)) * 8 * ((h * q) % den).astype(np.longdouble) / den
+    c, s = np.cos(angle).astype(float), np.sin(angle).astype(float)
+    delta = (d - h * q) * (2.0 * math.pi / den)
+    u = delta * delta
+    s_delta = s * delta
+    sin_term = s_delta + (u * (1.0 / 120.0) - 1.0 / 6.0) * u * s_delta
+    return c - ((u * (-1.0 / 24.0) + 0.5) * u * c + sin_term)
+
+
+def reference_pairs(bond_list):
+    """(i, j, weight) with each unordered pair once, in order of first appearance."""
+    pairs = []
+    for i, j, off in bond_list:
+        assert off == 0.0
+        for n, (a, b, w) in enumerate(pairs):
+            if {a, b} == {i, j}:
+                pairs[n] = (a, b, w + 1)
+                break
+        else:
+            pairs.append((i, j, 1))
+    return pairs
+
+
+def reference_lattice_bond_sum(k, bond_list, den):
+    """sum over pairs (i, j, w) of w cos(2 pi ((k_i - k_j) mod den) / den), k of shape (..., L)."""
+    tot = None
+    for i, j, w in reference_pairs(bond_list):
+        term = w * reference_lattice_cos((k[..., i] - k[..., j]) % den, den)
+        tot = term if tot is None else tot + term
+    return tot
 
 
 def reference_bond_sum(q, bond_list):
@@ -181,12 +214,12 @@ def reference_bond_sum(q, bond_list):
     return tot
 
 
-def reference_phase_sums(frames, amplitude, bond_list, checkpoints):
-    """{t: sum over t' < t of V(q_t') - V(q^s_t')} from (2, n, L) frames."""
+def reference_phase_sums(frames, amplitude, bond_list, den, checkpoints):
+    """{t: sum over t' < t of V(q_t') - V(q^s_t')} from (2, n, L) numerator frames."""
     acc = 0.0
     out = {}
-    for t, q in enumerate(frames, start=1):
-        v, v_s = amplitude * reference_bond_sum(q, bond_list)
+    for t, k in enumerate(frames, start=1):
+        v, v_s = amplitude * reference_lattice_bond_sum(k, bond_list, den)
         acc = acc + (v - v_s)
         if t in checkpoints:
             out[t] = acc
@@ -201,8 +234,10 @@ def reference_time_average_ladder(m, amplitude, bond_list, L, s, horizon, sample
     done = 0
     while done < samples:
         n = min(batch, samples - done)
-        frames = reference_trajectory(rng, n, L, m, ((0,) * L, s), horizon)
-        for t, acc in reference_phase_sums(frames, amplitude, bond_list, checkpoints).items():
+        frames = reference_trajectory(*reference_starts(rng, n, L), DYADIC, m, ((0,) * L, s),
+                                      horizon)
+        for t, acc in reference_phase_sums(frames, amplitude, bond_list, DYADIC,
+                                           checkpoints).items():
             vals = acc * acc / t
             sums[t] += vals.sum()
             sums2[t] += (vals * vals).sum()
@@ -216,15 +251,15 @@ def reference_time_average_ladder(m, amplitude, bond_list, L, s, horizon, sample
 
 
 def reference_correlation(m, amplitude, bond_list, L, shift, samples, rng, batch):
-    """(C(shift), std_error) of W = amplitude * bond sum under uniform initial conditions."""
+    """(C(shift), std_error) of W = amplitude * lattice bond sum under uniform initial conditions."""
     m_off = max(0, -min(shift))
     shifts = ((m_off,) * L, tuple(m_off + s for s in shift))
     done = 0
     s_p = s_p2 = s_a = s_b = 0.0
     while done < samples:
         n = min(batch, samples - done)
-        (q,) = reference_trajectory(rng, n, L, m, shifts, 1)
-        a, b = amplitude * reference_bond_sum(q, bond_list)
+        (k,) = reference_trajectory(*reference_starts(rng, n, L), DYADIC, m, shifts, 1)
+        a, b = amplitude * reference_lattice_bond_sum(k, bond_list, DYADIC)
         prod = a * b
         s_p += prod.sum()
         s_p2 += (prod * prod).sum()
@@ -237,17 +272,18 @@ def reference_correlation(m, amplitude, bond_list, L, shift, samples, rng, batch
 
 
 def reference_phase_samples(m, amplitude, bond_list, L, T, s, budget, rng, batch, lattice=None):
-    """Phi_s / sqrt(T): proxy mode from uniform draws, exact mode from lattice = (nq, np_, den)."""
+    """Phi_s / sqrt(T): proxy mode from uniform lattice draws, exact mode from lattice = (nq, np_, den)."""
     out = []
     for done in range(0, budget, batch):
         n = min(batch, budget - done)
         if lattice is None:
-            frames = reference_trajectory(rng, n, L, m, ((0,) * L, s), T)
+            q0, p0, den = *reference_starts(rng, n, L), DYADIC
         else:
             nq, np_, den = lattice
             idx = rng.integers(0, len(nq), size=(n, L))
-            frames = reference_lattice_trajectory(nq[idx], np_[idx], den, m, s, T)
-        out.append(reference_phase_sums(frames, amplitude, bond_list, (T,))[T])
+            q0, p0 = nq[idx], np_[idx]
+        frames = reference_trajectory(q0, p0, den, m, ((0,) * L, s), T)
+        out.append(reference_phase_sums(frames, amplitude, bond_list, den, (T,))[T])
     return np.concatenate(out) / math.sqrt(T)
 
 

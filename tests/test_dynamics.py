@@ -7,6 +7,7 @@ from sfflab.dynamics import (
     ALL_TO_ALL,
     CatMapSpec,
     DEFAULT_MAP,
+    DYADIC_DEN,
     SpecError,
     SystemSpec,
     _trajectory,
@@ -19,7 +20,7 @@ from sfflab.dynamics import (
 )
 from sfflab.util import mod1, philox
 
-from oracles import scalar_cat_step, straight_line_coupled_step
+from oracles import float_mod1, scalar_cat_step, straight_line_coupled_step
 
 
 def test_cat_map_validation():
@@ -31,49 +32,51 @@ def test_cat_map_validation():
 
 
 def test_subsystem_step_fixed_point():
-    q, p = step_arrays(np.zeros(1), np.zeros(1), DEFAULT_MAP)
-    assert q[0] == 0.0 and p[0] == 0.0
+    q, p = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    image = step_arrays(q, p, DEFAULT_MAP, DYADIC_DEN, np.empty((2, 1), dtype=np.int64))
+    assert image[0] is q and image[1] is p  # in place
+    assert q[0] == 0 and p[0] == 0
 
 
 def test_subsystem_step_direct_substitution():
-    q, p = step_arrays(np.array([0.5]), np.array([0.5]), DEFAULT_MAP)
-    assert q[0] == 0.5 and p[0] == 0.0
+    # (1/2, 1/2) -> (3/2, 1) = (1/2, 0) mod 1, as Python ints and in place
+    assert step_arrays(1, 1, DEFAULT_MAP, 2) == (1, 0)
+    q, p = np.array([DYADIC_DEN // 2]), np.array([DYADIC_DEN // 2])
+    step_arrays(q, p, DEFAULT_MAP, DYADIC_DEN, np.empty((2, 1), dtype=np.int64))
+    assert q[0] == DYADIC_DEN // 2 and p[0] == 0
 
 
 def test_subsystem_step_inverse_roundtrip():
     inv = CatMapSpec(1, -1, -1, 2)  # inverse of the default map
     rng = philox(1)
-    q0, p0 = rng.random(50), rng.random(50)
-    q, p = step_arrays(*step_arrays(q0.copy(), p0.copy(), DEFAULT_MAP), inv)
-    dq = np.minimum(np.abs(q - q0), 1.0 - np.abs(q - q0))
-    dp = np.minimum(np.abs(p - p0), 1.0 - np.abs(p - p0))
-    assert dq.max() < 1e-12 and dp.max() < 1e-12
+    q0, p0 = (rng.integers(0, DYADIC_DEN, 50) for _ in "qp")
+    work = np.empty((2, 50), dtype=np.int64)
+    q, p = step_arrays(*step_arrays(q0.copy(), p0.copy(), DEFAULT_MAP, DYADIC_DEN, work), inv,
+                       DYADIC_DEN, work)
+    assert np.array_equal(q, q0) and np.array_equal(p, p0)  # exact on the lattice
 
 
 def test_mod1_half_open_edge():
-    vals = mod1(np.array([-1e-18, -0.25, 0.999999999, 2.0, -2.0]))
-    assert np.all(vals >= 0.0) and np.all(vals < 1.0)
-    # bit-for-bit equal to the np.mod reduction with the same 1.0 guard
-    x = np.concatenate([philox(9).uniform(-2.5, 4.5, 1_000_000),
-                        [-1e-18, 0.0, -0.0, 1.0, -1.0, -5e-324]])
-    ref = np.mod(x, 1.0)
-    ref = np.where(ref >= 1.0, 0.0, ref)
-    assert np.array_equal(mod1(x).view(np.uint64), ref.view(np.uint64))
-    out = np.empty_like(x)
-    assert mod1(x, out=out) is out
-    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
-    with pytest.raises(ValueError):
-        mod1(x, out=x[::-1])
+    # numerators reduced into [0, den), the mask for a power of two, np.remainder else
+    for den in (DYADIC_DEN, 16, 45):
+        x = np.concatenate([philox(9).integers(-8 * den, 8 * den, 100_000),
+                            [-den - 1, -den, -1, 0, den - 1, den, 3 * den]])
+        want = [int(v) % den for v in x]
+        assert mod1(x, den).tolist() == want
+        assert all(0 <= v < den for v in want)
+        assert mod1(x, den, out=x) is x and x.tolist() == want
+    assert mod1(-1, 45) == 44 and type(mod1(-1, 45)) is int
 
 
 def _stepped_directly(q0, p0, shift, t):
-    """Positions after shift[l] + t single-site steps of each sample's site l."""
+    """Positions after shift[l] + t single-site steps of each sample's site l, in Python ints."""
     out = np.empty_like(q0)
     for i in range(q0.shape[0]):
         for l in range(q0.shape[1]):
-            q, p = float(q0[i, l]), float(p0[i, l])
+            q, p = int(q0[i, l]), int(p0[i, l])
             for _ in range(shift[l] + t):
-                q, p = scalar_cat_step(q, p, DEFAULT_MAP)
+                q, p = ((DEFAULT_MAP.a * q + DEFAULT_MAP.b * p) % DYADIC_DEN,
+                        (DEFAULT_MAP.c * q + DEFAULT_MAP.d * p) % DYADIC_DEN)
             out[i, l] = q
     return out
 
@@ -85,15 +88,16 @@ def _stepped_directly(q0, p0, shift, t):
 ])
 def test_trajectory_matches_direct_stepping(shifts):
     rng = philox(10)
-    q0, p0 = rng.random((16, 3)), rng.random((16, 3))
+    q0, p0 = (rng.integers(0, DYADIC_DEN, (16, 3)) for _ in "qp")
     steps = 4
     # a frame is valid only until the next step, so keep a copy of each
-    frames = [frame.copy() for frame in _trajectory(philox(10), 16, 3, DEFAULT_MAP, shifts, steps)]
+    frames = [frame.copy()
+              for frame in _trajectory(q0, p0, DYADIC_DEN, DEFAULT_MAP, shifts, steps)]
     assert len(frames) == steps
     for t, frame in enumerate(frames):
-        assert frame.shape == (len(shifts), 16, 3)
+        assert frame.shape == (len(shifts), 3, 16)
         for k, shift in enumerate(shifts):
-            assert np.array_equal(frame[k], _stepped_directly(q0, p0, shift, t))
+            assert np.array_equal(frame[k].T, _stepped_directly(q0, p0, shift, t))
 
 
 @pytest.mark.parametrize("spec, offsets", [
@@ -122,7 +126,7 @@ def test_coupled_step_decouples_bitwise_at_eps0():
     rng = philox(2)
     for _ in range(20):
         q, p = rng.random(3), rng.random(3)
-        qn, pn = (mod1(x) for x in coupled_step_unreduced(q, p, spec))
+        qn, pn = (float_mod1(x) for x in coupled_step_unreduced(q, p, spec))
         for l in range(3):
             ref = scalar_cat_step(float(q[l]), float(p[l]), DEFAULT_MAP)
             assert (qn[l].hex(), pn[l].hex()) == (ref[0].hex(), ref[1].hex())
@@ -131,7 +135,7 @@ def test_coupled_step_decouples_bitwise_at_eps0():
 def test_coupled_step_against_straight_line_oracle():
     spec = SystemSpec(L=2, epsilon=1e-3)
     q0, p0 = np.array([0.3, 0.1]), np.array([0.7, 0.2])
-    q, p = (mod1(x) for x in coupled_step_unreduced(q0, p0, spec))
+    q, p = (float_mod1(x) for x in coupled_step_unreduced(q0, p0, spec))
     q1, p1, q2, p2 = straight_line_coupled_step(0.3, 0.7, 0.1, 0.2, 1e-3)
     assert abs(q[0] - q1) < 1e-14
     assert abs(p[0] - p1) < 1e-14

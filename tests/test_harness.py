@@ -375,6 +375,11 @@ BOUNDARY_ROWS = [
       "--set", "quantum.members=1", "--set", "quantum.bond_offsets=false"], "quantum.bond_offsets"),
     (["compare", "--set", "compare.series_csv={series}", "--set", "compare.late_window=[1.0, 0.4]",
       "--set", "compare.prediction={L: 2, T_H: 16.0, chi: 0.9}"], "compare.late_window"),
+    # |a| + |b| = 2^10: a k + b l can overflow int64 on the 2^53 Monte Carlo lattice
+    (["variance", "--set", "variance.system={L: 2, subsystem: {a: 1023, b: 1, c: 1022, d: 1}}"],
+     "variance.system.subsystem"),
+    (["clt", "--set", "clt.T_list=[4]", "--set",
+      "clt.system={L: 2, subsystem: {a: 1, b: 1, c: 1022, d: 1023}}"], "clt.system.subsystem"),
 ]
 
 

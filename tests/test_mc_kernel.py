@@ -1,29 +1,33 @@
-"""The in-place Monte Carlo kernel against the allocating formulation, bit for bit."""
+"""The in-place lattice Monte Carlo kernel against the allocating formulation, bit for bit."""
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sfflab import dynamics, phases
-from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, NEAREST_NEIGHBOUR, CatMapSpec, SystemSpec,
-                             _bond_sum, _correlation, bonds)
+from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, DYADIC_DEN, NEAREST_NEIGHBOUR, CatMapSpec,
+                             SpecError, SystemSpec, _bond_sum, _correlation, _cos_table,
+                             _lattice_bond_sum, _lattice_pairs, _monte_carlo_trajectory, bonds,
+                             check_aliasing, check_lattice_map)
 from sfflab.orbits import enumerate_lattice
-from sfflab.util import philox
+from sfflab.util import mod1, philox
 
-from oracles import (reference_bond_sum, reference_correlation, reference_mod1,
+from oracles import (reference_bond_sum, reference_correlation, reference_lattice_cos,
                      reference_phase_samples, reference_time_average_ladder)
 
 MAP_1123 = CatMapSpec(1, 1, 2, 3)
-INVERSE_MAP = CatMapSpec(1, -1, -1, 2)  # negative entries: images can be tiny negatives
+INVERSE_MAP = CatMapSpec(1, -1, -1, 2)  # negative entries: unreduced images can be negative
 
 
 class GuardStart:
-    """Philox draws with site 0 of sample 0 of every batch moved to q = 2^-60, p = 2^-59.
+    """Philox draws with site 0 of sample 0 of every batch moved to q = 2^-53, p = 2^-52.
 
-    Under INVERSE_MAP that site's first image q - p = -2^-60 has
-    x - floor(x) = 1 - 2^-60, which rounds to 1.0, so mod1's guard maps it to
-    0.0; its next few images land on the guard too.  The other sites stay
-    generic, so a position of 1.0 instead of 0.0 would change the bond cosines.
+    On the 2^53 lattice these are the numerators 1 and 2.  Under INVERSE_MAP
+    that site's first image q - p = -1 is reduced by the mask to 2^53 - 1,
+    the last lattice point, and its next images stay at the top of the
+    lattice; a bond difference there reads the last table entry with the
+    largest leftover angle.  The other sites stay generic.
     """
 
     def __init__(self, seed):
@@ -32,7 +36,7 @@ class GuardStart:
 
     def random(self, shape):
         x = self._rng.random(shape)
-        x[0, 0] = 2.0**-60 if self._draws % 2 == 0 else 2.0**-59
+        x[0, 0] = 2.0**-53 if self._draws % 2 == 0 else 2.0**-52
         self._draws += 1
         return x
 
@@ -40,7 +44,8 @@ class GuardStart:
         return self._rng.integers(*args, **kwargs)
 
 
-# (map, L, amplitude, topology, offsets, start-point generator)
+# (map, L, amplitude, topology, offsets, start-point generator); offsets never
+# reach the Monte Carlo path, so those cases check that the kernel refuses them
 CASES = [
     pytest.param(DEFAULT_MAP, 2, 0.7, NEAREST_NEIGHBOUR, None, philox, id="default-L2-mirrored"),
     pytest.param(DEFAULT_MAP, 3, 0.7, NEAREST_NEIGHBOUR, (0.1, 0.35, 0.8), philox,
@@ -66,10 +71,21 @@ def _setup(monkeypatch, m, L, amplitude, topology, offsets, start):
     return spec, bonds(spec, L, None if offsets is None else np.array(offsets))
 
 
+def _assert_bitwise_or_refused(offsets, got, want):
+    """The kernel result equals the reference bit for bit, or, with offsets, is refused."""
+    if offsets is not None:
+        with pytest.raises(SpecError, match="no offsets"):
+            got()
+        return
+    assert np.array_equal(_bits(got()), _bits(want()))
+
+
 def test_guard_start_lands_on_the_guard():
-    x = INVERSE_MAP.a * 2.0**-60 + INVERSE_MAP.b * 2.0**-59
-    assert x - np.floor(x) == 1.0
-    assert reference_mod1(np.array([x]))[0] == 0.0
+    k = np.array([INVERSE_MAP.a * 1 + INVERSE_MAP.b * 2])
+    assert k[0] == -1
+    assert mod1(k, DYADIC_DEN, out=k) is k and k[0] == DYADIC_DEN - 1 == -1 % DYADIC_DEN
+    q = _cos_table(DYADIC_DEN)[0]
+    assert divmod(DYADIC_DEN - 1, q) == (4095, q - 1)
 
 
 @pytest.mark.parametrize("m, L, amplitude, topology, offsets, start", CASES)
@@ -77,9 +93,10 @@ def test_time_average_ladder_matches_allocating_kernel(monkeypatch, m, L, amplit
                                                        offsets, start):
     _, bl = _setup(monkeypatch, m, L, amplitude, topology, offsets, start)
     s = tuple(range(1, L + 1))
-    got = phases._time_average_ladder(m, amplitude, bl, L, s, 16, 700, 3, batch=300)
-    want = reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300)
-    assert np.array_equal(_bits(got), _bits(want))
+    _assert_bitwise_or_refused(
+        offsets,
+        lambda: phases._time_average_ladder(m, amplitude, bl, L, s, 16, 700, 3, batch=300),
+        lambda: reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300))
 
 
 @pytest.mark.parametrize("m, L, amplitude, topology, offsets, start", CASES)
@@ -89,9 +106,10 @@ def test_time_average_ladder_with_shared_sites(monkeypatch, m, L, amplitude, top
     # table row, (0, 2, 0) shares the sites on both sides of the shifted one
     _, bl = _setup(monkeypatch, m, L, amplitude, topology, offsets, start)
     s = (15, 0) if L == 2 else (0, 2, 0)
-    got = phases._time_average_ladder(m, amplitude, bl, L, s, 16, 700, 3, batch=300)
-    want = reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300)
-    assert np.array_equal(_bits(got), _bits(want))
+    _assert_bitwise_or_refused(
+        offsets,
+        lambda: phases._time_average_ladder(m, amplitude, bl, L, s, 16, 700, 3, batch=300),
+        lambda: reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300))
 
 
 @pytest.mark.parametrize("m, L, amplitude, topology, offsets, start", CASES)
@@ -99,9 +117,10 @@ def test_correlation_matches_allocating_kernel(monkeypatch, m, L, amplitude, top
                                                start):
     _, bl = _setup(monkeypatch, m, L, amplitude, topology, offsets, start)
     shift = (2, -1, 0)[:L]
-    got = _correlation(m, amplitude, bl, L, shift, 700, 5, batch=300)
-    want = reference_correlation(m, amplitude, bl, L, shift, 700, start(5), 300)
-    assert np.array_equal(_bits(got), _bits(want))
+    _assert_bitwise_or_refused(
+        offsets,
+        lambda: _correlation(m, amplitude, bl, L, shift, 700, 5, batch=300),
+        lambda: reference_correlation(m, amplitude, bl, L, shift, 700, start(5), 300))
 
 
 @pytest.mark.parametrize("mode", ["proxy", "exact"])
@@ -118,6 +137,75 @@ def test_phase_samples_match_allocating_kernel(monkeypatch, mode, m, L, amplitud
     assert np.array_equal(_bits(got.phi_tilde), _bits(want))
 
 
+@pytest.mark.parametrize("den", [45, 2205, 15125, 4097, DYADIC_DEN])
+def test_lattice_cosine_against_long_double(den):
+    q = _cos_table(den)[0]
+    edges = np.array([0, 1, q - 1, q, den // 2, den - q, den - 1], dtype=np.int64) % den
+    d = np.concatenate([philox(23).integers(0, den, 200_000), edges])
+    k = np.zeros((1, 2, len(d)), dtype=np.int64)
+    k[0, 0] = d
+    got = _lattice_bond_sum(k, [(0, 1, 1)], den, np.empty((1, len(d))),
+                            np.empty((3, 1, len(d)), dtype=np.int64))[0]
+    exact = np.cos(np.arctan(np.longdouble(1)) * 8 * d.astype(np.longdouble) / den)
+    assert float(np.abs(got - exact).max()) < 1e-15
+    assert np.array_equal(_bits(got), _bits(reference_lattice_cos(d, den)))
+
+
+@pytest.mark.parametrize("shifts", [((0, 0), (3, 0)), ((0, 2, 0), (1, 0, 5))])
+@pytest.mark.parametrize("m", [DEFAULT_MAP, INVERSE_MAP])
+def test_monte_carlo_frames_are_exact_orbits(m, shifts):
+    n, steps = 8, 128
+    L = len(shifts[0])
+    rng = philox(24)
+    draws = [rng.random((n, L)) for _ in "qp"]
+    frames = [f.copy() for f in _monte_carlo_trajectory(philox(24), n, L, m, shifts, steps)]
+    assert len(frames) == steps
+    for i in range(n):
+        for l in range(L):
+            # Python ints: the start k / 2^53 that the float draw stands for, then M^t x0 mod 2^53
+            q, p = (int(x[i, l] * 2**53) for x in draws)
+            orbit = []
+            for _ in range(steps + max(shift[l] for shift in shifts)):
+                orbit.append(q)
+                q, p = (m.a * q + m.b * p) % 2**53, (m.c * q + m.d * p) % 2**53
+            for c, shift in enumerate(shifts):
+                assert [int(f[c, l, i]) for f in frames] == orbit[shift[l]:shift[l] + steps]
+
+
+def test_mirrored_pairs_are_evaluated_once_with_weight_two():
+    assert _lattice_pairs(bonds(SystemSpec(L=2), 2)) == [(0, 1, 2)]
+    assert _lattice_pairs(bonds(SystemSpec(L=3), 3)) == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+    assert _lattice_pairs(bonds(SystemSpec(L=3, topology=ALL_TO_ALL), 3)) == [
+        (0, 1, 2), (0, 2, 2), (1, 2, 2)]
+    with pytest.raises(SpecError, match="no offsets"):
+        _lattice_pairs(bonds(SystemSpec(L=2), 2, np.array([0.25, -0.25])))
+
+
+@pytest.mark.parametrize("m", [DEFAULT_MAP, MAP_1123, INVERSE_MAP])
+def test_aliasing_guard_passes_on_the_dyadic_lattice(m):
+    check_aliasing(m, 200_000)
+
+
+def test_aliasing_guard_raises_on_a_short_dyadic_order():
+    # mod 16 the default map has order 12: M^12 = I, so e1^T M^12 = e1^T
+    check_aliasing(DEFAULT_MAP, 11, den=16)
+    with pytest.raises(SpecError, match="aliases"):
+        check_aliasing(DEFAULT_MAP, 12, den=16)
+    with pytest.raises(SpecError, match="aliases"):
+        check_aliasing(DEFAULT_MAP, 100, den=16)
+
+
+def test_lattice_map_must_fit_int64():
+    check_lattice_map(CatMapSpec(1022, 1, 1021, 1))  # |a| + |b| = 1023
+    for m, name in ((CatMapSpec(1023, 1, 1022, 1), "|a| + |b|"),
+                    (CatMapSpec(1, 1, 1022, 1023), "|c| + |d|")):
+        with pytest.raises(SpecError, match=re.escape(name)):
+            check_lattice_map(m)
+        with pytest.raises(SpecError, match="overflows"):
+            next(_monte_carlo_trajectory(philox(1), 4, 2, m, ((0, 0), (1, 0)), 2))
+    check_lattice_map(CatMapSpec(1023, 1, 1022, 1), den=2**40)
+
+
 def test_cos_is_even_bit_for_bit():
     special = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 5e-324, -5e-324]
     x = np.concatenate([philox(21).uniform(-2 * np.pi, 2 * np.pi, 1_000_000), special])
@@ -128,6 +216,7 @@ def test_cos_is_even_bit_for_bit():
 
 @pytest.mark.parametrize("off", [0.0, 0.1, 0.25, 0.7])
 def test_mirrored_bond_reuses_its_cosine_bitwise(monkeypatch, off):
+    # the float bond sum behind pair_potential (quantum coupling, continuation)
     q = philox(22).random((2, 5000, 2))
     q[:, 0] = [0.5, 0.5]  # equal positions: differences +0 and -0
     bl = [(0, 1, off), (1, 0, -off)]
@@ -146,9 +235,9 @@ def test_mirrored_bond_reuses_its_cosine_bitwise(monkeypatch, off):
 
 
 def test_time_average_peak_memory():
-    # the per-step temporaries of the allocating kernel peaked at 4.5 MiB here;
-    # the in-place kernel holds 3.7 MiB (positions, momenta, a two-plane scratch,
-    # the bond sums and the checkpoint copies)
+    # the float kernel held 3.7 MiB here; the lattice kernel holds 3.2 MiB: position
+    # and momentum numerators, three int64 planes shared by the step and the
+    # lattice cosine, the bond sums and the checkpoint copies
     spec = SystemSpec(L=2)
     phases.variance_time_average(spec, (0, 3), 64, 200, 1)
     tracemalloc.start()

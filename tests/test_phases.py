@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, pair_hessian,
-                             pair_potential)
+from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, bonds,
+                             pair_hessian, pair_potential)
 from sfflab import phases
 from sfflab.orbits import (MAX_PERIOD, OrbitFamily, enumerate_lattice, family_iterator,
                            periodic_point_count, subsystem_orbits)
@@ -16,6 +16,7 @@ from sfflab.phases import (
     TableError,
     VarianceTable,
     _fit_tail,
+    _plateau_ok,
     _series_sum,
     action_difference_identity_check,
     clt_diagnostics,
@@ -28,7 +29,7 @@ from sfflab.phases import (
 from sfflab.util import philox
 
 from oracles import (block_periodicity_jacobian, float_position_cycle, geometric_series_variance,
-                     phase_difference_direct, rolled_position_matrix)
+                     phase_difference_direct, reference_lattice_bond_sum, rolled_position_matrix)
 
 
 @pytest.mark.parametrize("T", [1, 2, 5])
@@ -234,14 +235,18 @@ def test_exact_sampling_matches_cycle_reference():
         n = min(batch, budget - done)
         idx = rng.integers(0, len(nq_all), size=(n, spec.L))
         nq, np_ = nq_all[idx], np_all[idx]
-        Q = np.empty((T, n, spec.L))
+        Q = np.empty((T, n, spec.L), dtype=np.int64)  # position numerators over den
         for t in range(T):
-            Q[t] = nq / den
+            Q[t] = nq
             nq, np_ = (m.a * nq + m.b * np_) % den, (m.c * nq + m.d * np_) % den
+
+        def V(k):
+            return spec.amplitude * reference_lattice_bond_sum(k, bonds(spec, spec.L), den)
+
         phi = np.zeros(n)
         for t in range(T):
             qs = np.column_stack([Q[(t + s[l]) % T, :, l] for l in range(spec.L)])
-            phi += pair_potential(Q[t], spec) - pair_potential(qs, spec)
+            phi += V(Q[t]) - V(qs)
         want.append(phi)
     got = sample_phase_distribution(spec, T, s, budget, seed=4, mode="exact", batch=batch)
     assert np.array_equal(got.phi_tilde, np.concatenate(want) / math.sqrt(T))
@@ -378,7 +383,33 @@ def test_variance_estimators_agree_on_default_system():
     sv = variance_series(spec, s, t_max=6, samples=150_000, seed=16)
     comb = math.hypot(ta.std_error, sv.std_error)
     assert abs(ta.sigma2 - sv.sigma2) <= 3.0 * comb + sv.truncation_bound
-    assert ta.plateau_ok
+    # the L = 2 ring doubles the bond, so the exact value is 4 (per-bond variance 1)
+    assert abs(ta.sigma2 - 4.0) <= 4.0 * ta.std_error
+
+
+@pytest.mark.parametrize("ladder, ok", [
+    (((16, 4.0, 0.1), (32, 4.1, 0.1), (64, 4.0, 0.1)), True),
+    # consecutive rungs 0.15 apart, combined error 0.1414
+    (((16, 4.0, 0.1), (32, 4.15, 0.1), (64, 4.15, 0.1)), False),
+    (((16, 4.0, 0.1), (32, 4.0, 0.1), (64, 4.15, 0.1)), False),
+    # quarter and full rungs disagree, but only consecutive rungs are compared
+    (((16, 3.9, 0.1), (32, 4.0, 0.1), (64, 4.1, 0.1)), True),
+    (((8, 4.0, 0.0), (16, 4.0, 0.0)), True),
+    (((8, 4.0, 0.0), (16, 4.0 + 1e-12, 0.0)), False),
+])
+def test_plateau_flag_on_fixed_ladders(ladder, ok):
+    assert _plateau_ok(ladder) is ok
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 0.7])
+def test_variances_against_exact_values(amplitude):
+    # per-bond sigma^2(s~ != 0) is amplitude^2, the L = 2 ring's full shift 4 amplitude^2
+    spec = SystemSpec(L=2, amplitude=amplitude)
+    table = per_bond_variance_table(spec, 5, samples=20_000, seed=19, horizon=64)
+    for st in range(1, 5):
+        assert abs(table.sigma2[st] - amplitude**2) <= 5.0 * table.std_error[st]
+    full = variance_time_average(spec, (0, 1), horizon=64, samples=20_000, seed=20)
+    assert abs(full.sigma2 - 4.0 * amplitude**2) <= 5.0 * full.std_error
 
 
 def test_per_bond_table_structure():
