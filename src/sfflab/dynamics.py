@@ -162,27 +162,6 @@ def bonds(spec: SystemSpec, L: int, offsets=None) -> list[tuple[int, int, float]
     return [(l, (l + 1) % L, offsets[l]) for l in range(L)]
 
 
-def _bond_sum(q: np.ndarray, bond_list) -> np.ndarray:
-    """sum over bonds of cos(2*pi*(q_i - q_j + offset)) at the float positions q of shape (..., L).
-
-    A bond (j, i, -offset) right after (i, j, offset) adds that cosine again:
-    its difference, sum and product are the exact negatives of the first
-    bond's, since rounding is symmetric, and np.cos is even bit for bit.
-    """
-    out = np.zeros(q.shape[:-1])
-    work = np.empty_like(out)
-    last = None
-    for i, j, off in bond_list:
-        if last != (j, i, -off):
-            np.subtract(q[..., i], q[..., j], out=work)
-            work += off
-            work *= TWO_PI
-            np.cos(work, out=work)
-            last = (i, j, off)
-        out += work
-    return out
-
-
 # the lattice cosine reads cos and sin at 2**TABLE_BITS angles and corrects the rest by Taylor
 TABLE_BITS = 12
 
@@ -201,23 +180,22 @@ def _cos_table(den: int):
     return q, np.cos(angle).astype(float), np.sin(angle).astype(float)
 
 
-def _lattice_pairs(bond_list) -> list[tuple[int, int, int]]:
-    """The bonds of the lattice bond sum as (i, j, weight): each unordered pair once.
+def lattice_pairs(spec: SystemSpec) -> tuple[list[tuple[int, int]], float]:
+    """(pairs, scale) with W = scale * sum over pairs (i, j) of cos(2 pi (q_i - q_j)).
 
-    A pair's mirror (j, i) adds the same cosine, so it raises the first
-    one's weight instead of being evaluated.  Lattice bond sums take no offsets.
+    W is amplitude times the offset-free bond sum, with each unordered pair
+    evaluated once: the L = 2 ring and all-to-all count every pair in both
+    directions, so their scale is 2 amplitude.  All-to-all with L = 1 has no
+    pairs, and W = 0.
     """
-    weights = {}
-    for i, j, off in bond_list:
-        if off != 0.0:
-            raise SpecError("Monte Carlo bond sums take no offsets")
-        key = (j, i) if (j, i) in weights else (i, j)
-        weights[key] = weights.get(key, 0) + 1
-    return [(i, j, w) for (i, j), w in weights.items()]
+    L = spec.L
+    if spec.topology == ALL_TO_ALL or L == 2:
+        return [(i, j) for i in range(L) for j in range(i + 1, L)], 2.0 * spec.amplitude
+    return [(l, (l + 1) % L) for l in range(L)], spec.amplitude
 
 
 def _lattice_bond_sum(k: np.ndarray, pairs, den: int, out: np.ndarray, work: np.ndarray):
-    """sum over pairs (i, j, w) of w cos(2 pi d / den), d = (k_i - k_j) mod den, written into out.
+    """sum over pairs (i, j) of cos(2 pi d / den), d = (k_i - k_j) mod den, written into out.
 
     k holds numerators of shape (copies, L, n); out is a float array of
     shape (copies, n).  The cosine is exact integer arithmetic up to the
@@ -233,7 +211,9 @@ def _lattice_bond_sum(k: np.ndarray, pairs, den: int, out: np.ndarray, work: np.
     shift, scale = q.bit_length() - 1, TWO_PI / den
     a, b = work[:2]
     af, bf, sf = work[:3].view(float)
-    for n, (i, j, w) in enumerate(pairs):
+    if not pairs:
+        out[:] = 0.0
+    for n, (i, j) in enumerate(pairs):
         c = out if n == 0 else work[3].view(float)
         np.subtract(k[:, i], k[:, j], out=a)
         mod1(a, den, out=a)
@@ -255,8 +235,6 @@ def _lattice_bond_sum(k: np.ndarray, pairs, den: int, out: np.ndarray, work: np.
         bf *= c  # C (1 - cos(delta)) = C u (1/2 - u / 24)
         bf += sf
         c -= bf
-        if w != 1:
-            c *= w
         if n:
             out += c
     return out
@@ -268,7 +246,15 @@ def pair_potential(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
     V is also the interaction derivative: d/d(eps) of the generating function at eps = 0.
     """
     q = np.asarray(q, dtype=float)
-    return spec.amplitude * _bond_sum(q, bonds(spec, q.shape[-1], offsets))
+    out = np.zeros(q.shape[:-1])
+    work = np.empty_like(out)
+    for i, j, off in bonds(spec, q.shape[-1], offsets):
+        np.subtract(q[..., i], q[..., j], out=work)
+        work += off
+        work *= TWO_PI
+        np.cos(work, out=work)
+        out += work
+    return spec.amplitude * out
 
 
 def pair_gradient(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
@@ -359,44 +345,36 @@ def _trajectory(q0: np.ndarray, p0: np.ndarray, den: int, m: CatMapSpec, shifts,
         yield q
 
 
-def _monte_carlo_trajectory(rng, n, L, m, shifts, steps, work=None):
-    """_trajectory from n uniform lattice starts drawn from rng, after the aliasing guard."""
-    check_aliasing(m, steps + max(max(shift) for shift in shifts))
-    return _trajectory(*_dyadic_starts(rng, n, L), DYADIC_DEN, m, shifts, steps, work)
+def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts, steps: int,
+                      lattice=None):
+    """W = scale * lattice bond sum (lattice_pairs) of n shifted copies at t = 0..steps-1.
 
-
-def _lattice_work(n_pairs: int, copies: int, n: int) -> np.ndarray:
-    """The int64 scratch that _trajectory and _lattice_bond_sum share."""
-    return np.empty((3 if n_pairs == 1 else 4, copies, n), dtype=np.int64)
-
-
-def _correlation(m: CatMapSpec, amplitude: float, bond_list, L: int,
-                 shift: tuple[int, ...], samples: int, seed: int, batch: int = 1 << 17):
-    """(C(shift), std_error) of W = amplitude * lattice bond sum under uniform initial conditions."""
-    pairs = _lattice_pairs(bond_list)
-    rng = philox(seed)
-    m_off = max(0, -min(shift))
-    shifts = ((m_off,) * L, tuple(m_off + s for s in shift))
-    n_done = 0
-    s_p = s_p2 = s_a = s_b = 0.0
-    while n_done < samples:
-        n = min(batch, samples - n_done)
-        work = _lattice_work(len(pairs), 2, n)
-        (q,) = _monte_carlo_trajectory(rng, n, L, m, shifts, 1, work)
-        a, b = _lattice_bond_sum(q, pairs, DYADIC_DEN, np.empty((2, n)), work)
-        a *= amplitude
-        b *= amplitude
-        prod = a * b
-        s_p += prod.sum()
-        s_p2 += (prod * prod).sum()
-        s_a += a.sum()
-        s_b += b.sum()
-        n_done += n
-
-    mean_p = s_p / samples
-    value = mean_p - (s_a / samples) * (s_b / samples)
-    var_p = max(s_p2 / samples - mean_p**2, 0.0)
-    return float(value), float(math.sqrt(var_p / samples))
+    The n starts come from rng: uniform points of the 2**53 lattice
+    (_dyadic_starts, after the aliasing guard) when lattice is None, else
+    uniform draws of L points each from the enumerated period-T points
+    lattice = (nq, np_, den).  _trajectory steps them; each frame is a float
+    array of shape (len(shifts), n), valid only until the next frame.
+    """
+    m, L = spec.subsystem, spec.L
+    pairs, scale = lattice_pairs(spec)
+    if lattice is None:
+        check_aliasing(m, steps + max(max(shift) for shift in shifts))
+        den = DYADIC_DEN
+        starts = _dyadic_starts(rng, n, L)
+    else:
+        nq, np_, den = lattice
+        idx = rng.integers(0, len(nq), size=(n, L))
+        starts = nq[idx], np_[idx]
+        del idx
+    # the step's scratch and the lattice cosine share these planes
+    work = np.empty((4 if len(pairs) > 1 else 3, len(shifts), n), dtype=np.int64)
+    frames = _trajectory(*starts, den, m, shifts, steps, work)
+    del starts  # _trajectory drops the starts once it has copied them
+    w = np.empty(work.shape[1:])
+    for q in frames:
+        _lattice_bond_sum(q, pairs, den, w, work)
+        w *= scale
+        yield w
 
 
 def estimate_correlation(
@@ -409,7 +387,7 @@ def estimate_correlation(
     """C_w(shift) = <W(phi^shift x) W(x)> - <W>^2 for W the interaction derivative.
 
     Uniform (Lebesgue = SRB) initial conditions, drawn as points of the 2**53
-    lattice and stepped exactly (_monte_carlo_trajectory).  Negative shift components
+    lattice and stepped exactly (observable_frames).  Negative shift components
     are handled by translating both factors with a synchronous offset, using
     the invariance of the measure.
     """
@@ -418,7 +396,24 @@ def estimate_correlation(
         raise SpecError("shift must have one component per site")
     if samples <= 0:
         raise SpecError("samples must be positive")
-    value, std_error = _correlation(spec.subsystem, spec.amplitude, bonds(spec, spec.L),
-                                    spec.L, shift, samples, seed, batch)
-    return CorrelationEstimate(shift=shift, value=value, std_error=std_error,
+    rng = philox(seed)
+    m_off = max(0, -min(shift))
+    shifts = ((m_off,) * spec.L, tuple(m_off + s for s in shift))
+    n_done = 0
+    s_p = s_p2 = s_a = s_b = 0.0
+    while n_done < samples:
+        n = min(batch, samples - n_done)
+        a, b = next(observable_frames(spec, rng, n, shifts, 1))
+        prod = a * b
+        s_p += prod.sum()
+        s_p2 += (prod * prod).sum()
+        s_a += a.sum()
+        s_b += b.sum()
+        n_done += n
+
+    mean_p = s_p / samples
+    value = mean_p - (s_a / samples) * (s_b / samples)
+    var_p = max(s_p2 / samples - mean_p**2, 0.0)
+    return CorrelationEstimate(shift=shift, value=float(value),
+                               std_error=float(math.sqrt(var_p / samples)),
                                samples=samples, seed=seed)

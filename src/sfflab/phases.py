@@ -16,20 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    DYADIC_DEN,
     NEAREST_NEIGHBOUR,
     CatMapSpec,
     SpecError,
     SystemSpec,
-    _correlation,
-    _lattice_bond_sum,
-    _lattice_pairs,
-    _lattice_work,
-    _monte_carlo_trajectory,
-    _trajectory,
-    bonds,
     coupled_step_unreduced,
     estimate_correlation,
+    observable_frames,
     pair_hessian,
     pair_potential,
 )
@@ -357,45 +350,31 @@ def sample_phase_distribution(
         mode = "exact" if exact else "proxy"
     if mode not in ("exact", "proxy"):
         raise SpecError(f"unknown sampling mode {mode!r}")
-    m, L = spec.subsystem, spec.L
-    pairs = _lattice_pairs(bonds(spec, L))
-    shifts = ((0,) * L, sv)
-    if mode == "exact":
-        nq, np_, den = enumerate_lattice(T, m)
-    else:
-        den = DYADIC_DEN
+    lattice = enumerate_lattice(T, spec.subsystem) if mode == "exact" else None
+    shifts = ((0,) * spec.L, sv)
     rng = philox(seed)
     out = np.empty(budget)
     done = 0
     while done < budget:
         n = min(batch, budget - done)
-        work = _lattice_work(len(pairs), 2, n)
-        if mode == "exact":
-            idx = rng.integers(0, len(nq), size=(n, L))
-            traj = _trajectory(nq[idx], np_[idx], den, m, shifts, T, work)
-        else:
-            traj = _monte_carlo_trajectory(rng, n, L, m, shifts, T, work)
-        out[done:done + n] = _phase_sums(traj, spec.amplitude, pairs, den, (T,), work)[T]
+        frames = observable_frames(spec, rng, n, shifts, T, lattice)
+        out[done:done + n] = _phase_sums(frames, n, (T,))[T]
         done += n
     return PhaseSampleSet(phi_tilde=out / math.sqrt(T), T=T, s=sv, mode=mode, seed=seed)
 
 
-def _phase_sums(traj, amplitude, pairs, den, checkpoints, work):
+def _phase_sums(frames, n, checkpoints):
     """Phi_t = sum_{t' < t} [V(q_t') - V(q^s_t')] at each checkpoint t.
 
-    traj yields the (unshifted, shifted) position numerators over den, shape
-    (2, L, n), at t' = 0, 1, ...; V is amplitude * _lattice_bond_sum over
-    pairs, with work the scratch traj shares.  Returns {t: array of shape
-    (n,)}.  Each frame is read before the next is requested, so traj may
-    reuse its buffers; the sums accumulate in place and are copied at
+    frames yields the (unshifted, shifted) observable V of n samples, shape
+    (2, n), at t' = 0, 1, ... (observable_frames).  Returns {t: array of
+    shape (n,)}.  Each frame is read before the next is requested, so frames
+    may reuse its buffer; the sums accumulate in place and are copied at
     checkpoints.
     """
-    v = np.empty(work.shape[1:])
-    acc = np.zeros(v.shape[1:])
+    acc = np.zeros(n)
     out = {}
-    for t, q in enumerate(traj, start=1):
-        _lattice_bond_sum(q, pairs, den, v, work)
-        v *= amplitude
+    for t, v in enumerate(frames, start=1):
         v[0] -= v[1]
         acc += v[0]
         if t in checkpoints:
@@ -476,32 +455,15 @@ def variance_time_average(
     s_t = tuple(int(v) for v in s)
     if len(s_t) != spec.L or any(v < 0 for v in s_t):
         raise SpecError("shift must be a length-L tuple of nonnegative integers")
-    ladder = _time_average_ladder(spec.subsystem, spec.amplitude, bonds(spec, spec.L), spec.L,
-                                  s_t, horizon, samples, seed, batch)
-    _, sig2, err = ladder[-1]
-    return VarianceEstimate(sigma2=sig2, std_error=err, horizon=horizon,
-                            plateau_ok=_plateau_ok(ladder), ladder=ladder, s=s_t, seed=seed)
-
-
-def _plateau_ok(ladder) -> bool:
-    """True when each pair of consecutive rungs agrees within one combined standard error."""
-    return all(abs(v1 - v2) <= math.sqrt(e1 * e1 + e2 * e2)
-               for (_, v1, e1), (_, v2, e2) in zip(ladder, ladder[1:]))
-
-
-def _time_average_ladder(m, amplitude, bond_list, L, s, horizon, samples, seed, batch=1 << 15):
-    """((t, sigma2, err), ...) of (1/t) <Phi_t^2> at t = horizon/4, horizon/2, horizon."""
-    checkpoints = sorted({max(1, horizon // 4), max(1, horizon // 2), horizon})
-    pairs = _lattice_pairs(bond_list)
+    checkpoints = sorted({horizon // 4, horizon // 2, horizon})
     sums = {c: 0.0 for c in checkpoints}
     sums2 = {c: 0.0 for c in checkpoints}
     rng = philox(seed)
     done = 0
     while done < samples:
         n = min(batch, samples - done)
-        work = _lattice_work(len(pairs), 2, n)
-        traj = _monte_carlo_trajectory(rng, n, L, m, ((0,) * L, s), horizon, work)
-        for t, acc in _phase_sums(traj, amplitude, pairs, DYADIC_DEN, checkpoints, work).items():
+        frames = observable_frames(spec, rng, n, ((0,) * spec.L, s_t), horizon)
+        for t, acc in _phase_sums(frames, n, checkpoints).items():
             vals = acc * acc / t
             sums[t] += vals.sum()
             sums2[t] += (vals * vals).sum()
@@ -512,7 +474,15 @@ def _time_average_ladder(m, amplitude, bond_list, L, s, horizon, samples, seed, 
         mean = sums[c] / samples
         var = max(sums2[c] / samples - mean * mean, 0.0)
         ladder.append((c, float(mean), float(math.sqrt(var / samples))))
-    return tuple(ladder)
+    _, sig2, err = ladder[-1]
+    return VarianceEstimate(sigma2=sig2, std_error=err, horizon=horizon,
+                            plateau_ok=_plateau_ok(ladder), ladder=tuple(ladder), s=s_t, seed=seed)
+
+
+def _plateau_ok(ladder) -> bool:
+    """True when each pair of consecutive rungs agrees within one combined standard error."""
+    return all(abs(v1 - v2) <= math.sqrt(e1 * e1 + e2 * e2)
+               for (_, v1, e1), (_, v2, e2) in zip(ladder, ladder[1:]))
 
 
 def variance_series(
@@ -526,16 +496,20 @@ def variance_series(
     s_t = tuple(int(v) for v in s)
     if len(s_t) != spec.L:
         raise SpecError("shift must have one component per site")
-
-    def correlation(shift, n, sd):
-        c = estimate_correlation(spec, shift, n, sd)
-        return c.value, c.std_error
-
-    sigma2, err, sync = _series_sum(correlation, s_t, t_max, samples, seed)
+    sigma2, err, sync = _series_sum(_spec_correlation(spec), s_t, t_max, samples, seed)
     eta_hat, bound = _fit_tail([v for v, _ in sync], [e for _, e in sync])
     return SeriesVariance(sigma2=float(sigma2), std_error=float(err),
                           truncation_bound=bound, eta_hat=eta_hat,
                           t_max=t_max, s=s_t, seed=seed)
+
+
+def _spec_correlation(spec: SystemSpec):
+    """estimate_correlation on spec as the correlation(shift, samples, seed) of _series_sum."""
+    def correlation(shift, n, sd):
+        c = estimate_correlation(spec, shift, n, sd)
+        return c.value, c.std_error
+
+    return correlation
 
 
 def _series_sum(correlation, s_t, t_max, samples, seed):
@@ -589,24 +563,24 @@ def per_bond_variance_table(
     horizon: int | None = None,
     t_max: int = 10,
 ) -> VarianceTable:
-    """sigma^2_{v_{s~}} for s~ = 0..T-1 on the two-site bond problem."""
+    """sigma^2_{v_{s~}} for s~ = 0..T-1 on the two-site bond problem.
+
+    One bond of spec is the L = 2 ring at half the amplitude: the ring
+    counts its one pair twice (lattice_pairs).
+    """
     if spec.topology != NEAREST_NEIGHBOUR:
         raise SpecError("per-bond table requires nearest-neighbour-periodic topology")
     if estimator not in ("time-average", "series"):
         raise SpecError(f"unknown estimator {estimator!r}")
     horizon = horizon or max(256, 8 * T)
-    m, amplitude = spec.subsystem, spec.amplitude
-    bond = [(0, 1, 0.0)]
-
-    def correlation(shift, n, sd):
-        return _correlation(m, amplitude, bond, 2, shift, n, sd)
-
+    bond = SystemSpec(L=2, subsystem=spec.subsystem, amplitude=spec.amplitude / 2)
     seeds = spawn_seeds(seed, T)
     sigma2, err = np.zeros(T), np.zeros(T)
     for st in range(1, T):
         if estimator == "time-average":
-            ladder = _time_average_ladder(m, amplitude, bond, 2, (st, 0), horizon, samples, seeds[st])
-            _, sigma2[st], err[st] = ladder[-1]
+            est = variance_time_average(bond, (st, 0), horizon, samples, seeds[st])
+            sigma2[st], err[st] = est.sigma2, est.std_error
         else:
-            sigma2[st], err[st], _ = _series_sum(correlation, (st, 0), t_max, samples, seeds[st])
+            sigma2[st], err[st], _ = _series_sum(_spec_correlation(bond), (st, 0), t_max, samples,
+                                                 seeds[st])
     return VarianceTable(sigma2, err)

@@ -307,6 +307,19 @@ def block_periodicity_jacobian(Y, spec, pair_hessian):
     return J
 
 
+def poison_empty(monkeypatch):
+    """Make np.empty fill every float buffer with NaN, so that a value read before it is written shows."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+
+
 def write_csv_rows(path, schema, header, rows):
     """The row-wise artifact writer: each float cell formatted on its own as repr(float(v))."""
     with open(path, "w", newline="") as f:

@@ -26,7 +26,7 @@ from sfflab.harness import (
 )
 from sfflab.util import spawn_seeds
 
-from oracles import write_csv_rows
+from oracles import poison_empty, write_csv_rows
 
 
 def _cfg_predict(outdir, **over):
@@ -277,6 +277,23 @@ def test_clt_pipeline_accepts_system_section(tmp_path):
     run_experiment(cfg)
     rep = json.loads((tmp_path / "cs/clt_report.json").read_text())
     assert rep["4"]["s"] == [0, 1, 2]  # staircase over three sites
+
+
+def test_clt_without_pairs_is_degenerate(tmp_path, monkeypatch):
+    # all-to-all with L = 1 has no pairs, so every phase is exactly 0; float
+    # np.empty buffers start as NaN, so a value read before it is written shows
+    poison_empty(monkeypatch)
+    out = tmp_path / "empty"
+    assert cli_main(["clt", "--outdir", str(out), "--seed", "1", "--set", "clt.T_list=[4]",
+                     "--set", "clt.budget=2000",
+                     "--set", "clt.system={L: 1, topology: all-to-all}"]) == 0
+    rep = json.loads((out / "clt_report.json").read_text())["4"]
+    assert rep["degenerate"] is True and rep["fitted_variance"] == 0.0
+    with open(out / "phase_samples.csv") as f:
+        f.readline()
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2000
+    assert all(float(r["phi"]) == 0.0 and float(r["phi_tilde"]) == 0.0 for r in rows)
 
 
 def test_workers_do_not_change_results(tmp_path):

@@ -1,4 +1,5 @@
 """The in-place lattice Monte Carlo kernel against the allocating formulation, bit for bit."""
+import math
 import re
 import tracemalloc
 
@@ -7,14 +8,16 @@ import pytest
 
 from sfflab import dynamics, phases
 from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, DYADIC_DEN, NEAREST_NEIGHBOUR, CatMapSpec,
-                             SpecError, SystemSpec, _bond_sum, _correlation, _cos_table,
-                             _lattice_bond_sum, _lattice_pairs, _monte_carlo_trajectory, bonds,
-                             check_aliasing, check_lattice_map)
+                             SpecError, SystemSpec, _cos_table, _dyadic_starts, _lattice_bond_sum,
+                             _trajectory, bonds, check_aliasing, check_lattice_map,
+                             estimate_correlation, lattice_pairs, observable_frames,
+                             pair_potential)
 from sfflab.orbits import enumerate_lattice
-from sfflab.util import mod1, philox
+from sfflab.util import mod1, philox, spawn_seeds
 
-from oracles import (reference_bond_sum, reference_correlation, reference_lattice_cos,
-                     reference_phase_samples, reference_time_average_ladder)
+from oracles import (poison_empty, reference_bond_sum, reference_correlation,
+                     reference_lattice_cos, reference_pairs, reference_phase_samples,
+                     reference_time_average_ladder)
 
 MAP_1123 = CatMapSpec(1, 1, 2, 3)
 INVERSE_MAP = CatMapSpec(1, -1, -1, 2)  # negative entries: unreduced images can be negative
@@ -44,19 +47,16 @@ class GuardStart:
         return self._rng.integers(*args, **kwargs)
 
 
-# (map, L, amplitude, topology, offsets, start-point generator); offsets never
-# reach the Monte Carlo path, so those cases check that the kernel refuses them
+# (map, L, amplitude, topology, start-point generator)
 CASES = [
-    pytest.param(DEFAULT_MAP, 2, 0.7, NEAREST_NEIGHBOUR, None, philox, id="default-L2-mirrored"),
-    pytest.param(DEFAULT_MAP, 3, 0.7, NEAREST_NEIGHBOUR, (0.1, 0.35, 0.8), philox,
-                 id="default-L3-offsets"),
-    pytest.param(MAP_1123, 2, 0.7, NEAREST_NEIGHBOUR, (0.25, -0.25), philox,
-                 id="1123-L2-mirrored-offsets"),
-    pytest.param(MAP_1123, 3, 0.7, NEAREST_NEIGHBOUR, None, philox, id="1123-L3"),
-    pytest.param(MAP_1123, 2, 0.7, ALL_TO_ALL, None, philox, id="1123-L2-all-to-all"),
-    pytest.param(MAP_1123, 3, 0.7, ALL_TO_ALL, None, philox, id="1123-L3-all-to-all"),
-    pytest.param(INVERSE_MAP, 2, 0.7, NEAREST_NEIGHBOUR, None, GuardStart, id="inverse-L2-guard"),
-    pytest.param(INVERSE_MAP, 3, 1.0, NEAREST_NEIGHBOUR, None, GuardStart, id="inverse-L3-guard"),
+    pytest.param(DEFAULT_MAP, 2, 0.7, NEAREST_NEIGHBOUR, philox, id="default-L2-mirrored"),
+    pytest.param(DEFAULT_MAP, 3, 0.7, NEAREST_NEIGHBOUR, philox, id="default-L3"),
+    pytest.param(MAP_1123, 2, 0.7, NEAREST_NEIGHBOUR, philox, id="1123-L2-mirrored"),
+    pytest.param(MAP_1123, 3, 0.7, NEAREST_NEIGHBOUR, philox, id="1123-L3"),
+    pytest.param(MAP_1123, 2, 0.7, ALL_TO_ALL, philox, id="1123-L2-all-to-all"),
+    pytest.param(MAP_1123, 3, 0.7, ALL_TO_ALL, philox, id="1123-L3-all-to-all"),
+    pytest.param(INVERSE_MAP, 2, 0.7, NEAREST_NEIGHBOUR, GuardStart, id="inverse-L2-guard"),
+    pytest.param(INVERSE_MAP, 3, 1.0, NEAREST_NEIGHBOUR, GuardStart, id="inverse-L3-guard"),
 ]
 
 
@@ -64,20 +64,11 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-def _setup(monkeypatch, m, L, amplitude, topology, offsets, start):
+def _setup(monkeypatch, m, L, amplitude, topology, start):
     monkeypatch.setattr(phases, "philox", start)
     monkeypatch.setattr(dynamics, "philox", start)
     spec = SystemSpec(L=L, subsystem=m, amplitude=amplitude, topology=topology)
-    return spec, bonds(spec, L, None if offsets is None else np.array(offsets))
-
-
-def _assert_bitwise_or_refused(offsets, got, want):
-    """The kernel result equals the reference bit for bit, or, with offsets, is refused."""
-    if offsets is not None:
-        with pytest.raises(SpecError, match="no offsets"):
-            got()
-        return
-    assert np.array_equal(_bits(got()), _bits(want()))
+    return spec, bonds(spec, L)
 
 
 def test_guard_start_lands_on_the_guard():
@@ -88,53 +79,94 @@ def test_guard_start_lands_on_the_guard():
     assert divmod(DYADIC_DEN - 1, q) == (4095, q - 1)
 
 
-@pytest.mark.parametrize("m, L, amplitude, topology, offsets, start", CASES)
+@pytest.mark.parametrize("m, L, amplitude, topology, start", CASES)
 def test_time_average_ladder_matches_allocating_kernel(monkeypatch, m, L, amplitude, topology,
-                                                       offsets, start):
-    _, bl = _setup(monkeypatch, m, L, amplitude, topology, offsets, start)
+                                                       start):
+    spec, bl = _setup(monkeypatch, m, L, amplitude, topology, start)
     s = tuple(range(1, L + 1))
-    _assert_bitwise_or_refused(
-        offsets,
-        lambda: phases._time_average_ladder(m, amplitude, bl, L, s, 16, 700, 3, batch=300),
-        lambda: reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300))
+    got = phases.variance_time_average(spec, s, 16, 700, 3, batch=300).ladder
+    want = reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300)
+    assert np.array_equal(_bits(got), _bits(want))
 
 
-@pytest.mark.parametrize("m, L, amplitude, topology, offsets, start", CASES)
-def test_time_average_ladder_with_shared_sites(monkeypatch, m, L, amplitude, topology, offsets,
-                                               start):
+@pytest.mark.parametrize("m, L, amplitude, topology, start", CASES)
+def test_time_average_ladder_with_shared_sites(monkeypatch, m, L, amplitude, topology, start):
     # a site with shift 0 is stepped once for both copies; (15, 0) is a per-bond
     # table row, (0, 2, 0) shares the sites on both sides of the shifted one
-    _, bl = _setup(monkeypatch, m, L, amplitude, topology, offsets, start)
+    spec, bl = _setup(monkeypatch, m, L, amplitude, topology, start)
     s = (15, 0) if L == 2 else (0, 2, 0)
-    _assert_bitwise_or_refused(
-        offsets,
-        lambda: phases._time_average_ladder(m, amplitude, bl, L, s, 16, 700, 3, batch=300),
-        lambda: reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300))
+    got = phases.variance_time_average(spec, s, 16, 700, 3, batch=300).ladder
+    want = reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300)
+    assert np.array_equal(_bits(got), _bits(want))
 
 
-@pytest.mark.parametrize("m, L, amplitude, topology, offsets, start", CASES)
-def test_correlation_matches_allocating_kernel(monkeypatch, m, L, amplitude, topology, offsets,
-                                               start):
-    _, bl = _setup(monkeypatch, m, L, amplitude, topology, offsets, start)
+@pytest.mark.parametrize("m, L, amplitude, topology, start", CASES)
+def test_correlation_matches_allocating_kernel(monkeypatch, m, L, amplitude, topology, start):
+    spec, bl = _setup(monkeypatch, m, L, amplitude, topology, start)
     shift = (2, -1, 0)[:L]
-    _assert_bitwise_or_refused(
-        offsets,
-        lambda: _correlation(m, amplitude, bl, L, shift, 700, 5, batch=300),
-        lambda: reference_correlation(m, amplitude, bl, L, shift, 700, start(5), 300))
+    got = estimate_correlation(spec, shift, 700, 5, batch=300)
+    want = reference_correlation(m, amplitude, bl, L, shift, 700, start(5), 300)
+    assert np.array_equal(_bits((got.value, got.std_error)), _bits(want))
 
 
 @pytest.mark.parametrize("mode", ["proxy", "exact"])
-@pytest.mark.parametrize("m, L, amplitude, topology, offsets, start",
-                         [c for c in CASES if c.values[4] is None])
+@pytest.mark.parametrize("m, L, amplitude, topology, start", CASES)
 def test_phase_samples_match_allocating_kernel(monkeypatch, mode, m, L, amplitude, topology,
-                                               offsets, start):
-    spec, bl = _setup(monkeypatch, m, L, amplitude, topology, offsets, start)
+                                               start):
+    spec, bl = _setup(monkeypatch, m, L, amplitude, topology, start)
     T, s = 6, tuple(range(L))
     got = phases.sample_phase_distribution(spec, T, s, 700, 7, mode=mode, batch=300)
     lattice = enumerate_lattice(T, m) if mode == "exact" else None
     want = reference_phase_samples(m, amplitude, bl, L, T, s, 700, start(7), 300, lattice)
     assert got.mode == mode
     assert np.array_equal(_bits(got.phi_tilde), _bits(want))
+
+
+def test_per_bond_table_is_one_bond_of_the_oracle():
+    # one bond (0, 1) at the full amplitude, estimated on the half-amplitude L = 2 ring
+    spec = SystemSpec(L=2, subsystem=MAP_1123, amplitude=1.3)
+    bond = [(0, 1, 0.0)]
+    T, samples, horizon = 5, 700, 16
+    table = phases.per_bond_variance_table(spec, T, samples=samples, seed=3, horizon=horizon)
+    seeds = spawn_seeds(3, T)
+    assert table.sigma2[0] == 0.0 and table.std_error[0] == 0.0
+    for st in range(1, T):
+        _, sigma2, err = reference_time_average_ladder(MAP_1123, 1.3, bond, 2, (st, 0), horizon,
+                                                       samples, philox(seeds[st]), 1 << 15)[-1]
+        assert np.array_equal(_bits((table.sigma2[st], table.std_error[st])),
+                              _bits((sigma2, err)))
+
+    # the series row s~ = 1: 2 sum_t [C(t, t) - C(t + 1, t)] over |t| <= t_max
+    t_max = 2
+    table = phases.per_bond_variance_table(spec, 2, estimator="series", samples=samples, seed=4,
+                                           t_max=t_max)
+    terms = spawn_seeds(spawn_seeds(4, 2)[1], 3 * t_max + 2)
+
+    def corr(shift, sd):
+        return reference_correlation(MAP_1123, 1.3, bond, 2, shift, samples, philox(sd), 1 << 17)
+
+    sync = [corr((t, t), terms[t]) for t in range(t_max + 1)]
+    shifted = [corr((t + 1, t), terms[2 * t_max + 1 + t]) for t in range(-t_max, t_max + 1)]
+    total = sync[0][0] + 2.0 * sum(v for v, _ in sync[1:]) - sum(v for v, _ in shifted)
+    var = sync[0][1] ** 2 + sum((2.0 * e) ** 2 for _, e in sync[1:])
+    var += sum(e**2 for _, e in shifted)
+    assert np.array_equal(_bits((table.sigma2[1], table.std_error[1])),
+                          _bits((2.0 * total, 2.0 * math.sqrt(var))))
+
+
+def test_system_without_pairs_has_zero_observable(monkeypatch):
+    # all-to-all with L = 1 has no pairs: W is 0 everywhere; float np.empty
+    # buffers start as NaN, so a value read before it is written shows
+    poison_empty(monkeypatch)
+    empty = SystemSpec(L=1, topology=ALL_TO_ALL)
+    est = phases.variance_time_average(empty, (1,), 8, 1000, 1)
+    assert est.ladder == ((2, 0.0, 0.0), (4, 0.0, 0.0), (8, 0.0, 0.0))
+    corr = estimate_correlation(empty, (1,), 1000, 1)
+    assert (corr.value, corr.std_error) == (0.0, 0.0)
+    for mode in ("proxy", "exact"):
+        sset = phases.sample_phase_distribution(empty, 4, (1,), 1000, 1, mode=mode)
+        assert not sset.phi_tilde.any()
+        assert phases.clt_diagnostics(sset).degenerate
 
 
 @pytest.mark.parametrize("den", [45, 2205, 15125, 4097, DYADIC_DEN])
@@ -144,7 +176,7 @@ def test_lattice_cosine_against_long_double(den):
     d = np.concatenate([philox(23).integers(0, den, 200_000), edges])
     k = np.zeros((1, 2, len(d)), dtype=np.int64)
     k[0, 0] = d
-    got = _lattice_bond_sum(k, [(0, 1, 1)], den, np.empty((1, len(d))),
+    got = _lattice_bond_sum(k, [(0, 1)], den, np.empty((1, len(d))),
                             np.empty((3, 1, len(d)), dtype=np.int64))[0]
     exact = np.cos(np.arctan(np.longdouble(1)) * 8 * d.astype(np.longdouble) / den)
     assert float(np.abs(got - exact).max()) < 1e-15
@@ -158,7 +190,8 @@ def test_monte_carlo_frames_are_exact_orbits(m, shifts):
     L = len(shifts[0])
     rng = philox(24)
     draws = [rng.random((n, L)) for _ in "qp"]
-    frames = [f.copy() for f in _monte_carlo_trajectory(philox(24), n, L, m, shifts, steps)]
+    starts = _dyadic_starts(philox(24), n, L)
+    frames = [f.copy() for f in _trajectory(*starts, DYADIC_DEN, m, shifts, steps)]
     assert len(frames) == steps
     for i in range(n):
         for l in range(L):
@@ -173,12 +206,18 @@ def test_monte_carlo_frames_are_exact_orbits(m, shifts):
 
 
 def test_mirrored_pairs_are_evaluated_once_with_weight_two():
-    assert _lattice_pairs(bonds(SystemSpec(L=2), 2)) == [(0, 1, 2)]
-    assert _lattice_pairs(bonds(SystemSpec(L=3), 3)) == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
-    assert _lattice_pairs(bonds(SystemSpec(L=3, topology=ALL_TO_ALL), 3)) == [
-        (0, 1, 2), (0, 2, 2), (1, 2, 2)]
-    with pytest.raises(SpecError, match="no offsets"):
-        _lattice_pairs(bonds(SystemSpec(L=2), 2, np.array([0.25, -0.25])))
+    table = [
+        (SystemSpec(L=2, amplitude=0.7), [(0, 1)], 1.4),
+        (SystemSpec(L=3, amplitude=0.7), [(0, 1), (1, 2), (2, 0)], 0.7),
+        (SystemSpec(L=3, amplitude=0.7, topology=ALL_TO_ALL), [(0, 1), (0, 2), (1, 2)], 1.4),
+        (SystemSpec(L=1, amplitude=0.7, topology=ALL_TO_ALL), [], 1.4),
+    ]
+    for spec, pairs, scale in table:
+        assert lattice_pairs(spec) == (pairs, scale)
+        # the oracle's weights: every pair counted once per bond that visits it
+        want = reference_pairs(bonds(spec, spec.L))
+        assert [(i, j) for i, j, _ in want] == pairs
+        assert all(w * spec.amplitude == scale for _, _, w in want)
 
 
 @pytest.mark.parametrize("m", [DEFAULT_MAP, MAP_1123, INVERSE_MAP])
@@ -202,7 +241,8 @@ def test_lattice_map_must_fit_int64():
         with pytest.raises(SpecError, match=re.escape(name)):
             check_lattice_map(m)
         with pytest.raises(SpecError, match="overflows"):
-            next(_monte_carlo_trajectory(philox(1), 4, 2, m, ((0, 0), (1, 0)), 2))
+            spec = SystemSpec(L=2, subsystem=m)
+            next(observable_frames(spec, philox(1), 4, ((0, 0), (1, 0)), 2))
     check_lattice_map(CatMapSpec(1023, 1, 1022, 1), den=2**40)
 
 
@@ -215,23 +255,16 @@ def test_cos_is_even_bit_for_bit():
 
 
 @pytest.mark.parametrize("off", [0.0, 0.1, 0.25, 0.7])
-def test_mirrored_bond_reuses_its_cosine_bitwise(monkeypatch, off):
-    # the float bond sum behind pair_potential (quantum coupling, continuation)
+def test_mirrored_bond_reuses_its_cosine_bitwise(off):
+    # the float pair_potential (quantum coupling, continuation): the mirrored bond
+    # (1, 0, -off) of the L = 2 ring adds the first bond's cosine again, bit for bit
     q = philox(22).random((2, 5000, 2))
     q[:, 0] = [0.5, 0.5]  # equal positions: differences +0 and -0
-    bl = [(0, 1, off), (1, 0, -off)]
-    want = reference_bond_sum(q, bl)
-    calls = []
-    cos = np.cos
-
-    def counting_cos(x, out=None):
-        calls.append(1)
-        return cos(x, out=out)
-
-    monkeypatch.setattr(np, "cos", counting_cos)
-    got = _bond_sum(q, bl)
-    assert len(calls) == 1
-    assert np.array_equal(_bits(got), _bits(want))
+    offsets = np.array([off, -off])
+    bl = bonds(SystemSpec(L=2), 2, offsets)
+    assert bl == [(0, 1, off), (1, 0, -off)]
+    got = pair_potential(q, SystemSpec(L=2), offsets)
+    assert np.array_equal(_bits(got), _bits(reference_bond_sum(q, bl)))
 
 
 def test_time_average_peak_memory():
