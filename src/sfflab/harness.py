@@ -594,6 +594,7 @@ def _run_quantum(cfg, outdir):
     return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"],
             "unitarity_residual_max": series.meta["unitarity_residual_max"],
             "trace_check_max": series.meta["trace_check_max"],
+            "second_solves": series.meta["second_solves"],
             "reference_trace_error_max": reference_error}
 
 

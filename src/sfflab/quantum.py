@@ -46,9 +46,13 @@ class UnitarityError(ValueError):
 # Deviation from unitarity trace_powers accepts, per unit vector and per
 # eigenvalue; built circuits measure <= 1e-14 up to dim 1024.
 _UNITARY_TOL = 1e-12
-# Rotation of the first Cayley pole, -e^{i alpha}: incommensurate with pi, so
-# the rational eigenphases of untranslated cat maps never sit on it.
+# Rotation of the default Cayley pole, -e^{i alpha}, and of the site solves that
+# place a circuit's pole: incommensurate with pi, so the rational eigenphases
+# of untranslated cat maps never sit on it.
 _ALPHA0 = math.pi * (math.sqrt(5.0) - 1.0) / 2.0
+# Times per block of the power sums: z^1..z^C are formed once, and each block
+# of C traces is one matrix-vector product with z^{C j}.
+_POWER_BLOCK = 32
 # eigvalsh errs by about eps * max|lambda| on every lambda, and an eigenphase
 # 2 arctan(lambda) moves by at most twice that, so below this bound every
 # eigenphase stays within _UNITARY_TOL / 2 (about 1126).
@@ -241,10 +245,14 @@ def subsystem_unitaries(spec: CircuitSpec, member: MemberRealization | None = No
     return [torus_translation(spec.N, vq, vp) @ base for vq, vp in member.site_translations]
 
 
-def build_circuit(spec: CircuitSpec, member: MemberRealization | None = None) -> np.ndarray:
-    """U = (tensor of subsystem maps) * diagonal coupling; exact kron at eps = 0."""
+def build_circuit(spec: CircuitSpec, member: MemberRealization | None = None,
+                  sites: list | None = None) -> np.ndarray:
+    """U = (tensor of subsystem maps) * diagonal coupling; exact kron at eps = 0.
+
+    sites are subsystem_unitaries(spec, member) when the caller already holds them.
+    """
     _check_budget(spec)
-    subs = subsystem_unitaries(spec, member)
+    subs = subsystem_unitaries(spec, member) if sites is None else sites
     U = subs[0]
     for u in subs[1:]:
         U = np.kron(U, u)
@@ -268,6 +276,7 @@ class TracePowers(NamedTuple):
     traces: np.ndarray
     unitarity_residual: float  # ||U^H U x - x|| on the fixed probe
     trace_check: float  # |S_1 - tr U|
+    second_solve: bool  # the first pole was an eigenvalue or failed _POLE_BOUND
 
 
 def _cayley_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -291,19 +300,76 @@ def _move_pole(A: np.ndarray, alpha: float, new_alpha: float) -> float:
     return new_alpha
 
 
-def trace_powers(U: np.ndarray, t_max: int) -> TracePowers:
+def _widest_gap_middle(theta: np.ndarray) -> float:
+    """Middle of the widest gap between the angles theta on the circle.
+
+    One bucket pass instead of a sort: with as many buckets as angles, every
+    gap inside a bucket is narrower than the mean gap, so the widest gap runs
+    from the largest angle of an occupied bucket to the smallest angle of the
+    next occupied one.
+    """
+    n = theta.size
+    theta = np.mod(theta, 2.0 * np.pi)
+    bucket = np.minimum((theta * (n / (2.0 * np.pi))).astype(np.intp), n - 1)
+    hi = np.full(n, -np.inf)
+    lo = np.full(n, np.inf)
+    np.maximum.at(hi, bucket, theta)
+    np.minimum.at(lo, bucket, theta)
+    occupied = hi > -np.inf
+    start = hi[occupied]
+    stop = np.roll(lo[occupied], -1)
+    stop[-1] += 2.0 * np.pi
+    k = int(np.argmax(stop - start))
+    return float(0.5 * (start[k] + stop[k]))
+
+
+def uncoupled_pole(sites: list) -> float:
+    """Cayley angle alpha whose pole -e^{i alpha} is the middle of the widest
+    gap of the uncoupled spectrum, the L-fold sums of the site eigenphases.
+
+    The coupling moves a circuit's eigenphases by about one level spacing
+    (epsilon^2 = Lambda hbar^2 / T_H), so the pole stays clear of them and
+    trace_powers solves once; its _POLE_BOUND check still judges the result.
+    The site eigenphases are a guess, from one Cayley solve each at _ALPHA0.
+    """
+    total = np.zeros(1)
+    for u in sites:
+        A = u * np.exp(-1j * _ALPHA0)
+        A.flat[:: len(u) + 1] += 1.0
+        try:
+            phases = _ALPHA0 + 2.0 * np.arctan(_cayley_eigenvalues(A))
+        except np.linalg.LinAlgError:  # a site eigenvalue exactly on the guess pole
+            return _ALPHA0
+        total = (total[:, None] + phases[None, :]).ravel()
+    return _widest_gap_middle(total) - np.pi
+
+
+def _power_sums(z: np.ndarray, n: int) -> np.ndarray:
+    """S_t = sum_k z_k^t for t = 1..n, in blocks of _POWER_BLOCK times."""
+    C = min(n, _POWER_BLOCK)
+    powers = np.cumprod(np.broadcast_to(z, (C, z.size)), axis=0)  # z^1..z^C
+    out = np.empty(-(-n // C) * C, dtype=complex)
+    w = np.ones_like(z)  # z^j at block start j
+    for j in range(0, n, C):
+        np.matmul(powers, w, out=out[j:j + C])
+        w *= powers[-1]
+    return out[:n]
+
+
+def trace_powers(U: np.ndarray, t_max: int, alpha: float = _ALPHA0) -> TracePowers:
     """tr U^t for t = 1..t_max of a unitary U, from one Hermitian eigensolve.
 
     The Cayley transform K = i(I - V)(I + V)^{-1} of V = e^{-i alpha} U is
     Hermitian, and its eigenvalues lambda = tan((theta - alpha)/2) map one to
     one back to e^{i theta} = e^{i alpha} (1 + i lambda)/(1 - i lambda), so no
     eigenvalue is paired or sign-resolved.  Rounding in eigvalsh grows with
-    max|lambda|, which an eigenphase near the pole -e^{i alpha} makes large:
-    above _POLE_BOUND the pole moves to the middle of the widest gap of the
-    first spectrum and the solve runs once more (after one at the opposite
-    pole when the first pole is exactly an eigenvalue).  Raises
-    UnitarityError instead of returning traces of a matrix that fails the
-    unitarity probe, or whose S_1 and S_2 miss tr U and sum_ij U_ij U_ji.
+    max|lambda|, which an eigenphase near the pole -e^{i alpha} makes large;
+    circuits pass alpha = uncoupled_pole(sites).  Above _POLE_BOUND the pole
+    moves to the middle of the widest gap of the first spectrum and the solve
+    runs once more (after one at the opposite pole when the first pole is
+    exactly an eigenvalue).  Raises UnitarityError instead of returning traces
+    of a matrix that fails the unitarity probe, or whose S_1 and S_2 miss tr U
+    and sum_ij U_ij U_ji.
     """
     dim = U.shape[0]
     residual = _unitarity_residual(U)
@@ -311,46 +377,44 @@ def trace_powers(U: np.ndarray, t_max: int) -> TracePowers:
         raise UnitarityError(f"U is not unitary: ||U^H U x - x|| = {residual:.3g} "
                              f"(tolerance {_UNITARY_TOL:g})")
     direct = (np.trace(U), np.einsum("ij,ji->", U, U))  # tr U, tr U^2 in O(dim^2)
-    alpha = _ALPHA0
     A = U * np.exp(-1j * alpha)
     del U  # a circuit the caller holds no reference to is freed before inv's buffers
     A.flat[:: dim + 1] += 1.0
+    second_solve = False
     try:
         lam = _cayley_eigenvalues(A)
     except np.linalg.LinAlgError:  # an eigenvalue sits exactly on the pole
-        alpha = _move_pole(A, alpha, alpha + np.pi)
+        alpha, second_solve = _move_pole(A, alpha, alpha + np.pi), True
         lam = _cayley_eigenvalues(A)
     if not np.abs(lam).max() <= _POLE_BOUND:
-        theta = alpha + 2.0 * np.arctan(lam)  # ascending, within (alpha - pi, alpha + pi)
-        gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
-        k = int(np.argmax(gaps))
-        alpha = _move_pole(A, alpha, theta[k] + 0.5 * gaps[k] - np.pi)
+        gap = _widest_gap_middle(alpha + 2.0 * np.arctan(lam))
+        alpha, second_solve = _move_pole(A, alpha, gap - np.pi), True
         lam = _cayley_eigenvalues(A)
     del A
     z = np.exp(1j * alpha) * (1.0 + 1j * lam) / (1.0 - 1j * lam)
+    traces = _power_sums(z, max(t_max, 2))
     # each eigenphase within _UNITARY_TOL, so S_t within t dim _UNITARY_TOL
-    misses = [abs((z**t).sum() - want) for t, want in enumerate(direct, start=1)]
+    misses = np.abs(traces[:2] - direct)
     for t, miss in enumerate(misses, start=1):
         if not miss <= _UNITARY_TOL * dim * t:
             raise UnitarityError(f"tr U^{t} from the eigenphases is off by {miss:.3g} "
                                  f"(tolerance {_UNITARY_TOL * dim * t:.3g})")
-    out = np.empty(t_max, dtype=complex)
-    cur = np.ones_like(z)
-    for t in range(t_max):
-        cur *= z
-        out[t] = cur.sum()
-    return TracePowers(out, residual, float(misses[0]))
+    return TracePowers(traces[:t_max], residual, float(misses[0]), second_solve)
 
 
-def _member_sff_task(args) -> tuple[np.ndarray, float, float]:
-    """|tr U^t|^2 for one ensemble member, its unitarity residual and |S_1 - tr U|.
+def _member_sff_task(args) -> tuple[np.ndarray, float, float, bool]:
+    """|tr U^t|^2 for one ensemble member, its unitarity residual, |S_1 - tr U|
+    and whether its solve ran twice.
 
-    Top-level for process pools.  The circuit goes straight into trace_powers,
-    so no reference here keeps it alive through the eigensolve.
+    Top-level for process pools.  The site maps give both the circuit and its
+    pole; the circuit goes straight into trace_powers, so no reference here
+    keeps it alive through the eigensolve.
     """
     spec, member, t_max = args
-    tr, residual, trace_check = trace_powers(build_circuit(spec, member), t_max)
-    return np.abs(tr) ** 2, residual, trace_check
+    sites = subsystem_unitaries(spec, member)
+    alpha = uncoupled_pole(sites)
+    res = trace_powers(build_circuit(spec, member, sites), t_max, alpha)
+    return np.abs(res.traces) ** 2, res.unitarity_residual, res.trace_check, res.second_solve
 
 
 def reference_trace_error(spec: CircuitSpec, t_max: int) -> float:
@@ -363,7 +427,9 @@ def reference_trace_error(spec: CircuitSpec, t_max: int) -> float:
     """
     ref = CircuitSpec(L=spec.L, N=spec.N, epsilon=0.0,
                       memory_budget_bytes=spec.memory_budget_bytes)
-    K = np.abs(trace_powers(build_circuit(ref), t_max).traces) ** 2
+    sites = subsystem_unitaries(ref)
+    alpha = uncoupled_pole(sites)
+    K = np.abs(trace_powers(build_circuit(ref, sites=sites), t_max, alpha).traces) ** 2
     exact = np.array([float(lattice_fixed_count(t, DEFAULT_MAP, spec.N)) ** spec.L
                       for t in range(1, t_max + 1)])
     return float((np.abs(K - exact) / (1.0 + exact)).max())
@@ -379,7 +445,7 @@ def sff_numeric(spec: CircuitSpec, t_max: int, workers: int = 1) -> SffSeries:
         raise SpecError("t_max must be >= 1")
     members = ensemble_members(spec)
     times = np.arange(1, t_max + 1)
-    rows, residuals, s1_errors = zip(*run_tasks(
+    rows, residuals, s1_errors, second_solves = zip(*run_tasks(
         _member_sff_task, [(spec, mem, t_max) for mem in members], workers))
     raw = np.stack(rows)
     win = window_average(raw, times)
@@ -396,6 +462,7 @@ def sff_numeric(spec: CircuitSpec, t_max: int, workers: int = 1) -> SffSeries:
         meta={
             "unitarity_residual_max": max(residuals),
             "trace_check_max": max(s1_errors),
+            "second_solves": sum(second_solves),
         },
     )
 

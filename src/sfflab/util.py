@@ -24,13 +24,17 @@ def mod1(x, den, out=None):
     Python ints stay Python ints (x % den).  For arrays the result is
     written into out (a new array when None; out may be x itself): a
     power-of-two den is a mask, exact for negative x in two's complement,
-    any other den np.remainder.
+    any other den x - (x // den) den.  numpy divides by a scalar through
+    libdivide in floor_divide but not in remainder; the product and the
+    difference may wrap in int64, but the result, in [0, den), is exact.
     """
     if out is None:
         return x % den
     if den & (den - 1) == 0:
         return np.bitwise_and(x, den - 1, out=out)
-    return np.remainder(x, den, out=out)
+    k = np.floor_divide(x, den)
+    k *= den
+    return np.subtract(x, k, out=out)
 
 
 def window_width(t: int) -> int:

@@ -109,6 +109,8 @@ def test_quantum_and_compare_pipeline(tmp_path):
     for key in ("unitarity_residual_max", "trace_check_max", "reference_trace_error_max"):
         assert 0.0 <= man.extras[key] < 1e-10
         assert key not in (tmp_path / "q/sff_numeric.csv").read_text()
+    assert man.extras["second_solves"] == 0
+    assert "second_solves" not in (tmp_path / "q/sff_numeric.csv").read_text()
 
     ccfg = validate_config({
         "kind": "compare", "seed": 22, "outdir": str(tmp_path / "c"),

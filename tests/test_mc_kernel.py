@@ -246,6 +246,27 @@ def test_lattice_map_must_fit_int64():
     check_lattice_map(CatMapSpec(1023, 1, 1022, 1), den=2**40)
 
 
+def test_mod1_without_remainder_matches_np_remainder():
+    # a den that is not a power of two is reduced as x - (x // den) den; that must
+    # be np.remainder bit for bit on both signs, on the Smith denominators of
+    # exact mode, and up to the largest unreduced image check_lattice_map allows
+    dens = {enumerate_lattice(T, m)[2] for T in range(1, 9)
+            for m in (DEFAULT_MAP, MAP_1123, INVERSE_MAP)}
+    dens = sorted(d for d in dens if d & (d - 1))
+    assert len(dens) >= 10
+    rng = philox(16)
+    for den in dens:
+        row = (2**63 - 1) // den  # largest |a| + |b| with row * den < 2**63
+        check_lattice_map(CatMapSpec(row - 1, 1, row - 2, 1), den)
+        top = row * (den - 1)
+        x = np.concatenate([rng.integers(-8 * den, 8 * den, 2000), rng.integers(-top, top, 2000),
+                            [-top, top, -2**63 + 1, 2**63 - 1, -den, -1, 0, den - 1, den]])
+        want = np.remainder(x, den)
+        assert mod1(x, den, out=np.empty_like(x)).tolist() == want.tolist(), den
+        assert mod1(x, den, out=x) is x and np.array_equal(x, want), den
+        assert want.min() >= 0 and want.max() < den
+
+
 def test_cos_is_even_bit_for_bit():
     special = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 5e-324, -5e-324]
     x = np.concatenate([philox(21).uniform(-2 * np.pi, 2 * np.pi, 1_000_000), special])

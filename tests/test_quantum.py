@@ -25,6 +25,7 @@ from sfflab.quantum import (
     subsystem_unitaries,
     torus_translation,
     trace_powers,
+    uncoupled_pole,
 )
 from sfflab.util import philox, window_average
 
@@ -147,24 +148,30 @@ def test_untranslated_circuit_K_is_the_lattice_count():
         K = np.abs(_matrix_power_traces(U, t_max)) ** 2
         exact = _lattice_K(N, L, t_max)
         assert np.abs(K - exact).max() <= 1e-9 * (1.0 + exact).max(), (L, N)
-        # the manifest's reference_trace_error_max is this comparison for trace_powers
-        K = np.abs(trace_powers(U, t_max).traces) ** 2
+        # the manifest's reference_trace_error_max is this comparison for trace_powers,
+        # at the pole the run places from the site maps
+        alpha = uncoupled_pole(subsystem_unitaries(spec))
+        K = np.abs(trace_powers(U, t_max, alpha).traces) ** 2
         want = (np.abs(K - exact) / (1.0 + exact)).max()
         assert quantum.reference_trace_error(spec, t_max) == want
 
 
 @pytest.mark.parametrize("L, N", [(2, 16), (2, 24), (2, 32), (3, 8), (3, 10)])
 def test_trace_powers_against_lattice_counts(L, N, monkeypatch):
-    # dims 256 to 1024, every t <= 1.25 T_H; the second pass forces the
-    # re-solve at the widest gap, so both eigen paths meet the integers
+    # dims 256 to 1024, every t <= 1.25 T_H, at the pole a run places from the
+    # site maps and at the fixed default pole; the last pass forces the
+    # re-solve at the widest gap, so every eigen path meets the integers
     spec = CircuitSpec(L=L, N=N, epsilon=0.0)
     t_max = int(round(1.25 * spec.T_H))
     exact = _lattice_K(N, L, t_max)
-    for bound in (quantum._POLE_BOUND, 0.0):
+    sites_pole = uncoupled_pole(subsystem_unitaries(spec))
+    for alpha, bound in ((sites_pole, quantum._POLE_BOUND), (quantum._ALPHA0, quantum._POLE_BOUND),
+                         (sites_pole, 0.0)):
         monkeypatch.setattr(quantum, "_POLE_BOUND", bound)
-        K = np.abs(trace_powers(build_circuit(spec), t_max).traces) ** 2
-        err = np.abs(K - exact) / (1.0 + exact)
-        assert err.max() <= 1e-9, (bound, int(np.argmax(err)) + 1, err.max())
+        res = trace_powers(build_circuit(spec), t_max, alpha)
+        assert res.second_solve == (bound == 0.0)
+        err = np.abs(np.abs(res.traces) ** 2 - exact) / (1.0 + exact)
+        assert err.max() <= 1e-9, (alpha, bound, int(np.argmax(err)) + 1, err.max())
 
 
 def test_trace_powers_match_matrix_powers():
@@ -228,7 +235,6 @@ def _counting_inv(monkeypatch):
 def test_trace_powers_eigenvalue_on_the_pole(monkeypatch):
     # pole -e^{i alpha} at -1, so I + e^{-i alpha} D has an exact zero pivot: the
     # first LU fails and the opposite pole is used
-    monkeypatch.setattr(quantum, "_ALPHA0", 0.0)
     calls = _counting_inv(monkeypatch)
     phases = np.pi * np.array([1.0, 0.1, 0.35, 0.6, 1.3, 1.45, 1.7, 1.9])
     D = np.diag(np.exp(1j * phases))
@@ -236,9 +242,9 @@ def test_trace_powers_eigenvalue_on_the_pole(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(np.eye(len(D)) + D)
     calls.clear()
-    got = trace_powers(D, 40).traces
-    assert len(calls) == 2
-    assert np.abs(got - _matrix_power_traces(D, 40)).max() < 1e-10
+    res = trace_powers(D, 40, alpha=0.0)
+    assert len(calls) == 2 and res.second_solve
+    assert np.abs(res.traces - _matrix_power_traces(D, 40)).max() < 1e-10
 
 
 def test_trace_powers_eigenvalue_near_the_pole(monkeypatch):
@@ -255,9 +261,61 @@ def test_trace_powers_eigenvalue_near_the_pole(monkeypatch):
     R = Q @ D @ Q.conj().T
     for U in (D, R, np.asfortranarray(R)):
         calls.clear()
-        got = trace_powers(U, 40).traces
-        assert len(calls) == 2
-        assert np.abs(got - _matrix_power_traces(U, 40)).max() < 1e-10
+        res = trace_powers(U, 40)
+        assert len(calls) == 2 and res.second_solve
+        assert np.abs(res.traces - _matrix_power_traces(U, 40)).max() < 1e-10
+
+
+def test_misleading_uncoupled_gap_still_reaches_the_fallback(monkeypatch):
+    # at Lambda = 20 the coupling moves eigenphases by several spacings, so the
+    # uncoupled gap is no guide: this member's circuit has an eigenphase within
+    # the bound of the chosen pole, and the widest-gap re-solve repairs it
+    spec = CircuitSpec(L=2, N=8, lam=20.0, members=2, seed=22)
+    member = ensemble_members(spec)[1]
+    sites = subsystem_unitaries(spec, member)
+    U = build_circuit(spec, member, sites)
+    calls = _counting_inv(monkeypatch)
+    res = trace_powers(U, 80, uncoupled_pole(sites))
+    assert res.second_solve and calls.count((64, 64)) == 2
+    assert np.abs(res.traces - _matrix_power_traces(U, 80)).max() < 1e-10
+    # the ensemble counts it: member 0 solves once, member 1 twice
+    calls.clear()
+    assert sff_numeric(spec, 80).meta["second_solves"] == 1
+    assert calls.count((64, 64)) == 3
+
+
+def _widest_gap_middle_by_sort(theta):
+    theta = np.sort(np.mod(theta, 2.0 * np.pi))
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    return theta[k] + 0.5 * gaps[k]
+
+
+def test_widest_gap_middle_matches_a_sort():
+    rng = philox(13)
+    cases = [np.array([1.0]), np.array([0.5, 0.5]), np.array([-0.1, 0.2, 7.0]),
+             np.full(6, 2.0 * np.pi), rng.random(7) * 40.0 - 20.0,
+             np.repeat(rng.random(64) * 2.0 * np.pi, 4)]
+    cases += [rng.random(n) * 2.0 * np.pi for n in (2, 31, 256, 1000)]
+    for theta in cases:
+        got = quantum._widest_gap_middle(theta)
+        want = _widest_gap_middle_by_sort(theta)
+        assert abs(np.angle(np.exp(1j * (got - want)))) < 1e-12, (theta, got, want)
+
+
+@pytest.mark.parametrize("L, N", [(2, 16), (3, 6)])
+def test_uncoupled_pole_clears_the_exact_spectrum_at_eps0(L, N):
+    # at eps = 0 the circuit's eigenphases are the sums of the site
+    # eigenphases, so the pole sits in the middle of their widest gap: every
+    # exact eigenphase (from eigvals) is at least half that gap from it
+    spec = CircuitSpec(L=L, N=N, epsilon=0.0, members=3, seed=14)
+    for member in [None] + ensemble_members(spec):
+        sites = subsystem_unitaries(spec, member)
+        theta = np.sort(np.angle(np.linalg.eigvals(build_circuit(spec, member, sites))))
+        widest = np.diff(theta, append=theta[0] + 2.0 * np.pi).max()
+        pole = uncoupled_pole(sites) + np.pi
+        nearest = np.abs(np.angle(np.exp(1j * (theta - pole)))).min()
+        assert nearest >= 0.5 * widest - 1e-9, (member, nearest, widest)
 
 
 def test_lambda_scaling_of_epsilon():
@@ -302,9 +360,9 @@ def test_sff_numeric_error_scaling():
 def test_sff_numeric_calls_trace_powers_once_per_member(monkeypatch):
     calls = []
 
-    def counted(U, t_max):
+    def counted(U, t_max, alpha):
         calls.append(t_max)
-        return trace_powers(U, t_max)
+        return trace_powers(U, t_max, alpha)
 
     monkeypatch.setattr(quantum, "trace_powers", counted)
     spec = CircuitSpec(L=2, N=6, lam=0.2, members=4, seed=7)
@@ -312,6 +370,17 @@ def test_sff_numeric_calls_trace_powers_once_per_member(monkeypatch):
     assert calls == [15] * 4
     assert 0.0 <= series.meta["unitarity_residual_max"] < 1e-10
     assert 0.0 <= series.meta["trace_check_max"] < 1e-10
+    assert series.meta["second_solves"] == 0
+
+
+def test_benchmark_ensemble_inverts_each_circuit_once(monkeypatch):
+    # at the benchmark's N, L and Lambda the pole from the site maps holds for
+    # every member: one dim x dim inverse each, and no second solve
+    calls = _counting_inv(monkeypatch)
+    spec = CircuitSpec(L=2, N=16, lam=0.2107, members=32, seed=15)
+    series = sff_numeric(spec, 20)
+    assert calls.count((256, 256)) == 32
+    assert series.meta["second_solves"] == 0
 
 
 def test_window_average_rows_match_one_row_at_a_time():
