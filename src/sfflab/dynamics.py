@@ -146,6 +146,36 @@ def check_aliasing(m: CatMapSpec, steps: int, den: int = DYADIC_DEN) -> None:
                             f"{'-' if r0 != 1 else '+'}e1^T mod den, within {steps} steps")
 
 
+def check_lattice_points(smith) -> None:
+    """SpecError unless lattice_points on smith = (d1, d2, W) stays in int64.
+
+    Its products stay below d2 (d1 + d2), so that bound must be below 2**63.
+    For the default map it holds up to T = 43, for [[1, 1], [2, 3]] up to T = 32.
+    """
+    d1, d2, _ = smith
+    if d2 * (d1 + d2) >= 2**63:
+        raise SpecError(f"the Smith lattice d1 = {d1}, d2 = {d2} overflows the int64 index map: "
+                        f"d2 (d1 + d2) = {d2 * (d1 + d2)} >= 2**63")
+
+
+def lattice_points(smith, i, j):
+    """The period-T points W (i/d1, j/d2) as numerators (nq, np_) over d2, exact.
+
+    smith = (d1, d2, W) is the Smith form of M^T - I (orbits.smith_lattice);
+    i in [0, d1) and j in [0, d2) are int64 arrays that broadcast together.
+    Each output is reduced in place, so on the index grid of a column i and
+    a row j (enumerate_lattice) it is the one array of the full point count.
+    """
+    check_lattice_points(smith)
+    d1, d2, W = smith
+    scale = d2 // d1
+    nq = (W[0][0] * scale % d2) * i + (W[0][1] % d2) * j
+    nq %= d2
+    np_ = (W[1][0] * scale % d2) * i + (W[1][1] % d2) * j
+    np_ %= d2
+    return nq, np_
+
+
 def bonds(spec: SystemSpec, L: int, offsets=None) -> list[tuple[int, int, float]]:
     """The pair observable as (i, j, offset) bonds, one cos(2*pi*(q_i - q_j + offset)) each.
 
@@ -307,12 +337,13 @@ def _trajectory(q0: np.ndarray, p0: np.ndarray, den: int, m: CatMapSpec, shifts,
     """Position numerators over den of shifted copies of lattice starts at t = 0..steps-1.
 
     q0, p0 are int64 numerator arrays of shape (n, L): Monte Carlo draws
-    (_dyadic_starts) or enumerated periodic points.  Copy k starts with site
-    l advanced shifts[k][l] map steps; then all copies are stepped together,
-    one site at a time, with step_arrays.  A site whose shift is the same in
-    every copy is stepped in copy 0 only and its positions copied into the
-    others (their momenta there are never read).  Yields int64 arrays of
-    shape (len(shifts), L, n), each the exact orbit M^t x of its start.
+    (_dyadic_starts) or Smith-indexed periodic points (lattice_points).
+    Copy k starts with site l advanced shifts[k][l] map steps; then all
+    copies are stepped together, one site at a time, with step_arrays.  A
+    site whose shift is the same in every copy is stepped in copy 0 only and
+    its positions copied into the others (their momenta there are never
+    read).  Yields int64 arrays of shape (len(shifts), L, n), each the exact
+    orbit M^t x of its start.
 
     work is an int64 array of shape (w, len(shifts), n) with w >= 2 (two
     planes are allocated when None); its first two planes are the step's
@@ -351,9 +382,11 @@ def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts
 
     The n starts come from rng: uniform points of the 2**53 lattice
     (_dyadic_starts, after the aliasing guard) when lattice is None, else
-    uniform draws of L points each from the enumerated period-T points
-    lattice = (nq, np_, den).  _trajectory steps them; each frame is a float
-    array of shape (len(shifts), n), valid only until the next frame.
+    uniform draws of L period-T points each from the Smith form lattice =
+    (d1, d2, W): an index in [0, d1 d2) split as (i, j) = divmod(index, d2)
+    and mapped by lattice_points, over den = d2.  No point list is built.
+    _trajectory steps them; each frame is a float array of shape
+    (len(shifts), n), valid only until the next frame.
     """
     m, L = spec.subsystem, spec.L
     pairs, scale = lattice_pairs(spec)
@@ -362,10 +395,9 @@ def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts
         den = DYADIC_DEN
         starts = _dyadic_starts(rng, n, L)
     else:
-        nq, np_, den = lattice
-        idx = rng.integers(0, len(nq), size=(n, L))
-        starts = nq[idx], np_[idx]
-        del idx
+        check_lattice_points(lattice)  # before the draw: d1 d2 itself may pass int64
+        d1, den, _ = lattice
+        starts = lattice_points(lattice, *divmod(rng.integers(0, d1 * den, size=(n, L)), den))
     # the step's scratch and the lattice cosine share these planes
     work = np.empty((4 if len(pairs) > 1 else 3, len(shifts), n), dtype=np.int64)
     frames = _trajectory(*starts, den, m, shifts, steps, work)

@@ -19,8 +19,10 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, check_lattice_map
-from .orbits import MAX_PERIOD, _smith_lattice, periodic_point_count, stability_amplitude_sq, subsystem_orbits
+from .dynamics import (DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, check_lattice_map,
+                       check_lattice_points)
+from .orbits import (MAX_LISTED_POINTS, MAX_PERIOD, periodic_point_count, smith_lattice,
+                     stability_amplitude_sq, subsystem_orbits)
 from .phases import (
     clt_diagnostics,
     per_bond_variance_table,
@@ -96,7 +98,6 @@ SECTION_SCHEMAS = {
     "orbits": {
         "T_list": ([int], _REQUIRED, range(1, MAX_PERIOD + 1)),
         "map": (_MAP_SCHEMA, None),
-        "max_points": (int, 5_000_000, 1),
         "inventory_max_T": (int, 8),
     },
     "clt": {
@@ -410,7 +411,7 @@ def _run_orbits(cfg, outdir):
     inventory = [[], [], [], [], []]
     for T in sec["T_list"]:
         if T <= sec["inventory_max_T"]:
-            orbits = subsystem_orbits(T, m, sec["max_points"])
+            orbits = subsystem_orbits(T, m)
             count = sum(o.primitive_period for o in orbits)
             for o in orbits:
                 num_q, num_p, den = o.representative
@@ -418,7 +419,7 @@ def _run_orbits(cfg, outdir):
                     col.append(v)
         else:
             # the Smith invariants count the points without listing them
-            d1, d2, _ = _smith_lattice(T, m, sec["max_points"])
+            d1, d2, _ = smith_lattice(T, m)
             count = d1 * d2
         # every period-T point of a linear map carries the same A^2, so the
         # sum rule over the points is count * A^2 (see sum_rule_check)
@@ -430,6 +431,19 @@ def _run_orbits(cfg, outdir):
     _write_csv(outdir / "orbit_inventory.csv", "orbit_inventory",
                ["T", "num_q", "num_p", "den", "primitive_period"], [inventory])
     return {"periods": sec["T_list"]}
+
+
+def _orbit_map(cfg) -> CatMapSpec:
+    """The section's map; every period it lists (T <= inventory_max_T) fits MAX_LISTED_POINTS."""
+    sec = cfg.section
+    m = _cat_map(sec["map"])
+    for i, T in enumerate(sec["T_list"]):
+        count = periodic_point_count(T, m)
+        if T <= sec["inventory_max_T"] and count > MAX_LISTED_POINTS:
+            raise SpecError(f"orbits.T_list[{i}] = {T}: its {count} points exceed the listing "
+                            f"budget {MAX_LISTED_POINTS}; set inventory_max_T below {T} to "
+                            f"count them without a listing")
+    return m
 
 
 def _staircase(L, T):
@@ -464,6 +478,10 @@ def _clt_system(cfg) -> SystemSpec:
             if T > MAX_PERIOD:
                 raise SpecError(f"clt.T_list[{i}] = {T}: exact mode enumerates periods up to "
                                 f"{MAX_PERIOD} only; use mode auto or proxy")
+            try:
+                check_lattice_points(smith_lattice(T, spec.subsystem))
+            except SpecError as e:
+                raise SpecError(f"clt.T_list[{i}] = {T}: {e}; use mode auto or proxy") from None
     return spec
 
 
@@ -695,11 +713,11 @@ _PIPELINES = {
 
 # section -> builder of the domain object its pipeline runs on (for bound, the parameters
 # bound_check builds, after the check of its families); validate_config calls it too, so
-# the object's invariants are the domain rules.  Arithmetic only: no circuit, no lattice.
+# the object's invariants are the domain rules.  Arithmetic only: no circuit, no point list.
 _BUILDERS = {
     "predict": _predict_params,
     "compare": _compare_prediction,
-    "orbits": lambda cfg: _cat_map(cfg.section["map"]),
+    "orbits": _orbit_map,
     "clt": _clt_system,
     "variance": _variance_system,
     "quantum": _circuit_spec,

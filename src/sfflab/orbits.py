@@ -1,10 +1,12 @@
-"""Exact enumeration of periodic points of linear torus maps.
+"""Exact periodic points of linear torus maps.
 
 Period-T points of an integer unimodular map M solve (M^T - I) x = 0 mod 1.
 They form a finite subgroup of the torus of order |det(M^T - I)| = |tr M^T - 2|,
-enumerated exactly by Smith-diagonalizing M^T - I over the integers.  All
+described exactly by the Smith form (d1, d2, W) of M^T - I over the integers:
+the points are W (i/d1, j/d2) (dynamics.lattice_points).  Counting and
+sampling use that form alone; only the orbit inventory lists the points.  All
 arithmetic is on integer numerators over a common denominator, so iterating
-the map on enumerated points is exact.
+the map on the points is exact.
 """
 from __future__ import annotations
 
@@ -15,13 +17,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .dynamics import CatMapSpec, SystemSpec, step_arrays
+from .dynamics import CatMapSpec, SystemSpec, lattice_points, step_arrays
 
 MAX_PERIOD = 64
+# enumerate_lattice lists at most this many points (two int64 arrays, 80 MB)
+MAX_LISTED_POINTS = 5_000_000
 
 
 class EnumerationError(ValueError):
-    """Enumeration refused (period too large or point count over budget)."""
+    """Enumeration refused (period too large, or too many points to list)."""
 
 
 class ConsistencyError(ValueError):
@@ -165,38 +169,36 @@ def _smith_2x2(A):
         col_op(0, 1, 1)
 
 
-def _smith_lattice(T: int, m: CatMapSpec, max_points: int = 5_000_000):
+def smith_lattice(T: int, m: CatMapSpec):
     """Smith form (d1, d2, W) of M^T - I; the period-T points number d1 * d2.
 
-    Refuses a singular M^T - I or more than max_points points, and checks
-    d1 * d2 = |det(M^T - I)|.  No point is built.
+    Refuses a singular M^T - I and checks d1 * d2 = |det(M^T - I)|.  No
+    point is built, so any T <= MAX_PERIOD is counted.
     """
     pa, pb, pc, pd = map_power(m, T)
     A = [[pa - 1, pb], [pc, pd - 1]]
     count = abs(A[0][0] * A[1][1] - A[0][1] * A[1][0])
     if count == 0:
         raise EnumerationError("M^T - I is singular; map is not hyperbolic")
-    if count > max_points:
-        raise EnumerationError(
-            f"{count} period-{T} points exceed the enumeration budget {max_points}"
-        )
     d1, d2, W = _smith_2x2(A)
     if d1 * d2 != count:
         raise ConsistencyError("Smith form does not match the period-T point count")
     return d1, d2, W
 
 
-def enumerate_lattice(T: int, m: CatMapSpec, max_points: int = 5_000_000):
-    """All period-T points as integer numerator arrays over a common denominator."""
-    d1, d2, W = _smith_lattice(T, m, max_points)
-    scale = d2 // d1
-    i = np.arange(d1, dtype=np.int64)[:, None]
-    j = np.arange(d2, dtype=np.int64)[None, :]
-    # reduced in place, so each array is allocated once at the full point count
-    nq = (W[0][0] * scale % d2) * i + (W[0][1] % d2) * j
-    nq %= d2
-    np_ = (W[1][0] * scale % d2) * i + (W[1][1] % d2) * j
-    np_ %= d2
+def enumerate_lattice(T: int, m: CatMapSpec):
+    """All period-T points as integer numerator arrays over a common denominator.
+
+    Point i * d2 + j is lattice_points at (i, j).  Refuses more than
+    MAX_LISTED_POINTS points.
+    """
+    d1, d2, _ = smith = smith_lattice(T, m)
+    if d1 * d2 > MAX_LISTED_POINTS:
+        raise EnumerationError(
+            f"{d1 * d2} period-{T} points exceed the enumeration budget {MAX_LISTED_POINTS}"
+        )
+    nq, np_ = lattice_points(smith, np.arange(d1, dtype=np.int64)[:, None],
+                             np.arange(d2, dtype=np.int64)[None, :])
     return nq.ravel(), np_.ravel(), int(d2)
 
 
@@ -235,17 +237,15 @@ def _group_lattice(nq, np_, den: int, T: int, m: CatMapSpec) -> list[SubsystemOr
     ]
 
 
-def subsystem_orbits(T: int, m: CatMapSpec, max_points: int = 5_000_000) -> list[SubsystemOrbit]:
+def subsystem_orbits(T: int, m: CatMapSpec) -> list[SubsystemOrbit]:
     """Period-T orbits of the map, grouped on the enumerated lattice arrays."""
-    nq, np_, den = enumerate_lattice(T, m, max_points)
+    nq, np_, den = enumerate_lattice(T, m)
     return _group_lattice(nq, np_, den, T, m)
 
 
-def family_iterator(
-    spec: SystemSpec, T: int, max_points: int = 5_000_000
-) -> Iterator[OrbitFamily]:
+def family_iterator(spec: SystemSpec, T: int) -> Iterator[OrbitFamily]:
     """Cartesian product of the subsystem orbit list across the L sites, lazily."""
-    orbits = subsystem_orbits(T, spec.subsystem, max_points)
+    orbits = subsystem_orbits(T, spec.subsystem)
     for combo in itertools.product(orbits, repeat=spec.L):
         yield OrbitFamily(reps=combo)
 
@@ -273,7 +273,7 @@ def stability_amplitude_sq(T: int, m: CatMapSpec) -> float:
     return 1.0 / periodic_point_count(T, m)
 
 
-def sum_rule_check(T: int, m: CatMapSpec, max_points: int = 5_000_000) -> float:
+def sum_rule_check(T: int, m: CatMapSpec) -> float:
     """Sum of A^2 over all period-T points; equals 1 for a chaotic map.
 
     For a linear map every point carries the same A^2, so the sum is the
@@ -281,5 +281,5 @@ def sum_rule_check(T: int, m: CatMapSpec, max_points: int = 5_000_000) -> float:
     exact sum of count equal terms rounds to).  The real oracle is the exact
     count check of acceptance 03.
     """
-    d1, d2, _ = _smith_lattice(T, m, max_points)
+    d1, d2, _ = smith_lattice(T, m)
     return d1 * d2 * stability_amplitude_sq(T, m)

@@ -26,7 +26,7 @@ from .dynamics import (
     pair_hessian,
     pair_potential,
 )
-from .orbits import MAX_PERIOD, OrbitFamily, _as_shift, enumerate_lattice, periodic_point_count
+from .orbits import MAX_PERIOD, OrbitFamily, _as_shift, periodic_point_count, smith_lattice
 from .util import philox, spawn_seeds
 
 
@@ -318,8 +318,8 @@ def action_difference_identity_check(
 # ---------------------------------------------------------------------------
 # phase-distribution sampling and CLT diagnostics
 
-# "auto" sampling enumerates the period-T set up to this many points and samples
-# by proxy beyond; for the default map T = 10 (15 125 points) is the last exact period
+# "auto" samples the period-T set exactly up to this many points and by proxy
+# beyond; for the default map T = 10 (15 125 points) is the last exact period
 EXACT_SAMPLING_MAX_POINTS = 20_000
 
 
@@ -335,8 +335,10 @@ def sample_phase_distribution(
     """Draw rescaled phases Phi_s/sqrt(T) with stability-amplitude weights.
 
     For linear maps the amplitude weights are uniform, so "exact" mode draws
-    periodic points uniformly from the enumerated period-T set.  For periods
-    where enumeration is infeasible, "proxy" mode samples uniform initial
+    periodic points uniformly from the period-T set: uniform Smith indices
+    (i, j) mapped to W (i/d1, j/d2) (observable_frames), with no point list,
+    for every T whose index map fits int64 (dynamics.check_lattice_points;
+    T <= 43 for the default map).  "proxy" mode samples uniform initial
     conditions instead (the amplitude-squared measure is Lebesgue); the mode
     is recorded on the returned set; "auto" picks exact when T <= MAX_PERIOD
     and the period-T set has at most EXACT_SAMPLING_MAX_POINTS points.
@@ -350,7 +352,7 @@ def sample_phase_distribution(
         mode = "exact" if exact else "proxy"
     if mode not in ("exact", "proxy"):
         raise SpecError(f"unknown sampling mode {mode!r}")
-    lattice = enumerate_lattice(T, spec.subsystem) if mode == "exact" else None
+    lattice = smith_lattice(T, spec.subsystem) if mode == "exact" else None
     shifts = ((0,) * spec.L, sv)
     rng = philox(seed)
     out = np.empty(budget)

@@ -354,7 +354,9 @@ BOUNDARY_ROWS = [
     (["variance", "--set", "variance.horizon=2"], "variance.horizon"),
     (["variance", "--set", "variance.t_max=-1", "--set", "variance.estimator=series"],
      "variance.t_max"),
-    (["orbits", "--set", "orbits.T_list=[2]", "--set", "orbits.max_points=-1"], "orbits.max_points"),
+    # a listed period over the listing budget; counted periods have no budget
+    (["orbits", "--set", "orbits.T_list=[17]", "--set", "orbits.inventory_max_T=17"],
+     "orbits.T_list[0]"),
     (["variance", "--set", "variance.invariance_checks=-1"], "variance.invariance_checks"),
     (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9", "--set", "predict.T_stop=0.5"],
      "predict.T_stop"),
@@ -399,6 +401,9 @@ BOUNDARY_ROWS = [
      "variance.system.subsystem"),
     (["clt", "--set", "clt.T_list=[4]", "--set",
       "clt.system={L: 2, subsystem: {a: 1, b: 1, c: 1022, d: 1023}}"], "clt.system.subsystem"),
+    # the Smith index map of exact sampling overflows int64 from T = 44 on
+    (["clt", "--set", "clt.T_list=[44]", "--set", "clt.budget=1000", "--set", "clt.mode=exact"],
+     "clt.T_list[0]"),
 ]
 
 
@@ -532,7 +537,8 @@ def _row_wise_write_csv(path, schema, header, blocks):
 
 CSV_WRITER_RUNS = [
     ("predict", {"L": 2, "chi": 0.9, "T_spacing": "integer", "T_stop": 40.0, "emit_kappa": True}),
-    ("orbits", {"T_list": [1, 2, 3, 4, 5, 6, 7], "inventory_max_T": 5}),
+    # 17, 40 and 64 are counted from the Smith form without a listing budget
+    ("orbits", {"T_list": [1, 2, 3, 4, 5, 6, 7, 17, 40, 64], "inventory_max_T": 5}),
     ("clt", {"T_list": [3, 40], "budget": 1000, "csv_rows": 600}),
     ("variance", {"T": 4, "samples": 500, "horizon": 8}),
     ("quantum-sff", {"N": 4, "Lambda": 0.2, "members": 2, "t_max": 20}),
@@ -559,6 +565,12 @@ def test_column_writer_matches_row_wise_writer(tmp_path, monkeypatch, kind, sect
                                    if k != "manifest.json"}))
     assert runs[0] == runs[1]
     assert kind == "compare" or any(name.endswith(".csv") for name in runs[0][1])
+    if kind == "orbits":
+        with open(tmp_path / "out/orbit_summary.csv") as f:
+            f.readline()
+            summary = list(csv.DictReader(f))
+        assert [int(r["T"]) for r in summary] == section["T_list"]
+        assert all(r["count"] == r["expected_count"] for r in summary)
 
 
 def test_successful_rerun_replaces_run_directory(tmp_path):

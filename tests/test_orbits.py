@@ -7,25 +7,26 @@ from types import SimpleNamespace
 
 import pytest
 
-from sfflab.dynamics import DEFAULT_MAP, CatMapSpec
+from sfflab.dynamics import DEFAULT_MAP, CatMapSpec, lattice_points
 from sfflab.harness import _run_orbits, run_experiment, validate_config
 from sfflab.orbits import (
     ConsistencyError,
     EnumerationError,
     OrbitFamily,
     _group_lattice,
-    _smith_lattice,
     enumerate_lattice,
     family_iterator,
     lattice_fixed_count,
     map_power,
     periodic_point_count,
     shift_action_lattice,
+    smith_lattice,
     stability_amplitude_sq,
     subsystem_orbits,
     sum_rule_check,
 )
 from sfflab.dynamics import SystemSpec
+from sfflab.util import philox
 
 from oracles import brute_force_cycles, brute_force_periodic_points
 
@@ -192,7 +193,7 @@ def test_count_identity_up_to_T14():
     for m, T in itertools.product((DEFAULT_MAP, OTHER_MAP), range(1, 15)):
         count = periodic_point_count(T, m)
         # no point is built, so the count needs no enumeration budget
-        d1, d2, _ = _smith_lattice(T, m, max_points=count)
+        d1, d2, _ = smith_lattice(T, m)
         a, b, c, d = map_power(m, T)
         assert d1 * d2 == count
         assert d1 == math.gcd(a - 1, b, c, d - 1) and d2 % d1 == 0
@@ -224,14 +225,14 @@ def test_lattice_fixed_count_against_brute_force():
 def test_enumeration_guards():
     with pytest.raises(EnumerationError):
         map_power(DEFAULT_MAP, 100)
-    budget = "228826125 period-20 points exceed the enumeration budget 1000"
-    assert periodic_point_count(20, DEFAULT_MAP) == 228826125
-    for count_points in (_smith_lattice, enumerate_lattice, sum_rule_check):
-        with pytest.raises(EnumerationError, match=budget):
-            count_points(20, DEFAULT_MAP, max_points=1000)
+    # only a listing has a budget; counting has none
+    budget = "12752041 period-17 points exceed the enumeration budget 5000000"
+    assert periodic_point_count(17, DEFAULT_MAP) == 12752041
+    with pytest.raises(EnumerationError, match=budget):
+        enumerate_lattice(17, DEFAULT_MAP)
     # a parabolic shear slips past CatMapSpec's hyperbolicity check only by duck typing
     shear = SimpleNamespace(a=1, b=1, c=0, d=1)
-    for count_points in (_smith_lattice, enumerate_lattice, sum_rule_check):
+    for count_points in (smith_lattice, enumerate_lattice, sum_rule_check):
         with pytest.raises(EnumerationError, match="M\\^T - I is singular; map is not hyperbolic"):
             count_points(3, shear)
 
@@ -252,6 +253,22 @@ def test_orbits_beyond_inventory_lists_no_point(tmp_path):
         (row,) = csv.DictReader(f)
     assert row["count"] == row["expected_count"] == "4870845"
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("m, T", [(DEFAULT_MAP, 17), (DEFAULT_MAP, 30), (DEFAULT_MAP, 43),
+                                  (OTHER_MAP, 32)])
+def test_smith_indexed_points_are_periodic(m, T):
+    # exact sampling's draw: an index in [0, d1 d2) split as divmod(index, d2);
+    # each point is checked in Python ints against (M^T - I) x = 0 mod d2
+    d1, d2, _ = smith = smith_lattice(T, m)
+    i, j = divmod(philox(T).integers(0, d1 * d2, size=2000), d2)
+    nq, np_ = lattice_points(smith, i, j)
+    a, b, c, d = map_power(m, T)
+    for x, y in zip(nq.tolist(), np_.tolist()):
+        assert 0 <= x < d2 and 0 <= y < d2
+        assert ((a - 1) * x + b * y) % d2 == 0 and (c * x + (d - 1) * y) % d2 == 0
+    # distinct indices give distinct points
+    assert len(set(zip(nq.tolist(), np_.tolist()))) == len(set(zip(i.tolist(), j.tolist())))
 
 
 def test_periodic_point_reduction():

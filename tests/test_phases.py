@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from scipy import stats
 
 from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, bonds,
-                             pair_hessian, pair_potential)
+                             lattice_points, pair_hessian, pair_potential)
 from sfflab import phases
 from sfflab.orbits import (MAX_PERIOD, OrbitFamily, enumerate_lattice, family_iterator,
-                           periodic_point_count, subsystem_orbits)
+                           periodic_point_count, smith_lattice, subsystem_orbits)
 from sfflab.phases import (
     EXACT_SAMPLING_MAX_POINTS,
     SeriesError,
@@ -250,6 +251,36 @@ def test_exact_sampling_matches_cycle_reference():
         want.append(phi)
     got = sample_phase_distribution(spec, T, s, budget, seed=4, mode="exact", batch=batch)
     assert np.array_equal(got.phi_tilde, np.concatenate(want) / math.sqrt(T))
+
+
+@pytest.mark.parametrize("m, T_ok, T_over", [(DEFAULT_MAP, 43, 44), (CatMapSpec(1, 1, 2, 3), 32, 33)])
+def test_exact_sampling_range(m, T_ok, T_over):
+    # the last period whose Smith index map fits int64 samples.  Beyond, its
+    # products reach d2 (d1 + d2) >= 2**63 and the int64 points would silently
+    # not be periodic, so both refuse; at T = 64 d1 d2 itself passes int64
+    spec = SystemSpec(L=2, subsystem=m)
+    sset = sample_phase_distribution(spec, T_ok, (0, 1), budget=1000, seed=3, mode="exact")
+    assert sset.mode == "exact" and np.all(np.isfinite(sset.phi_tilde))
+    zero = np.zeros(1, dtype=np.int64)
+    for T in (T_over, MAX_PERIOD):
+        with pytest.raises(SpecError, match="overflows the int64 index map"):
+            lattice_points(smith_lattice(T, m), zero, zero)
+        with pytest.raises(SpecError, match="overflows the int64 index map"):
+            sample_phase_distribution(spec, T, (0, 1), budget=1000, seed=3, mode="exact")
+
+
+def test_exact_sampling_lists_no_point():
+    # T = 16 has 4,870,845 points; drawing indexes into their list took 80 MB
+    spec = SystemSpec(L=2)
+    sample_phase_distribution(spec, 16, (0, 1), budget=1000, seed=5, mode="exact")
+    tracemalloc.start()
+    try:
+        sset = sample_phase_distribution(spec, 16, (0, 1), budget=100_000, seed=5, mode="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sset.mode == "exact" and len(sset.phi_tilde) == 100_000
+    assert peak < 10 << 20
 
 
 def test_empirical_variance_matches_series_value():
