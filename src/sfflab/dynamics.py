@@ -383,7 +383,7 @@ def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts
     The n starts come from rng: uniform points of the 2**53 lattice
     (_dyadic_starts, after the aliasing guard) when lattice is None, else
     uniform draws of L period-T points each from the Smith form lattice =
-    (d1, d2, W): an index in [0, d1 d2) split as (i, j) = divmod(index, d2)
+    (d1, d2, W): an index in [0, d1 d2) split as i = index // d2, j = index - i d2
     and mapped by lattice_points, over den = d2.  No point list is built.
     _trajectory steps them; each frame is a float array of shape
     (len(shifts), n), valid only until the next frame.
@@ -397,7 +397,10 @@ def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts
     else:
         check_lattice_points(lattice)  # before the draw: d1 d2 itself may pass int64
         d1, den, _ = lattice
-        starts = lattice_points(lattice, *divmod(rng.integers(0, d1 * den, size=(n, L)), den))
+        j = rng.integers(0, d1 * den, size=(n, L))
+        i = j // den  # floor_divide by a scalar is faster than np.divmod
+        j -= i * den
+        starts = lattice_points(lattice, i, j)
     # the step's scratch and the lattice cosine share these planes
     work = np.empty((4 if len(pairs) > 1 else 3, len(shifts), n), dtype=np.int64)
     frames = _trajectory(*starts, den, m, shifts, steps, work)

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import time
 from dataclasses import asdict, dataclass, field
@@ -283,24 +284,38 @@ def dump_config(cfg: ExperimentConfig) -> str:
 # artifact io
 
 
+_CSV_SLICE = 1 << 16  # rows formatted and written at a time
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')  # cells csv.writer quotes (\r on newer Pythons)
+
+
 def _write_csv(path, schema, header, blocks):
     """Write a CSV artifact whose rows come from blocks of equal-length columns, in order.
 
     A column is anything np.asarray takes; its cells are the Python scalars of
-    .tolist(), and a float column is formatted once as repr (the shortest
-    round-trip form; under numpy 2 repr(np.float64) prints "np.float64(...)").
+    .tolist(), a float column formatted as repr (the shortest round-trip form;
+    under numpy 2 repr(np.float64) prints "np.float64(...)") and any other as
+    str.  The text is what csv.writer(f, lineterminator="\\n") writes, joined
+    per slice of rows; a str cell that is empty (a lone one csv quotes as "")
+    or that csv would quote raises ValueError instead.
     """
     with open(path, "w", newline="") as f:
         f.write(f"# schema: sfflab/{schema} v1\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for columns in blocks:
-            w.writerows(zip(*map(_cells, columns), strict=True))
+        for columns in [[[name] for name in header], *blocks]:  # the header is a one-row block
+            columns = [np.asarray(c) for c in columns]
+            for start in range(0, max(map(len, columns)), _CSV_SLICE):
+                cells = [_cells(c[start:start + _CSV_SLICE]) for c in columns]
+                f.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
 
 
-def _cells(column):
-    col = np.asarray(column)
-    return map(repr, col.tolist()) if col.dtype.kind == "f" else col.tolist()
+def _cells(col):
+    """The text of each cell of a column slice; ValueError for an empty one or one csv quotes."""
+    if col.dtype.kind == "f":
+        return list(map(repr, col.tolist()))
+    cells = list(map(str, col.tolist()))
+    if col.dtype.kind in "OSU" and ("" in cells or _NEEDS_QUOTES.search("".join(cells))):
+        bad = next(c for c in cells if not c or _NEEDS_QUOTES.search(c))
+        raise ValueError(f"CSV cell {bad!r} would need quoting")
+    return cells
 
 
 def _write_json(path, payload):

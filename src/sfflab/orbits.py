@@ -250,7 +250,7 @@ def family_iterator(spec: SystemSpec, T: int) -> Iterator[OrbitFamily]:
         yield OrbitFamily(reps=combo)
 
 
-def _as_shift(r, L: int, T: int) -> tuple[int, ...]:
+def as_shift(r, L: int, T: int) -> tuple[int, ...]:
     """The shift r in Z_T^L as a tuple of components reduced into {0, ..., T-1}."""
     if len(r) != L:
         raise ValueError("shift vector has wrong length")
@@ -260,7 +260,7 @@ def _as_shift(r, L: int, T: int) -> tuple[int, ...]:
 def shift_action_lattice(family: OrbitFamily, r, m: CatMapSpec):
     """Exact per-site action of phi_0^r on the family representatives."""
     T = family.period
-    shift = _as_shift(r, family.L, T)
+    shift = as_shift(r, family.L, T)
     out = []
     for orbit, steps in zip(family.reps, shift):
         qs, ps, den = orbit.cycle_lattice(m)

@@ -26,7 +26,7 @@ from .dynamics import (
     pair_hessian,
     pair_potential,
 )
-from .orbits import MAX_PERIOD, OrbitFamily, _as_shift, periodic_point_count, smith_lattice
+from .orbits import MAX_PERIOD, OrbitFamily, as_shift, periodic_point_count, smith_lattice
 from .util import philox, spawn_seeds
 
 
@@ -130,8 +130,8 @@ def _shifted_lifts(family: OrbitFamily, r, s, spec: SystemSpec):
     """
     if family.L != spec.L:
         raise SpecError("family size does not match the system")
-    rv = _as_shift(r, family.L, family.period)
-    sv = _as_shift(s, family.L, family.period)
+    rv = as_shift(r, family.L, family.period)
+    sv = as_shift(s, family.L, family.period)
     lift_r = _orbit_lift(family, rv, spec.subsystem)
     lift_s = _orbit_lift(family, sv, spec.subsystem)
     v_r = pair_potential(lift_r[0][:, :spec.L], spec)
@@ -345,7 +345,7 @@ def sample_phase_distribution(
     """
     if budget <= 0:
         raise SpecError("sampling budget must be positive")
-    sv = _as_shift(s, spec.L, T)
+    sv = as_shift(s, spec.L, T)
     if mode == "auto":
         exact = (T <= MAX_PERIOD
                  and periodic_point_count(T, spec.subsystem) <= EXACT_SAMPLING_MAX_POINTS)
@@ -384,17 +384,81 @@ def _phase_sums(frames, n, checkpoints):
     return out
 
 
+# Cephes ndtr/erf/erfc (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the real normal CDF behind scipy.special.ndtr.
+_SQRT1_2 = 0.70710678118654752440  # not 1 / math.sqrt(2), which rounds to another double
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _polevl(x, coef, monic=False):
+    """Cephes polevl (p1evl when monic: an implied leading 1), Horner order, no FMA."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf_small(x):
+    """Cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+
+
+def _ndtr(a):
+    """scipy.special.ndtr of a float array, bit for bit: the standard normal CDF.
+
+    Cephes' branches: 0.5 + 0.5 erf(x) for |x| < SQRT1_2, x = a SQRT1_2;
+    else 0.5 erfc(|x|), reflected as 1 - y for x > 0, with erfc = 1 - erf
+    below 1, exp(-x^2) P(x)/Q(x) below 8, exp(-x^2) R(x)/S(x) from 8, and 0
+    once -x^2 < -MAXLOG.  exp is libm's (math.exp): numpy's vectorized exp
+    differs from it in the last bit for some arguments.  NaN stays NaN.
+    """
+    x = np.asarray(a, dtype=float) * _SQRT1_2
+    z = np.abs(x)
+    y = np.full_like(x, math.nan)
+    mid = z < _SQRT1_2
+    y[mid] = 0.5 + 0.5 * _erf_small(x[mid])
+    erfc = np.zeros_like(x)  # stays 0 where exp(-x^2) would underflow
+    near = (z >= _SQRT1_2) & (z < 1.0)
+    erfc[near] = 1.0 - _erf_small(z[near])
+    with np.errstate(over="ignore"):
+        zz = -z * z
+    live = zz >= -_MAXLOG
+    for sel, num, den in (((z >= 1.0) & (z < 8.0) & live, _ERFC_P, _ERFC_Q),
+                          ((z >= 8.0) & live, _ERFC_R, _ERFC_S)):
+        t = z[sel]
+        e = np.fromiter(map(math.exp, zz[sel].tolist()), dtype=float, count=len(t))
+        erfc[sel] = e * _polevl(t, num) / _polevl(t, den, monic=True)
+    outer = z >= _SQRT1_2
+    half = 0.5 * erfc[outer]
+    y[outer] = np.where(x[outer] > 0, 1.0 - half, half)
+    return y
+
+
 def clt_diagnostics(samples) -> CltReport:
     """Moments and KS distance against the centered normal with the sample variance.
 
     Each statistic equals scipy.stats' (skew, kurtosis, kstest(...).statistic)
     bit for bit: the same operations in the same order, and NaN where scipy
     gives NaN (a sample too close to constant for its moments, a zero sigma
-    for the KS distance).  No p-value is computed, and scipy.stats is not
-    imported.
+    for the KS distance).  No p-value is computed, and no scipy module is
+    imported: the normal CDF is _ndtr, a port of scipy.special.ndtr that the
+    tests check bit for bit against scipy.
     """
-    from scipy.special import ndtr  # imported here so that only clt pays scipy's import time
-
     if isinstance(samples, PhaseSampleSet):
         samples = samples.phi_tilde
     vals = np.asarray(samples, dtype=float)
@@ -418,7 +482,7 @@ def clt_diagnostics(samples) -> CltReport:
         skewness = float(m3 / m2**1.5)
         excess_kurtosis = float(m4 / m2**2.0 - 3)
     if sigma > 0.0:
-        cdf = ndtr(np.sort(vals) / sigma)
+        cdf = _ndtr(np.sort(vals) / sigma)
         d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
         d_minus = (cdf - np.arange(0.0, n) / n).max()
         ks = float(d_plus if d_plus > d_minus else d_minus)

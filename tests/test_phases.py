@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, bonds,
                              lattice_points, pair_hessian, pair_potential)
@@ -337,6 +337,36 @@ def test_clt_diagnostics_match_scipy_stats(name):
         assert got == want or (math.isnan(got) and math.isnan(want)), (key, got, want)
     assert rep.fitted_variance == sigma * sigma
     assert rep.n == len(vals) and not rep.degenerate
+
+
+def _ndtr_edges():
+    """a on each side of every branch of Cephes' ndtr, as steps of a few ulps."""
+    cut = math.sqrt(phases._MAXLOG) / phases._SQRT1_2  # erfc underflows to exactly 0 beyond
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300]
+    for b in (phases._SQRT1_2, 1.0, 8.0, math.sqrt(phases._MAXLOG)):  # in units of x = a SQRT1_2
+        a = b / phases._SQRT1_2
+        edges += list(a + np.arange(-64, 65) * np.spacing(a))
+    edges += list(np.linspace(cut - 1e-9, cut + 1e-9, 2001))
+    edges = np.array(edges)
+    return np.concatenate([edges, -edges]), cut
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    edges, cut = _ndtr_edges()
+    rng = philox(23)
+    grids = {
+        "edges": edges,
+        "dense": np.linspace(-40.0, 40.0, 800_001),
+        "normal": rng.standard_normal(1_000_000),
+    }
+    for name, a in grids.items():
+        got, want = phases._ndtr(a), special.ndtr(a)
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, (name, a[bad[:5]], got[bad[:5]], want[bad[:5]])
+    # beyond the MAXLOG cut the tail is exactly 0 or 1, not a subnormal
+    assert phases._ndtr(np.array([-cut - 1e-6]))[0] == 0.0
+    assert phases._ndtr(np.array([-cut + 1e-6]))[0] > 0.0
+    assert phases._ndtr(np.array([cut + 1e-6]))[0] == 1.0
 
 
 def test_clt_diagnostics_needs_enough_samples():
