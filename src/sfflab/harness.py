@@ -15,13 +15,14 @@ import shutil
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import (DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, check_lattice_map,
-                       check_lattice_points)
+from .dynamics import (DEFAULT_MAP, NEAREST_NEIGHBOUR, CatMapSpec, SpecError, SystemSpec,
+                       check_lattice_map, check_lattice_points)
 from .orbits import (MAX_LISTED_POINTS, MAX_PERIOD, periodic_point_count, smith_lattice,
                      stability_amplitude_sq, subsystem_orbits)
 from .phases import (
@@ -36,8 +37,6 @@ from .potts import (PottsError, PottsParams, SffPrediction, bound_check, check_f
 from .quantum import (CircuitSpec, ConventionError, SffSeries, compare, reference_trace_error,
                       sff_numeric)
 from .util import philox, sha256_file, spawn_seeds
-
-KINDS = ("predict", "orbits", "clt", "variance", "quantum-sff", "compare", "bound-check")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -150,16 +149,6 @@ SECTION_SCHEMAS = {
     },
 }
 
-KIND_SECTION = {
-    "predict": "predict",
-    "orbits": "orbits",
-    "clt": "clt",
-    "variance": "variance",
-    "quantum-sff": "quantum",
-    "compare": "compare",
-    "bound-check": "bound",
-}
-
 _TOP_SCHEMA = {"seed": (int, _REQUIRED), "outdir": (str, _REQUIRED), "workers": (int, 1, 1)}
 
 
@@ -177,7 +166,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "outdir": self.outdir,
             "workers": self.workers,
-            KIND_SECTION[self.kind]: dict(self.section),
+            _KINDS[self.kind].section: dict(self.section),
         }
 
 
@@ -243,18 +232,18 @@ def _validate_section(data, schema, path):
 
 
 def validate_config(data: dict) -> ExperimentConfig:
-    """The one place a config is rejected: the schema, then the section's _BUILDERS entry."""
+    """The one place a config is rejected: the schema, then the kind's builder."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     kind = data.get("kind")
-    if kind not in KINDS:
+    if kind not in _KINDS:
         raise ConfigError(f"field kind: must be one of {KINDS}, got {kind!r}")
-    name = KIND_SECTION[kind]
+    name, build, _ = _KINDS[kind]
     top = {k: v for k, v in data.items() if k not in ("kind", name)}
     cfg = ExperimentConfig(kind=kind, **_validate_section(top, _TOP_SCHEMA, ""),
                            section=_validate_section(data.get(name), SECTION_SCHEMAS[name], name))
     try:
-        _BUILDERS[name](cfg)
+        build(cfg)
     except (SpecError, PottsError, ConventionError) as e:
         raise ConfigError(f"section {name}: {e}") from None
     return cfg
@@ -387,9 +376,8 @@ def _predict_params(cfg) -> PottsParams:
     return _potts_params(sec)
 
 
-def _run_predict(cfg, outdir):
+def _run_predict(cfg, params: PottsParams, outdir):
     sec = cfg.section
-    params = _predict_params(cfg)
     grid = _t_grid(sec)
     pred = closed_form_sff(params, grid)
     header = ["T", "tau", "K", "log10_K", "mode", "L", "chi", "Lambda", "sigma2_phi"]
@@ -419,9 +407,8 @@ def _cat_map(entries) -> CatMapSpec:
     return CatMapSpec(**entries) if entries else DEFAULT_MAP
 
 
-def _run_orbits(cfg, outdir):
+def _run_orbits(cfg, m: CatMapSpec, outdir):
     sec = cfg.section
-    m = _cat_map(sec["map"])
     summary = [[], [], [], [], []]
     inventory = [[], [], [], [], []]
     for T in sec["T_list"]:
@@ -474,14 +461,14 @@ def _system_from(cfg) -> SystemSpec:
     try:
         check_lattice_map(spec.subsystem)
     except SpecError as e:
-        raise SpecError(f"{KIND_SECTION[cfg.kind]}.system.subsystem: {e}") from None
+        raise SpecError(f"{_KINDS[cfg.kind].section}.system.subsystem: {e}") from None
     return spec
 
 
 def _check_shift_length(cfg, key, L):
     s = cfg.section[key]
     if s and len(s) != L:
-        raise SpecError(f"{KIND_SECTION[cfg.kind]}.{key} needs one component per site "
+        raise SpecError(f"{_KINDS[cfg.kind].section}.{key} needs one component per site "
                         f"(L = {L}), got {len(s)}")
 
 
@@ -502,6 +489,9 @@ def _clt_system(cfg) -> SystemSpec:
 
 def _variance_system(cfg) -> SystemSpec:
     spec = _system_from(cfg)
+    if spec.topology != NEAREST_NEIGHBOUR:
+        raise SpecError(f"variance.system.topology must be {NEAREST_NEIGHBOUR} for the "
+                        f"per-bond table, got {spec.topology}")
     if cfg.section["invariance_checks"] > 0 and (cfg.section["T"] < 2 or spec.L < 2):
         # an asynchronous shift needs two sites and two residues mod T
         raise SpecError("invariance checks need T >= 2 and L >= 2")
@@ -509,9 +499,8 @@ def _variance_system(cfg) -> SystemSpec:
     return spec
 
 
-def _run_clt(cfg, outdir):
+def _run_clt(cfg, spec: SystemSpec, outdir):
     sec = cfg.section
-    spec = _clt_system(cfg)
     seeds = spawn_seeds(cfg.seed, len(sec["T_list"]))
     blocks = []
     report = {}
@@ -540,12 +529,13 @@ def _run_clt(cfg, outdir):
     return {"task_seeds": {f"T={t}": s for t, s in zip(sec["T_list"], seeds)}}
 
 
-def _run_variance(cfg, outdir):
+def _run_variance(cfg, spec: SystemSpec, outdir):
     sec = cfg.section
     T = sec["T"]
     seeds = spawn_seeds(cfg.seed, 3 + 2 * sec["invariance_checks"])
+    task_seeds = {"table": seeds[0], "invariance_shifts": seeds[1], "agreement": seeds[2]}
     table = per_bond_variance_table(
-        SystemSpec(L=2), T, estimator=sec["estimator"], samples=sec["samples"],
+        spec, T, estimator=sec["estimator"], samples=sec["samples"],
         seed=seeds[0], horizon=sec["horizon"], t_max=sec["t_max"],
     )
     _write_csv(outdir / "variance_table.csv", "variance_table",
@@ -553,7 +543,6 @@ def _run_variance(cfg, outdir):
                [[np.arange(T), table.sigma2, table.std_error, [sec["estimator"]] * T, [T] * T]])
 
     report = {"table_T": T, "estimator": sec["estimator"]}
-    specL = _variance_system(cfg)
     if sec["invariance_checks"] > 0:
         rng = philox(seeds[1])
         checks = []
@@ -562,15 +551,15 @@ def _run_variance(cfg, outdir):
             # and its finite-horizon estimate is a pure boundary remnant, so
             # remnant-vs-remnant comparison would not test the invariance
             while True:
-                s = tuple(int(v) for v in rng.integers(0, T, size=specL.L))
+                s = tuple(int(v) for v in rng.integers(0, T, size=spec.L))
                 if len(set(s)) > 1:
                     break
             t_shift = int(rng.integers(1, T))
             s2 = tuple((v + t_shift) % T for v in s)
-            e1 = variance_time_average(specL, s, sec["horizon"],
-                                       sec["invariance_samples"], seeds[3 + 2 * i])
-            e2 = variance_time_average(specL, s2, sec["horizon"],
-                                       sec["invariance_samples"], seeds[4 + 2 * i])
+            seed1 = task_seeds[f"invariance_{i}"] = seeds[3 + 2 * i]
+            seed2 = task_seeds[f"invariance_{i}_shifted"] = seeds[4 + 2 * i]
+            e1 = variance_time_average(spec, s, sec["horizon"], sec["invariance_samples"], seed1)
+            e2 = variance_time_average(spec, s2, sec["horizon"], sec["invariance_samples"], seed2)
             comb = math.sqrt(e1.std_error**2 + e2.std_error**2)
             # unconverged-horizon systematics estimated from the ladder drift
             drift = abs(e1.ladder[-1][1] - e1.ladder[-2][1]) + abs(e2.ladder[-1][1] - e2.ladder[-2][1])
@@ -583,9 +572,10 @@ def _run_variance(cfg, outdir):
         report["invariance_checks"] = checks
         report["invariance_all_ok"] = all(c["ok"] for c in checks)
     if sec["agreement_check"]:
-        s = tuple(sec["agreement_s"]) if sec["agreement_s"] else _staircase(specL.L, T)
-        ta = variance_time_average(specL, s, sec["horizon"], sec["samples"], seeds[2])
-        se = variance_series(specL, s, sec["t_max"], sec["samples"], seeds[2] + 1)
+        s = tuple(sec["agreement_s"]) if sec["agreement_s"] else _staircase(spec.L, T)
+        ta = variance_time_average(spec, s, sec["horizon"], sec["samples"], seeds[2])
+        task_seeds["agreement_series"] = seeds[2] + 1
+        se = variance_series(spec, s, sec["t_max"], sec["samples"], seeds[2] + 1)
         comb = math.sqrt(ta.std_error**2 + se.std_error**2)
         report["agreement"] = {
             "s": list(s),
@@ -595,12 +585,6 @@ def _run_variance(cfg, outdir):
             "ok": bool(abs(ta.sigma2 - se.sigma2) <= 3.0 * comb + se.truncation_bound),
         }
     _write_json(outdir / "variance_report.json", report)
-    task_seeds = {"table": seeds[0], "invariance_shifts": seeds[1], "agreement": seeds[2]}
-    if sec["agreement_check"]:
-        task_seeds["agreement_series"] = seeds[2] + 1
-    for i in range(sec["invariance_checks"]):
-        task_seeds[f"invariance_{i}"] = seeds[3 + 2 * i]
-        task_seeds[f"invariance_{i}_shifted"] = seeds[4 + 2 * i]
     return {"task_seeds": task_seeds}
 
 
@@ -611,9 +595,8 @@ def _circuit_spec(cfg) -> CircuitSpec:
                        memory_budget_bytes=sec["memory_budget_mb"] * 2**20)
 
 
-def _run_quantum(cfg, outdir):
+def _run_quantum(cfg, spec: CircuitSpec, outdir):
     sec = cfg.section
-    spec = _circuit_spec(cfg)
     t_max = sec["t_max"] or int(round(1.25 * spec.T_H))
     # first, while no member rows are held, so its solve adds nothing to the peak RSS
     reference_error = reference_trace_error(spec, t_max)
@@ -631,14 +614,13 @@ def _run_quantum(cfg, outdir):
             "reference_trace_error_max": reference_error}
 
 
-def _prediction_for(sec_pred, times) -> tuple[SffPrediction, float | None]:
-    params = _potts_params(sec_pred)
+def _prediction_for(params: PottsParams, form: str, times) -> tuple[SffPrediction, float | None]:
     times = np.asarray(times, dtype=float)
     try:
         t_th = thouless_time(params)
     except PottsError:
         t_th = None
-    if sec_pred["form"] == "kappa":
+    if form == "kappa":
         tau = times / params.T_H
         vals = params.T_H * np.asarray(scaled_kappa(params, tau))
         pred = SffPrediction(times=times, values=vals, log_values=np.log(vals),
@@ -667,12 +649,12 @@ def _compare_prediction(cfg) -> PottsParams:
     return _potts_params(cfg.section["prediction"])
 
 
-def _run_compare(cfg, outdir):
+def _run_compare(cfg, params: PottsParams, outdir):
     sec = cfg.section
     series = read_sff_csv(sec["series_csv"])
     if sec["use_raw"]:
         series.values = series.raw_values
-    pred, t_th = _prediction_for(sec["prediction"], series.times)
+    pred, t_th = _prediction_for(params, sec["prediction"]["form"], series.times)
     rep = compare(series, pred, late_window=tuple(sec["late_window"]),
                   slope_tol=sec["slope_tol"], ratio_tol=sec["ratio_tol"])
     out = {**rep.to_dict(), "thouless_tau": t_th, "prediction_form": sec["prediction"]["form"]}
@@ -691,13 +673,13 @@ def _bound_params(cfg) -> PottsParams:
     return PottsParams(sec["L"], sec["T_H"], sec["Lambda"], sec["f0"] / sec["L"])
 
 
-def _run_bound(cfg, outdir):
+def _run_bound(cfg, params: PottsParams, outdir):
     sec = cfg.section
     grid = np.unique(np.geomspace(sec["T_start"], sec["T_stop"], sec["T_points"]).astype(int))
     blocks = []
     verdicts = []
     for fam in sec["families"]:
-        res = bound_check(sec["L"], sec["T_H"], sec["Lambda"], sec["f0"],
+        res = bound_check(params.L, params.T_H, params.lam, sec["f0"],
                           fam["eta"], fam["theta"], grid)
         n = len(res.times)
         blocks.append([[float(res.eta)] * n, [float(res.theta)] * n, res.times, res.K, res.K0,
@@ -715,29 +697,29 @@ def _run_bound(cfg, outdir):
     return {"families": len(verdicts)}
 
 
-_PIPELINES = {
-    "predict": _run_predict,
-    "orbits": _run_orbits,
-    "clt": _run_clt,
-    "variance": _run_variance,
-    "quantum-sff": _run_quantum,
-    "compare": _run_compare,
-    "bound-check": _run_bound,
-}
+class _Kind(NamedTuple):
+    """A kind's config section, the builder of the domain object its pipeline runs on,
+    and the pipeline run(cfg, built, outdir) -> manifest extras.
+
+    validate_config calls the builder too, so the object's invariants are the
+    domain rules.  Builders do arithmetic only: no circuit, no point list.
+    """
+
+    section: str
+    build: Callable
+    run: Callable
 
 
-# section -> builder of the domain object its pipeline runs on (for bound, the parameters
-# bound_check builds, after the check of its families); validate_config calls it too, so
-# the object's invariants are the domain rules.  Arithmetic only: no circuit, no point list.
-_BUILDERS = {
-    "predict": _predict_params,
-    "compare": _compare_prediction,
-    "orbits": _orbit_map,
-    "clt": _clt_system,
-    "variance": _variance_system,
-    "quantum": _circuit_spec,
-    "bound": _bound_params,
+_KINDS = {
+    "predict": _Kind("predict", _predict_params, _run_predict),
+    "orbits": _Kind("orbits", _orbit_map, _run_orbits),
+    "clt": _Kind("clt", _clt_system, _run_clt),
+    "variance": _Kind("variance", _variance_system, _run_variance),
+    "quantum-sff": _Kind("quantum", _circuit_spec, _run_quantum),
+    "compare": _Kind("compare", _compare_prediction, _run_compare),
+    "bound-check": _Kind("bound", _bound_params, _run_bound),
 }
+KINDS = tuple(_KINDS)
 
 
 def _install(stage: Path, outdir: Path) -> None:
@@ -779,7 +761,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         (stage / "config_snapshot.yaml").write_text(dump_config(cfg))
         t0 = time.monotonic()
         try:
-            extras = _PIPELINES[cfg.kind](cfg, stage)
+            _, build, run = _KINDS[cfg.kind]
+            extras = run(cfg, build(cfg), stage)
         except SchemaError:
             raise
         except Exception as e:

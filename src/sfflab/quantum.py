@@ -6,10 +6,12 @@ Convention: position-kernel quantization of a unit-b cat map,
 
 with hbar = 1/(2 pi N).  Consistency on the torus requires a*N and d*N even
 (even N for the default map).  The averaging ensemble combines fractional
-torus translations per site (exact quantizations of affine cat maps, which
-share the linear map's orbit counts, amplitudes, and correlation structure)
-with random phase offsets in the pair-potential argument; both preserve the
-classical statistics entering the variance tables.
+torus translations per site with random phase offsets in the pair-potential
+argument.  A translation by v in Z^2/N quantizes an affine cat map exactly
+(such maps share the linear map's orbit counts, amplitudes and correlation
+structure).  The members draw real v, for which the translation is not an
+exact quantization: it does not map the clock and shift operators to
+multiples of themselves.
 """
 from __future__ import annotations
 
@@ -402,18 +404,25 @@ def trace_powers(U: np.ndarray, t_max: int, alpha: float = _ALPHA0) -> TracePowe
     return TracePowers(traces[:t_max], residual, float(misses[0]), second_solve)
 
 
-def _member_sff_task(args) -> tuple[np.ndarray, float, float, bool]:
-    """|tr U^t|^2 for one ensemble member, its unitarity residual, |S_1 - tr U|
-    and whether its solve ran twice.
+def _circuit_traces(spec: CircuitSpec, member: MemberRealization | None,
+                    t_max: int) -> TracePowers:
+    """trace_powers of the circuit of spec and member, at the pole of its site maps.
 
-    Top-level for process pools.  The site maps give both the circuit and its
-    pole; the circuit goes straight into trace_powers, so no reference here
-    keeps it alive through the eigensolve.
+    The site maps give both the circuit and its pole; the circuit goes
+    straight into trace_powers, so no reference here keeps it alive through
+    the eigensolve.
     """
-    spec, member, t_max = args
     sites = subsystem_unitaries(spec, member)
     alpha = uncoupled_pole(sites)
-    res = trace_powers(build_circuit(spec, member, sites), t_max, alpha)
+    return trace_powers(build_circuit(spec, member, sites), t_max, alpha)
+
+
+def _member_sff_task(args) -> tuple[np.ndarray, float, float, bool]:
+    """|tr U^t|^2 for one ensemble member, its unitarity residual, |S_1 - tr U|
+    and whether its solve ran twice.  Top-level for process pools.
+    """
+    spec, member, t_max = args
+    res = _circuit_traces(spec, member, t_max)
     return np.abs(res.traces) ** 2, res.unitarity_residual, res.trace_check, res.second_solve
 
 
@@ -427,9 +436,7 @@ def reference_trace_error(spec: CircuitSpec, t_max: int) -> float:
     """
     ref = CircuitSpec(L=spec.L, N=spec.N, epsilon=0.0,
                       memory_budget_bytes=spec.memory_budget_bytes)
-    sites = subsystem_unitaries(ref)
-    alpha = uncoupled_pole(sites)
-    K = np.abs(trace_powers(build_circuit(ref, sites=sites), t_max, alpha).traces) ** 2
+    K = np.abs(_circuit_traces(ref, None, t_max).traces) ** 2
     exact = np.array([float(lattice_fixed_count(t, DEFAULT_MAP, spec.N)) ** spec.L
                       for t in range(1, t_max + 1)])
     return float((np.abs(K - exact) / (1.0 + exact)).max())

@@ -217,6 +217,22 @@ def test_variance_manifest_records_every_task_seed(tmp_path):
     assert "seeds" not in manifest["extras"]
 
 
+def test_variance_table_is_built_from_the_configured_system(tmp_path):
+    # one bond at amplitude A has sigma^2(s~ >= 1) = A^2 exactly
+    cfg = validate_config({
+        "kind": "variance", "seed": 3, "outdir": str(tmp_path / "v"),
+        "variance": {"system": {"L": 2, "amplitude": 0.7}, "T": 4, "samples": 4000,
+                     "horizon": 32},
+    })
+    run_experiment(cfg)
+    with open(tmp_path / "v/variance_table.csv") as f:
+        f.readline()
+        rows = [r for r in csv.DictReader(f) if int(r["s_tilde"]) >= 1]
+    assert len(rows) == 3
+    for r in rows:
+        assert abs(float(r["sigma2"]) - 0.7**2) <= 4.0 * float(r["std_error"]), r
+
+
 def test_clt_pipeline_small(tmp_path):
     cfg = validate_config({
         "kind": "clt", "seed": 41, "outdir": str(tmp_path / "clt"),
@@ -436,11 +452,13 @@ def test_invalid_input_exits_2_naming_its_field(tmp_path, capsys, args, field):
     ("clt", {"T_list": [4], "system": {"L": 2, "topology": "star"}}, "topology"),
     # an asynchronous shift needs T >= 2; at T = 1 the invariance draw never ends
     ("variance", {"T": 1, "invariance_checks": 1}, "T >= 2"),
+    # the per-bond table is one bond of a ring
+    ("variance", {"system": {"L": 3, "topology": "all-to-all"}}, "variance.system.topology"),
 ])
 def test_domain_rules_are_checked_at_validation(kind, section, match):
     with pytest.raises(ConfigError, match=match):
         validate_config({"kind": kind, "seed": 1, "outdir": "unused",
-                         harness.KIND_SECTION[kind]: section})
+                         harness._KINDS[kind].section: section})
 
 
 def test_missing_series_csv_exits_2_naming_it(tmp_path, capsys):
@@ -500,13 +518,14 @@ def test_cli_reads_config_through_the_harness_loader(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
-def _interrupting_pipeline(cfg, outdir):
+def _interrupting_pipeline(cfg, built, outdir):
     (outdir / "predict_sff.csv").write_text("partial\n")
     raise KeyboardInterrupt
 
 
 def test_interrupted_run_leaves_nothing(tmp_path, monkeypatch):
-    monkeypatch.setitem(harness._PIPELINES, "predict", _interrupting_pipeline)
+    monkeypatch.setitem(harness._KINDS, "predict",
+                        harness._KINDS["predict"]._replace(run=_interrupting_pipeline))
     with pytest.raises(KeyboardInterrupt):
         run_experiment(_cfg_predict(tmp_path / "out"))
     assert list(tmp_path.iterdir()) == []
@@ -556,7 +575,7 @@ def test_column_writer_matches_row_wise_writer(tmp_path, monkeypatch, kind, sect
     if kind == "compare":
         section = {**section, "series_csv": str(series)}
     cfg = validate_config({"kind": kind, "seed": 5, "outdir": str(tmp_path / "out"),
-                           harness.KIND_SECTION[kind]: section})
+                           harness._KINDS[kind].section: section})
     runs = []
     for writer in (harness._write_csv, _row_wise_write_csv):
         monkeypatch.setattr(harness, "_write_csv", writer)

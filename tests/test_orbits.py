@@ -244,7 +244,7 @@ def test_orbits_beyond_inventory_lists_no_point(tmp_path):
                            "orbits": {"T_list": [16], "inventory_max_T": 8}})
     tracemalloc.start()
     try:
-        _run_orbits(cfg, tmp_path)
+        _run_orbits(cfg, DEFAULT_MAP, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

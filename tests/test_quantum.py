@@ -57,6 +57,23 @@ def test_translation_unitary():
         assert np.abs(T.conj().T @ T - np.eye(N)).max() < 1e-10
 
 
+@pytest.mark.parametrize("N", [8, 16])
+def test_grid_translation_maps_clock_and_shift_to_multiples(N):
+    # a translation by v in Z^2/N quantizes an affine cat map exactly: it
+    # conjugates the clock Z and the shift X to unit-modulus multiples of themselves
+    n = np.arange(N)
+    Z = np.diag(np.exp(2j * np.pi * n / N))
+    X = np.roll(np.eye(N), 1, axis=0)
+    for a in range(N):
+        for b in range(N):
+            T = torus_translation(N, a / N, b / N)
+            for P in (Z, X):
+                C = T @ P @ T.conj().T
+                c = np.vdot(P, C) / N
+                assert abs(abs(c) - 1.0) < 1e-13
+                assert np.abs(C - c * P).max() < 1e-13
+
+
 def test_single_map_ramp_over_translation_ensemble():
     # median of <|tr u^t|^2> / t over t << N within the coarse 25% band
     rng = philox(2)
