@@ -22,7 +22,6 @@ from .phases import (
     action_difference_identity_check,
     clt_diagnostics,
     per_bond_variance_table,
-    phase_difference,
     sample_phase_distribution,
     variance_series,
     variance_time_average,
@@ -46,4 +45,4 @@ from .quantum import (
     quantize_subsystem,
     sff_numeric,
 )
-from .harness import ExperimentConfig, RunManifest, load_config, run_experiment
+from .harness import ExperimentConfig, RunManifest, run_experiment

@@ -105,16 +105,18 @@ def step_arrays(q, p, m: CatMapSpec, den: int, work=None):
     (a q + b p, c q + d p), each reduced by mod1.  Without work, q and p are
     Python ints or int64 arrays and the image is new.  With work, an int64
     array of shape (2,) + q.shape, the int64 arrays q and p are overwritten
-    with the image.  The unreduced image must fit in int64 (check_lattice_map).
+    with the image, skipping the products b p, c q and d p whose coefficient
+    is 1.  The unreduced image must fit in int64 (check_lattice_map).
     """
     if work is None:
         return mod1(m.a * q + m.b * p, den), mod1(m.c * q + m.d * p, den)
     u, v = work
     np.multiply(q, m.a, out=u)
-    np.multiply(p, m.b, out=v)
-    u += v
-    np.multiply(q, m.c, out=q)
-    np.multiply(p, m.d, out=p)
+    u += p if m.b == 1 else np.multiply(p, m.b, out=v)
+    if m.c != 1:
+        q *= m.c
+    if m.d != 1:
+        p *= m.d
     p += q
     return mod1(u, den, out=q), mod1(p, den, out=p)
 
@@ -224,11 +226,11 @@ def lattice_pairs(spec: SystemSpec) -> tuple[list[tuple[int, int]], float]:
     return [(l, (l + 1) % L) for l in range(L)], spec.amplitude
 
 
-def _lattice_bond_sum(k: np.ndarray, pairs, den: int, out: np.ndarray, work: np.ndarray):
-    """sum over pairs (i, j) of cos(2 pi d / den), d = (k_i - k_j) mod den, written into out.
+def _lattice_bond_sum(d: np.ndarray, den: int, out: np.ndarray, work: np.ndarray):
+    """sum over pairs of cos(2 pi d / den) for relative numerators d in [0, den), written into out.
 
-    k holds numerators of shape (copies, L, n); out is a float array of
-    shape (copies, n).  The cosine is exact integer arithmetic up to the
+    d has shape (copies, pairs, n) (_relative_frames); out is a float array
+    of shape (copies, n).  The cosine is exact integer arithmetic up to the
     table: h = d // q picks cos and sin of the table angle, and the leftover
     angle delta = 2 pi (d - h q) / den, below 2 pi / 4096 when den is a power
     of two and below 4 pi / 4096 otherwise, corrects them by a degree-5
@@ -241,14 +243,12 @@ def _lattice_bond_sum(k: np.ndarray, pairs, den: int, out: np.ndarray, work: np.
     shift, scale = q.bit_length() - 1, TWO_PI / den
     a, b = work[:2]
     af, bf, sf = work[:3].view(float)
-    if not pairs:
+    if not d.shape[1]:
         out[:] = 0.0
-    for n, (i, j) in enumerate(pairs):
-        c = out if n == 0 else work[3].view(float)
-        np.subtract(k[:, i], k[:, j], out=a)
-        mod1(a, den, out=a)
-        np.right_shift(a, shift, out=b)  # h
-        np.bitwise_and(a, q - 1, out=a)  # the leftover numerator d - h q
+    for r in range(d.shape[1]):
+        c = out if r == 0 else work[3].view(float)
+        np.right_shift(d[:, r], shift, out=b)  # h
+        np.bitwise_and(d[:, r], q - 1, out=a)  # the leftover numerator d - h q
         np.take(cos_t, b, out=c, mode="clip")
         np.take(sin_t, b, out=sf, mode="clip")
         np.multiply(a, scale, out=bf)  # delta
@@ -265,7 +265,7 @@ def _lattice_bond_sum(k: np.ndarray, pairs, den: int, out: np.ndarray, work: np.
         bf *= c  # C (1 - cos(delta)) = C u (1/2 - u / 24)
         bf += sf
         c -= bf
-        if n:
+        if r:
             out += c
     return out
 
@@ -332,48 +332,46 @@ def _dyadic_starts(rng: np.random.Generator, n: int, L: int):
     return tuple((rng.random((n, L)) * DYADIC_DEN).astype(np.int64) for _ in "qp")
 
 
-def _trajectory(q0: np.ndarray, p0: np.ndarray, den: int, m: CatMapSpec, shifts, steps: int,
-                work=None):
-    """Position numerators over den of shifted copies of lattice starts at t = 0..steps-1.
+def _relative_frames(q0: np.ndarray, p0: np.ndarray, den: int, m: CatMapSpec, pairs, shifts,
+                     steps: int, work):
+    """Relative numerators of shifted copies of lattice starts at t = 0..steps-1.
 
     q0, p0 are int64 numerator arrays of shape (n, L): Monte Carlo draws
     (_dyadic_starts) or Smith-indexed periodic points (lattice_points).
-    Copy k starts with site l advanced shifts[k][l] map steps; then all
-    copies are stepped together, one site at a time, with step_arrays.  A
-    site whose shift is the same in every copy is stepped in copy 0 only and
-    its positions copied into the others (their momenta there are never
-    read).  Yields int64 arrays of shape (len(shifts), L, n), each the exact
-    orbit M^t x of its start.
+    Copy k has site l advanced shifts[k][l] map steps.  The map is linear, so
+    the difference of two lattice orbits is one too, M x_i - M x_j = M (x_i -
+    x_j) mod den: each (copy, pair (i, j)) starts at M^a x_i - M^b x_j =
+    M^c (M^(a-c) x_i - M^(b-c) x_j), c = min(a, b), and all of them take one
+    step_arrays call per step.  Yields the position differences (q_i - q_j)
+    mod den, an int64 array of shape (len(shifts), len(pairs), n).
 
-    work is an int64 array of shape (w, len(shifts), n) with w >= 2 (two
-    planes are allocated when None); its first two planes are the step's
-    scratch, so the reader may use them between frames.  The batch is
-    stepped in place: a yielded frame is a view of the position buffer and
-    is valid only until the next step; copy it to keep it.
+    work is an int64 array of shape (w, len(shifts), n) with w >= 2 and
+    w >= 2 len(pairs); its first 2 len(pairs) planes are the step's scratch,
+    so the reader may use them between frames.  The batch is stepped in
+    place: a yielded frame is valid only until the next step.
     """
     check_lattice_map(m, den)
-    n, L = q0.shape
-    # site-major layout: each (copy, site) row is contiguous
-    q = np.empty((len(shifts), L, n), dtype=np.int64)
-    p = np.empty_like(q)
-    q[:] = q0.T
-    p[:] = p0.T
-    del q0, p0  # the starts are not kept
-    work = np.empty((2,) + q[:, 0].shape, dtype=np.int64) if work is None else work
-    shared = [len({shift[l] for shift in shifts}) == 1 for l in range(L)]
+    dq = np.empty((len(shifts), len(pairs), q0.shape[0]), dtype=np.int64)
+    dp = np.empty_like(dq)
     for k, shift in enumerate(shifts):
-        for l, s in enumerate(shift):
-            for _ in range(0 if k and shared[l] else s):
-                step_arrays(q[k, l], p[k, l], m, den, work[:2, k])
+        for r, (i, j) in enumerate(pairs):
+            a, b = shift[i], shift[j]
+            lead, lag = (i, j) if a >= b else (j, i)
+            q, p = dq[k, r], dp[k, r]
+            q[:], p[:] = q0[:, lead], p0[:, lead]
+            for _ in range(abs(a - b)):
+                step_arrays(q, p, m, den, work[:2, k])
+            for x, y in ((q0[:, lag], q), (p0[:, lag], p)):
+                np.subtract(*((y, x) if a >= b else (x, y)), out=y)
+                mod1(y, den, out=y)
+            for _ in range(min(a, b)):
+                step_arrays(q, p, m, den, work[:2, k])
+    del q0, p0  # the starts are not kept
+    scratch = work[:2 * len(pairs)].reshape((2,) + dq.shape)
     for t in range(steps):
-        for l in range(L):
-            if shared[l]:
-                if t:
-                    step_arrays(q[0, l], p[0, l], m, den, work[:2, 0])
-                q[1:, l] = q[0, l]
-            elif t:
-                step_arrays(q[:, l], p[:, l], m, den, work[:2])
-        yield q
+        if t:
+            step_arrays(dq, dp, m, den, scratch)
+        yield dq
 
 
 def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts, steps: int,
@@ -385,8 +383,8 @@ def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts
     uniform draws of L period-T points each from the Smith form lattice =
     (d1, d2, W): an index in [0, d1 d2) split as i = index // d2, j = index - i d2
     and mapped by lattice_points, over den = d2.  No point list is built.
-    _trajectory steps them; each frame is a float array of shape
-    (len(shifts), n), valid only until the next frame.
+    _relative_frames steps their pair differences; each frame is a float
+    array of shape (len(shifts), n), valid only until the next frame.
     """
     m, L = spec.subsystem, spec.L
     pairs, scale = lattice_pairs(spec)
@@ -401,14 +399,15 @@ def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts
         i = j // den  # floor_divide by a scalar is faster than np.divmod
         j -= i * den
         starts = lattice_points(lattice, i, j)
-    # the step's scratch and the lattice cosine share these planes
-    work = np.empty((4 if len(pairs) > 1 else 3, len(shifts), n), dtype=np.int64)
-    frames = _trajectory(*starts, den, m, shifts, steps, work)
-    del starts  # _trajectory drops the starts once it has copied them
+    # the step's scratch, the pre-shift's and the lattice cosine share these planes
+    work = np.empty((max(2 * len(pairs), 4 if len(pairs) > 1 else 3), len(shifts), n), np.int64)
+    frames = _relative_frames(*starts, den, m, pairs, shifts, steps, work)
+    del starts  # _relative_frames drops the starts once it has differenced them
     w = np.empty(work.shape[1:])
-    for q in frames:
-        _lattice_bond_sum(q, pairs, den, w, work)
-        w *= scale
+    for d in frames:
+        _lattice_bond_sum(d, den, w, work)
+        if scale != 1.0:
+            w *= scale
         yield w
 
 

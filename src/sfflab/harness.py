@@ -261,10 +261,6 @@ def read_config(path) -> dict:
     return data
 
 
-def load_config(path) -> ExperimentConfig:
-    return validate_config(read_config(path))
-
-
 def dump_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(cfg.to_dict(), sort_keys=True)
 
@@ -283,16 +279,20 @@ def _write_csv(path, schema, header, blocks):
     A column is anything np.asarray takes; its cells are the Python scalars of
     .tolist(), a float column formatted as repr (the shortest round-trip form;
     under numpy 2 repr(np.float64) prints "np.float64(...)") and any other as
-    str.  The text is what csv.writer(f, lineterminator="\\n") writes, joined
-    per slice of rows; a str cell that is empty (a lone one csv quotes as "")
-    or that csv would quote raises ValueError instead.
+    str.  A 0-d column repeats its one cell down the block.  The text is what
+    csv.writer(f, lineterminator="\\n") writes, joined per slice of rows; a
+    str cell that is empty (a lone one csv quotes as "") or that csv would
+    quote raises ValueError instead.
     """
     with open(path, "w", newline="") as f:
         f.write(f"# schema: sfflab/{schema} v1\n")
         for columns in [[[name] for name in header], *blocks]:  # the header is a one-row block
             columns = [np.asarray(c) for c in columns]
-            for start in range(0, max(map(len, columns)), _CSV_SLICE):
-                cells = [_cells(c[start:start + _CSV_SLICE]) for c in columns]
+            rows = max(len(c) for c in columns if c.ndim)
+            for start in range(0, rows, _CSV_SLICE):
+                m = min(rows - start, _CSV_SLICE)
+                cells = [_cells(c[start:start + m]) if c.ndim else _cells(c[None]) * m
+                         for c in columns]
                 f.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
 
 
@@ -386,8 +386,8 @@ def _run_predict(cfg, params: PottsParams, outdir):
 
     def emit(p: SffPrediction, mode: str, chi_val: float):
         blocks.append([p.times, p.times / params.T_H, p.values, p.log_values / math.log(10.0),
-                       [mode] * n, [params.L] * n, [float(chi_val)] * n,
-                       [float(params.lam)] * n, [float(params.sigma2_phi)] * n])
+                       mode, params.L, float(chi_val), float(params.lam),
+                       float(params.sigma2_phi)])
 
     emit(pred, "closed-form", params.chi)
     if sec["emit_limits"]:
@@ -399,7 +399,7 @@ def _run_predict(cfg, params: PottsParams, outdir):
     if sec["emit_kappa"]:
         tau = grid / params.T_H
         _write_csv(outdir / "kappa.csv", "kappa", ["tau", "kappa", "L", "chi"],
-                   [[tau, scaled_kappa(params, tau), [params.L] * n, [float(params.chi)] * n]])
+                   [[tau, scaled_kappa(params, tau), params.L, float(params.chi)]])
     return {"n_rows": n * len(blocks), "params": params.to_dict()}
 
 
@@ -510,8 +510,8 @@ def _run_clt(cfg, spec: SystemSpec, outdir):
         rep = clt_diagnostics(sset)
         kept = sset.phi_tilde[: sec["csv_rows"]]
         n = len(kept)
-        blocks.append([np.full(n, T), np.full(n, sset.mode), np.arange(n), kept * math.sqrt(T),
-                       kept, np.full(n, ";".join(str(v) for v in s))])
+        blocks.append([T, sset.mode, np.arange(n), kept * math.sqrt(T), kept,
+                       ";".join(str(v) for v in s)])
         report[str(T)] = {
             "mode": sset.mode,
             "s": list(s),
@@ -540,7 +540,7 @@ def _run_variance(cfg, spec: SystemSpec, outdir):
     )
     _write_csv(outdir / "variance_table.csv", "variance_table",
                ["s_tilde", "sigma2", "std_error", "estimator", "T"],
-               [[np.arange(T), table.sigma2, table.std_error, [sec["estimator"]] * T, [T] * T]])
+               [[np.arange(T), table.sigma2, table.std_error, sec["estimator"], T]])
 
     report = {"table_T": T, "estimator": sec["estimator"]}
     if sec["invariance_checks"] > 0:

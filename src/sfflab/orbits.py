@@ -257,17 +257,6 @@ def as_shift(r, L: int, T: int) -> tuple[int, ...]:
     return tuple(int(c) % T for c in r)
 
 
-def shift_action_lattice(family: OrbitFamily, r, m: CatMapSpec):
-    """Exact per-site action of phi_0^r on the family representatives."""
-    T = family.period
-    shift = as_shift(r, family.L, T)
-    out = []
-    for orbit, steps in zip(family.reps, shift):
-        qs, ps, den = orbit.cycle_lattice(m)
-        out.append((qs[steps], ps[steps], den))
-    return out
-
-
 def stability_amplitude_sq(T: int, m: CatMapSpec) -> float:
     """A^2 = 1 / |tr M^T - 2|, uniform over all period-T points of a linear map."""
     return 1.0 / periodic_point_count(T, m)

@@ -116,11 +116,6 @@ class VarianceTable:
 # phase differences along families
 
 
-def phase_difference(family: OrbitFamily, r, s, spec: SystemSpec) -> float:
-    """Phi between the orbits phi_0^r Gamma_0 and phi_0^s Gamma_0."""
-    return _shifted_lifts(family, r, s, spec)[-1]
-
-
 def _shifted_lifts(family: OrbitFamily, r, s, spec: SystemSpec):
     """(r, s, lift of r, lift of s, Phi): each orbit lifted once (see _orbit_lift).
 

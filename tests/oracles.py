@@ -1,11 +1,17 @@
 """Independent oracles: deliberately plain, straight-line implementations.
 
-These never share code paths with the package internals they check.
+These never share code paths with the package internals they check, except
+the test-only conveniences at the end: thin wrappers over package
+internals, which the package itself has no use for.
 """
 import cmath
 import csv
 import math
 import numpy as np
+
+from sfflab.harness import read_config, validate_config
+from sfflab.orbits import as_shift
+from sfflab.phases import _shifted_lifts
 
 
 def brute_force_periodic_points(T, a, b, c, d):
@@ -328,3 +334,27 @@ def write_csv_rows(path, schema, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+# ---------------------------------------------------------------------------
+# test-only conveniences over the package: the package itself never calls these
+
+
+def shift_action_lattice(family, r, m):
+    """Exact per-site action of phi_0^r on the family representatives: (q, p, den) per site."""
+    shift = as_shift(r, family.L, family.period)
+    out = []
+    for orbit, steps in zip(family.reps, shift):
+        qs, ps, den = orbit.cycle_lattice(m)
+        out.append((qs[steps], ps[steps], den))
+    return out
+
+
+def phase_difference(family, r, s, spec):
+    """Phi between the orbits phi_0^r Gamma_0 and phi_0^s Gamma_0 (phases._shifted_lifts)."""
+    return _shifted_lifts(family, r, s, spec)[-1]
+
+
+def load_config(path):
+    """The validated ExperimentConfig of a YAML config file."""
+    return validate_config(read_config(path))

@@ -10,7 +10,6 @@ from sfflab.dynamics import (
     DYADIC_DEN,
     SpecError,
     SystemSpec,
-    _trajectory,
     coupled_step_unreduced,
     estimate_correlation,
     pair_gradient,
@@ -68,36 +67,31 @@ def test_mod1_half_open_edge():
     assert mod1(-1, 45) == 44 and type(mod1(-1, 45)) is int
 
 
-def _stepped_directly(q0, p0, shift, t):
-    """Positions after shift[l] + t single-site steps of each sample's site l, in Python ints."""
-    out = np.empty_like(q0)
-    for i in range(q0.shape[0]):
-        for l in range(q0.shape[1]):
-            q, p = int(q0[i, l]), int(p0[i, l])
-            for _ in range(shift[l] + t):
-                q, p = ((DEFAULT_MAP.a * q + DEFAULT_MAP.b * p) % DYADIC_DEN,
-                        (DEFAULT_MAP.c * q + DEFAULT_MAP.d * p) % DYADIC_DEN)
-            out[i, l] = q
-    return out
+# each entry of [[a, b], [c, d]] is 1, -1, 2 and 3 in one of these maps; the array step skips
+# a product b p, c q or d p whose coefficient is 1
+BRANCH_MAPS = [CatMapSpec(*e) for e in ((2, 1, 1, 1), (1, 1, 2, 3), (1, -1, -1, 2), (-3, 2, 1, -1),
+                                        (-2, 1, 3, -2), (-2, 3, 1, -2), (-1, -2, -1, -3),
+                                        (3, -2, -1, 1))]
 
 
-@pytest.mark.parametrize("shifts", [
-    ((0, 0, 0), (0, 2, 0), (3, 0, 1)),
-    # estimate_correlation's copies for shift (-2, 1, 0): both offset by 2 steps
-    ((2, 2, 2), (0, 3, 2)),
-])
-def test_trajectory_matches_direct_stepping(shifts):
-    rng = philox(10)
-    q0, p0 = (rng.integers(0, DYADIC_DEN, (16, 3)) for _ in "qp")
-    steps = 4
-    # a frame is valid only until the next step, so keep a copy of each
-    frames = [frame.copy()
-              for frame in _trajectory(q0, p0, DYADIC_DEN, DEFAULT_MAP, shifts, steps)]
-    assert len(frames) == steps
-    for t, frame in enumerate(frames):
-        assert frame.shape == (len(shifts), 3, 16)
-        for k, shift in enumerate(shifts):
-            assert np.array_equal(frame[k].T, _stepped_directly(q0, p0, shift, t))
+@pytest.mark.parametrize("den", [DYADIC_DEN, 105], ids=["dyadic", "den105"])
+def test_step_arrays_coefficient_branches_match_python_ints(den):
+    entries = [(m.a, m.b, m.c, m.d) for m in BRANCH_MAPS]
+    assert all({e[slot] for e in entries} >= {1, -1, 2, 3} for slot in range(4))
+    rng = philox(12)
+    # the (copies, pairs, n) layout of the Monte Carlo frames, with the lattice edges in it
+    q0, p0 = (rng.integers(0, den, (2, 3, 32)) for _ in "qp")
+    q0[0, 0, :4], p0[0, 0, :4] = [0, den - 1, 0, den - 1], [0, 0, den - 1, den - 1]
+    for m, e in zip(BRANCH_MAPS, entries):
+        q, p = q0.copy(), p0.copy()
+        image = step_arrays(q, p, m, den, np.empty((2,) + q.shape, dtype=np.int64))
+        assert image[0] is q and image[1] is p  # in place
+        pairs = list(zip(q0.ravel().tolist(), p0.ravel().tolist()))
+        unreduced = [(m.a * x + m.b * y, m.c * x + m.d * y) for x, y in pairs]
+        assert list(zip(q.ravel().tolist(), p.ravel().tolist())) == [
+            (u % den, v % den) for u, v in unreduced]
+        if min(e) < 0:
+            assert min(min(u, v) for u, v in unreduced) < 0  # negative images were reduced
 
 
 @pytest.mark.parametrize("spec, offsets", [

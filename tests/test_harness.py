@@ -17,7 +17,6 @@ from sfflab.harness import (
     ConfigError,
     SchemaError,
     dump_config,
-    load_config,
     read_sff_csv,
     report,
     run_experiment,
@@ -26,7 +25,7 @@ from sfflab.harness import (
 )
 from sfflab.util import spawn_seeds
 
-from oracles import poison_empty, write_csv_rows
+from oracles import load_config, poison_empty, write_csv_rows
 
 
 def _cfg_predict(outdir, **over):
@@ -551,7 +550,11 @@ def test_failed_rerun_leaves_earlier_run_untouched(tmp_path):
 
 
 def _row_wise_write_csv(path, schema, header, blocks):
-    write_csv_rows(path, schema, header, [row for columns in blocks for row in zip(*columns)])
+    rows = []
+    for columns in blocks:  # a 0-d column repeats its one cell down the block
+        n = max(len(c) for c in columns if np.ndim(c))
+        rows += zip(*(c if np.ndim(c) else [c] * n for c in columns))
+    write_csv_rows(path, schema, header, rows)
 
 
 CSV_WRITER_RUNS = [
@@ -613,9 +616,22 @@ def test_write_csv_matches_row_wise_writer_across_slices(tmp_path):
 
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", ""])
 def test_write_csv_refuses_cells_csv_would_quote(tmp_path, cell):
-    columns = [[1, 2], ["ok", cell]]
-    with pytest.raises(ValueError, match="would need quoting"):
-        harness._write_csv(tmp_path / "bad.csv", "test", ["n", "label"], [columns])
+    for label in (["ok", cell], cell):  # in a column, and as a 0-d column repeated down the block
+        with pytest.raises(ValueError, match="would need quoting"):
+            harness._write_csv(tmp_path / "bad.csv", "test", ["n", "label"], [[[1, 2], label]])
+
+
+def test_write_csv_scalar_column_equals_its_full_column(tmp_path):
+    n = harness._CSV_SLICE + 3  # the repeated cell spans two slices
+    phi = np.random.default_rng(4).standard_normal(n)
+    scalars = [16, "exact", "0;1;2", 0.1, -0.0, np.int64(7), np.float64(2.5), True]
+    header = ["index", "phi"] + [f"c{i}" for i in range(len(scalars))]
+    for name, full in (("scalar", lambda v, k: v), ("full", lambda v, k: np.full(k, v))):
+        harness._write_csv(tmp_path / f"{name}.csv", "test", header,
+                           [[np.arange(n), phi, *(full(v, n) for v in scalars)],
+                            [[1, 2], [0.5, 1.5], *(full(v, 2) for v in scalars[::-1])]])
+    assert (tmp_path / "scalar.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    assert len((tmp_path / "scalar.csv").read_text().splitlines()) == n + 4
 
 
 def test_successful_rerun_replaces_run_directory(tmp_path):

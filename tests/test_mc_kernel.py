@@ -9,10 +9,10 @@ import pytest
 from sfflab import dynamics, phases
 from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, DYADIC_DEN, NEAREST_NEIGHBOUR, CatMapSpec,
                              SpecError, SystemSpec, _cos_table, _dyadic_starts, _lattice_bond_sum,
-                             _trajectory, bonds, check_aliasing, check_lattice_map,
-                             estimate_correlation, lattice_pairs, observable_frames,
-                             pair_potential)
-from sfflab.orbits import enumerate_lattice
+                             _relative_frames, bonds, check_aliasing, check_lattice_map,
+                             estimate_correlation, lattice_pairs, lattice_points,
+                             observable_frames, pair_potential)
+from sfflab.orbits import enumerate_lattice, smith_lattice
 from sfflab.util import mod1, philox, spawn_seeds
 
 from oracles import (poison_empty, reference_bond_sum, reference_correlation,
@@ -174,35 +174,55 @@ def test_lattice_cosine_against_long_double(den):
     q = _cos_table(den)[0]
     edges = np.array([0, 1, q - 1, q, den // 2, den - q, den - 1], dtype=np.int64) % den
     d = np.concatenate([philox(23).integers(0, den, 200_000), edges])
-    k = np.zeros((1, 2, len(d)), dtype=np.int64)
-    k[0, 0] = d
-    got = _lattice_bond_sum(k, [(0, 1)], den, np.empty((1, len(d))),
+    got = _lattice_bond_sum(d[None, None], den, np.empty((1, len(d))),
                             np.empty((3, 1, len(d)), dtype=np.int64))[0]
     exact = np.cos(np.arctan(np.longdouble(1)) * 8 * d.astype(np.longdouble) / den)
     assert float(np.abs(got - exact).max()) < 1e-15
     assert np.array_equal(_bits(got), _bits(reference_lattice_cos(d, den)))
 
 
-@pytest.mark.parametrize("shifts", [((0, 0), (3, 0)), ((0, 2, 0), (1, 0, 5))])
-@pytest.mark.parametrize("m", [DEFAULT_MAP, INVERSE_MAP])
-def test_monte_carlo_frames_are_exact_orbits(m, shifts):
-    n, steps = 8, 128
-    L = len(shifts[0])
-    rng = philox(24)
-    draws = [rng.random((n, L)) for _ in "qp"]
-    starts = _dyadic_starts(philox(24), n, L)
-    frames = [f.copy() for f in _trajectory(*starts, DYADIC_DEN, m, shifts, steps)]
-    assert len(frames) == steps
+@pytest.mark.parametrize("T", [None, 8], ids=["dyadic", "smith-T8"])
+@pytest.mark.parametrize("spec, shifts", [
+    pytest.param(SystemSpec(L=2), ((0, 3), (3, 0)), id="ring-L2"),
+    pytest.param(SystemSpec(L=3), ((0, 2, 0), (1, 0, 5), (3, 0, 1)), id="ring-L3"),
+    # more pairs than sites, with each pair's shifts equal, rising and falling
+    pytest.param(SystemSpec(L=4, topology=ALL_TO_ALL), ((2, 2, 2, 2), (0, 3, 2, 4)),
+                 id="all-to-all-L4"),
+])
+@pytest.mark.parametrize("m", [DEFAULT_MAP, MAP_1123, INVERSE_MAP], ids=["default", "1123", "inverse"])
+def test_relative_frames_are_exact_orbit_differences(m, spec, shifts, T):
+    n, steps, L = 8, 128, spec.L
+    pairs, _ = lattice_pairs(spec)
+    if T is None:
+        den = DYADIC_DEN
+        starts = _dyadic_starts(philox(24), n, L)
+        rng = philox(24)
+        # the start k / 2^53 that each float draw stands for, in Python ints
+        qs, ps = ([[int(v * 2**53) for v in row] for row in rng.random((n, L))] for _ in "qp")
+    else:
+        smith = smith_lattice(T, m)
+        d1, den, _ = smith
+        index = philox(24).integers(0, d1 * den, (n, L))
+        starts = lattice_points(smith, index // den, index % den)
+        qs, ps = (x.tolist() for x in starts)
+    work = np.empty((max(2 * len(pairs), 4), len(shifts), n), dtype=np.int64)
+    frames = [f.copy() for f in _relative_frames(*starts, den, m, pairs, shifts, steps, work)]
+    assert len(frames) == steps and frames[0].shape == (len(shifts), len(pairs), n)
     for i in range(n):
-        for l in range(L):
-            # Python ints: the start k / 2^53 that the float draw stands for, then M^t x0 mod 2^53
-            q, p = (int(x[i, l] * 2**53) for x in draws)
+        orbits = []
+        for q, p in zip(qs[i], ps[i]):
             orbit = []
-            for _ in range(steps + max(shift[l] for shift in shifts)):
+            for _ in range(steps + max(map(max, shifts))):
                 orbit.append(q)
-                q, p = (m.a * q + m.b * p) % 2**53, (m.c * q + m.d * p) % 2**53
-            for c, shift in enumerate(shifts):
-                assert [int(f[c, l, i]) for f in frames] == orbit[shift[l]:shift[l] + steps]
+                q, p = (m.a * q + m.b * p) % den, (m.c * q + m.d * p) % den
+            orbits.append(orbit)
+            if T is not None:
+                assert orbit[T] == orbit[0]  # an exact period-T point
+        for c, shift in enumerate(shifts):
+            for r, (a, b) in enumerate(pairs):
+                want = [(orbits[a][t + shift[a]] - orbits[b][t + shift[b]]) % den
+                        for t in range(steps)]
+                assert [int(f[c, r, i]) for f in frames] == want
 
 
 def test_mirrored_pairs_are_evaluated_once_with_weight_two():
@@ -289,9 +309,10 @@ def test_mirrored_bond_reuses_its_cosine_bitwise(off):
 
 
 def test_time_average_peak_memory():
-    # the float kernel held 3.7 MiB here; the lattice kernel holds 3.2 MiB: position
-    # and momentum numerators, three int64 planes shared by the step and the
-    # lattice cosine, the bond sums and the checkpoint copies
+    # the float kernel held 3.7 MiB here and the per-site lattice kernel 3.21 MiB; the
+    # relative frames hold 2.75 MiB: the pair differences of position and momentum,
+    # three int64 planes shared by the shift, the step and the lattice cosine, the
+    # bond sums and the checkpoint copies
     spec = SystemSpec(L=2)
     phases.variance_time_average(spec, (0, 3), 64, 200, 1)
     tracemalloc.start()
@@ -300,4 +321,4 @@ def test_time_average_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.0 * 2**20
+    assert peak < 3.21 * 2**20

@@ -19,7 +19,6 @@ from sfflab.orbits import (
     lattice_fixed_count,
     map_power,
     periodic_point_count,
-    shift_action_lattice,
     smith_lattice,
     stability_amplitude_sq,
     subsystem_orbits,
@@ -28,7 +27,7 @@ from sfflab.orbits import (
 from sfflab.dynamics import SystemSpec
 from sfflab.util import philox
 
-from oracles import brute_force_cycles, brute_force_periodic_points
+from oracles import brute_force_cycles, brute_force_periodic_points, shift_action_lattice
 
 
 OTHER_MAP = CatMapSpec(1, 1, 2, 3)

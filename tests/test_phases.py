@@ -22,7 +22,6 @@ from sfflab.phases import (
     action_difference_identity_check,
     clt_diagnostics,
     per_bond_variance_table,
-    phase_difference,
     sample_phase_distribution,
     variance_series,
     variance_time_average,
@@ -30,7 +29,8 @@ from sfflab.phases import (
 from sfflab.util import philox
 
 from oracles import (block_periodicity_jacobian, float_position_cycle, geometric_series_variance,
-                     phase_difference_direct, reference_lattice_bond_sum, rolled_position_matrix)
+                     phase_difference, phase_difference_direct, reference_lattice_bond_sum,
+                     rolled_position_matrix)
 
 
 @pytest.mark.parametrize("T", [1, 2, 5])
