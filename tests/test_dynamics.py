@@ -10,8 +10,10 @@ from sfflab.dynamics import (
     DYADIC_DEN,
     SpecError,
     SystemSpec,
+    _relative_frames,
     coupled_step_unreduced,
     estimate_correlation,
+    lattice_pairs,
     pair_gradient,
     pair_hessian,
     pair_potential,
@@ -65,6 +67,43 @@ def test_mod1_half_open_edge():
         assert all(0 <= v < den for v in want)
         assert mod1(x, den, out=x) is x and x.tolist() == want
     assert mod1(-1, 45) == 44 and type(mod1(-1, 45)) is int
+
+
+def _stepped_directly(q0, p0, shift, t):
+    """Positions after shift[l] + t single-site steps of each sample's site l, in Python ints."""
+    out = np.empty_like(q0)
+    for i in range(q0.shape[0]):
+        for l in range(q0.shape[1]):
+            q, p = int(q0[i, l]), int(p0[i, l])
+            for _ in range(shift[l] + t):
+                q, p = ((DEFAULT_MAP.a * q + DEFAULT_MAP.b * p) % DYADIC_DEN,
+                        (DEFAULT_MAP.c * q + DEFAULT_MAP.d * p) % DYADIC_DEN)
+            out[i, l] = q
+    return out
+
+
+@pytest.mark.parametrize("shifts", [
+    ((0, 0, 0), (0, 2, 0), (3, 0, 1)),
+    # estimate_correlation's copies for shift (-2, 1, 0): both offset by 2 steps
+    ((2, 2, 2), (0, 3, 2)),
+])
+def test_trajectory_matches_direct_stepping(shifts):
+    # the Monte Carlo frames of the L = 3 ring are differences of directly stepped sites
+    rng = philox(10)
+    q0, p0 = (rng.integers(0, DYADIC_DEN, (16, 3)) for _ in "qp")
+    pairs, _ = lattice_pairs(SystemSpec(L=3))
+    steps = 4
+    work = np.empty((2 * len(pairs), len(shifts), 16), dtype=np.int64)
+    # a frame is valid only until the next step, so keep a copy of each
+    frames = [frame.copy() for frame in
+              _relative_frames(q0, p0, DYADIC_DEN, DEFAULT_MAP, pairs, shifts, steps, work)]
+    assert len(frames) == steps
+    for t, frame in enumerate(frames):
+        assert frame.shape == (len(shifts), len(pairs), 16)
+        for k, shift in enumerate(shifts):
+            q = _stepped_directly(q0, p0, shift, t)
+            for r, (a, b) in enumerate(pairs):
+                assert np.array_equal(frame[k, r], (q[:, a] - q[:, b]) % DYADIC_DEN)
 
 
 # each entry of [[a, b], [c, d]] is 1, -1, 2 and 3 in one of these maps; the array step skips

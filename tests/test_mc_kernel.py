@@ -191,6 +191,22 @@ def test_lattice_cosine_against_long_double(den):
 ])
 @pytest.mark.parametrize("m", [DEFAULT_MAP, MAP_1123, INVERSE_MAP], ids=["default", "1123", "inverse"])
 def test_relative_frames_are_exact_orbit_differences(m, spec, shifts, T):
+    _assert_exact_orbit_differences(m, spec, shifts, T)
+
+
+# one copy unshifted, and the other shifted on one site only
+@pytest.mark.parametrize("shifts", [((0, 0), (3, 0)), ((0, 2, 0), (1, 0, 5))])
+@pytest.mark.parametrize("m", [DEFAULT_MAP, INVERSE_MAP])
+def test_monte_carlo_frames_are_exact_orbits(m, shifts):
+    _assert_exact_orbit_differences(m, SystemSpec(L=len(shifts[0])), shifts, None)
+
+
+def _assert_exact_orbit_differences(m, spec, shifts, T):
+    """The relative frames of 8 starts over 128 steps against Python-int orbits.
+
+    T None draws dyadic starts as the Monte Carlo does; T an int draws
+    period-T points by their Smith indices.
+    """
     n, steps, L = 8, 128, spec.L
     pairs, _ = lattice_pairs(spec)
     if T is None:
