@@ -104,21 +104,20 @@ def step_arrays(q, p, m: CatMapSpec, den: int, work=None):
 
     (a q + b p, c q + d p), each reduced by mod1.  Without work, q and p are
     Python ints or int64 arrays and the image is new.  With work, an int64
-    array of shape (2,) + q.shape, the int64 arrays q and p are overwritten
-    with the image, skipping the products b p, c q and d p whose coefficient
-    is 1.  The unreduced image must fit in int64 (check_lattice_map).
+    array of q's shape, the int64 arrays q and p are overwritten with the
+    image, skipping the products b p, c q and d p whose coefficient is 1.
+    The unreduced image must fit in int64 (check_lattice_map).
     """
     if work is None:
         return mod1(m.a * q + m.b * p, den), mod1(m.c * q + m.d * p, den)
-    u, v = work
-    np.multiply(q, m.a, out=u)
-    u += p if m.b == 1 else np.multiply(p, m.b, out=v)
+    np.multiply(q, m.a, out=work)
+    work += p if m.b == 1 else m.b * p
     if m.c != 1:
         q *= m.c
     if m.d != 1:
         p *= m.d
     p += q
-    return mod1(u, den, out=q), mod1(p, den, out=p)
+    return mod1(work, den, out=q), mod1(p, den, out=p)
 
 
 def check_lattice_map(m: CatMapSpec, den: int = DYADIC_DEN) -> None:
@@ -229,7 +228,7 @@ def lattice_pairs(spec: SystemSpec) -> tuple[list[tuple[int, int]], float]:
 def _lattice_bond_sum(d: np.ndarray, den: int, out: np.ndarray, work: np.ndarray):
     """sum over pairs of cos(2 pi d / den) for relative numerators d in [0, den), written into out.
 
-    d has shape (copies, pairs, n) (_relative_frames); out is a float array
+    d has shape (pairs, copies, n) (_relative_frames); out is a float array
     of shape (copies, n).  The cosine is exact integer arithmetic up to the
     table: h = d // q picks cos and sin of the table angle, and the leftover
     angle delta = 2 pi (d - h q) / den, below 2 pi / 4096 when den is a power
@@ -243,12 +242,12 @@ def _lattice_bond_sum(d: np.ndarray, den: int, out: np.ndarray, work: np.ndarray
     shift, scale = q.bit_length() - 1, TWO_PI / den
     a, b = work[:2]
     af, bf, sf = work[:3].view(float)
-    if not d.shape[1]:
+    if not len(d):
         out[:] = 0.0
-    for r in range(d.shape[1]):
+    for r in range(len(d)):
         c = out if r == 0 else work[3].view(float)
-        np.right_shift(d[:, r], shift, out=b)  # h
-        np.bitwise_and(d[:, r], q - 1, out=a)  # the leftover numerator d - h q
+        np.right_shift(d[r], shift, out=b)  # h
+        np.bitwise_and(d[r], q - 1, out=a)  # the leftover numerator d - h q
         np.take(cos_t, b, out=c, mode="clip")
         np.take(sin_t, b, out=sf, mode="clip")
         np.multiply(a, scale, out=bf)  # delta
@@ -333,44 +332,42 @@ def _dyadic_starts(rng: np.random.Generator, n: int, L: int):
 
 
 def _relative_frames(q0: np.ndarray, p0: np.ndarray, den: int, m: CatMapSpec, pairs, shifts,
-                     steps: int, work):
+                     steps: int):
     """Relative numerators of shifted copies of lattice starts at t = 0..steps-1.
 
     q0, p0 are int64 numerator arrays of shape (n, L): Monte Carlo draws
     (_dyadic_starts) or Smith-indexed periodic points (lattice_points).
     Copy k has site l advanced shifts[k][l] map steps.  The map is linear, so
     the difference of two lattice orbits is one too, M x_i - M x_j = M (x_i -
-    x_j) mod den: each (copy, pair (i, j)) starts at M^a x_i - M^b x_j =
-    M^c (M^(a-c) x_i - M^(b-c) x_j), c = min(a, b), and all of them take one
-    step_arrays call per step.  Yields the position differences (q_i - q_j)
-    mod den, an int64 array of shape (len(shifts), len(pairs), n).
-
-    work is an int64 array of shape (w, len(shifts), n) with w >= 2 and
-    w >= 2 len(pairs); its first 2 len(pairs) planes are the step's scratch,
-    so the reader may use them between frames.  The batch is stepped in
-    place: a yielded frame is valid only until the next step.
+    x_j) mod den: each (pair (i, j), copy) starts at M^a x_i - M^b x_j =
+    M^c (M^(a-c) x_i - M^(b-c) x_j), c = min(a, b), and each pair takes one
+    step_arrays call per step, with one (len(shifts), n) scratch row.  Yields
+    the position differences (q_i - q_j) mod den, an int64 array of shape
+    (len(pairs), len(shifts), n), stepped in place: a yielded frame is valid
+    only until the next step.
     """
     check_lattice_map(m, den)
-    dq = np.empty((len(shifts), len(pairs), q0.shape[0]), dtype=np.int64)
+    dq = np.empty((len(pairs), len(shifts), q0.shape[0]), dtype=np.int64)
     dp = np.empty_like(dq)
-    for k, shift in enumerate(shifts):
-        for r, (i, j) in enumerate(pairs):
+    work = np.empty(dq.shape[1:], dtype=np.int64)
+    for r, (i, j) in enumerate(pairs):
+        for k, shift in enumerate(shifts):
             a, b = shift[i], shift[j]
             lead, lag = (i, j) if a >= b else (j, i)
-            q, p = dq[k, r], dp[k, r]
+            q, p = dq[r, k], dp[r, k]
             q[:], p[:] = q0[:, lead], p0[:, lead]
             for _ in range(abs(a - b)):
-                step_arrays(q, p, m, den, work[:2, k])
+                step_arrays(q, p, m, den, work[k])
             for x, y in ((q0[:, lag], q), (p0[:, lag], p)):
                 np.subtract(*((y, x) if a >= b else (x, y)), out=y)
                 mod1(y, den, out=y)
             for _ in range(min(a, b)):
-                step_arrays(q, p, m, den, work[:2, k])
+                step_arrays(q, p, m, den, work[k])
     del q0, p0  # the starts are not kept
-    scratch = work[:2 * len(pairs)].reshape((2,) + dq.shape)
     for t in range(steps):
         if t:
-            step_arrays(dq, dp, m, den, scratch)
+            for q, p in zip(dq, dp):
+                step_arrays(q, p, m, den, work)
         yield dq
 
 
@@ -399,10 +396,10 @@ def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts
         i = j // den  # floor_divide by a scalar is faster than np.divmod
         j -= i * den
         starts = lattice_points(lattice, i, j)
-    # the step's scratch, the pre-shift's and the lattice cosine share these planes
-    work = np.empty((max(2 * len(pairs), 4 if len(pairs) > 1 else 3), len(shifts), n), np.int64)
-    frames = _relative_frames(*starts, den, m, pairs, shifts, steps, work)
+    frames = _relative_frames(*starts, den, m, pairs, shifts, steps)
     del starts  # _relative_frames drops the starts once it has differenced them
+    # the lattice cosine's planes
+    work = np.empty((4 if len(pairs) > 1 else 3, len(shifts), n), np.int64)
     w = np.empty(work.shape[1:])
     for d in frames:
         _lattice_bond_sum(d, den, w, work)

@@ -601,12 +601,11 @@ def _run_quantum(cfg, spec: CircuitSpec, outdir):
     # first, while no member rows are held, so its solve adds nothing to the peak RSS
     reference_error = reference_trace_error(spec, t_max)
     series = sff_numeric(spec, t_max, workers=cfg.workers)
-    n = len(series.times)
     _write_csv(outdir / "sff_numeric.csv", "sff_numeric",
                ["t", "tau", "K", "K_raw", "err", "N", "L", "epsilon", "Lambda"],
                [[series.times, series.times / spec.T_H, series.values, series.raw_values,
-                 series.errors, [spec.N] * n, [spec.L] * n, [float(spec.eps_effective)] * n,
-                 [float(spec.lam or 0.0)] * n]])
+                 series.errors, spec.N, spec.L, float(spec.eps_effective),
+                 float(spec.lam_effective)]])
     return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"],
             "unitarity_residual_max": series.meta["unitarity_residual_max"],
             "trace_check_max": series.meta["trace_check_max"],

@@ -101,6 +101,13 @@ class CircuitSpec:
             return math.sqrt(self.lam) * self.hbar / math.sqrt(self.T_H)
         return self.epsilon
 
+    @property
+    def lam_effective(self) -> float:
+        """Lambda = epsilon^2 T_H / hbar^2, the inverse of eps_effective."""
+        if self.lam is not None:
+            return self.lam
+        return self.epsilon**2 * self.T_H / self.hbar**2
+
     def system(self) -> SystemSpec:
         return SystemSpec(L=self.L, epsilon=self.eps_effective)
 
@@ -303,23 +310,9 @@ def _move_pole(A: np.ndarray, alpha: float, new_alpha: float) -> float:
 
 
 def _widest_gap_middle(theta: np.ndarray) -> float:
-    """Middle of the widest gap between the angles theta on the circle.
-
-    One bucket pass instead of a sort: with as many buckets as angles, every
-    gap inside a bucket is narrower than the mean gap, so the widest gap runs
-    from the largest angle of an occupied bucket to the smallest angle of the
-    next occupied one.
-    """
-    n = theta.size
-    theta = np.mod(theta, 2.0 * np.pi)
-    bucket = np.minimum((theta * (n / (2.0 * np.pi))).astype(np.intp), n - 1)
-    hi = np.full(n, -np.inf)
-    lo = np.full(n, np.inf)
-    np.maximum.at(hi, bucket, theta)
-    np.minimum.at(lo, bucket, theta)
-    occupied = hi > -np.inf
-    start = hi[occupied]
-    stop = np.roll(lo[occupied], -1)
+    """Middle of the widest gap between the angles theta on the circle."""
+    start = np.sort(np.mod(theta, 2.0 * np.pi))
+    stop = np.roll(start, -1)
     stop[-1] += 2.0 * np.pi
     k = int(np.argmax(stop - start))
     return float(0.5 * (start[k] + stop[k]))

@@ -7,6 +7,8 @@ internals, which the package itself has no use for.
 import cmath
 import csv
 import math
+import tracemalloc
+
 import numpy as np
 
 from sfflab.harness import read_config, validate_config
@@ -324,6 +326,17 @@ def poison_empty(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "empty", poisoned)
+
+
+def peak_mib(fn):
+    """Traced peak of fn() in MiB, after one untraced call that warms imports and caches up."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def write_csv_rows(path, schema, header, rows):

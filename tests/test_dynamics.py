@@ -34,7 +34,7 @@ def test_cat_map_validation():
 
 def test_subsystem_step_fixed_point():
     q, p = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    image = step_arrays(q, p, DEFAULT_MAP, DYADIC_DEN, np.empty((2, 1), dtype=np.int64))
+    image = step_arrays(q, p, DEFAULT_MAP, DYADIC_DEN, np.empty(1, dtype=np.int64))
     assert image[0] is q and image[1] is p  # in place
     assert q[0] == 0 and p[0] == 0
 
@@ -43,7 +43,7 @@ def test_subsystem_step_direct_substitution():
     # (1/2, 1/2) -> (3/2, 1) = (1/2, 0) mod 1, as Python ints and in place
     assert step_arrays(1, 1, DEFAULT_MAP, 2) == (1, 0)
     q, p = np.array([DYADIC_DEN // 2]), np.array([DYADIC_DEN // 2])
-    step_arrays(q, p, DEFAULT_MAP, DYADIC_DEN, np.empty((2, 1), dtype=np.int64))
+    step_arrays(q, p, DEFAULT_MAP, DYADIC_DEN, np.empty(1, dtype=np.int64))
     assert q[0] == DYADIC_DEN // 2 and p[0] == 0
 
 
@@ -51,7 +51,7 @@ def test_subsystem_step_inverse_roundtrip():
     inv = CatMapSpec(1, -1, -1, 2)  # inverse of the default map
     rng = philox(1)
     q0, p0 = (rng.integers(0, DYADIC_DEN, 50) for _ in "qp")
-    work = np.empty((2, 50), dtype=np.int64)
+    work = np.empty(50, dtype=np.int64)
     q, p = step_arrays(*step_arrays(q0.copy(), p0.copy(), DEFAULT_MAP, DYADIC_DEN, work), inv,
                        DYADIC_DEN, work)
     assert np.array_equal(q, q0) and np.array_equal(p, p0)  # exact on the lattice
@@ -93,17 +93,16 @@ def test_trajectory_matches_direct_stepping(shifts):
     q0, p0 = (rng.integers(0, DYADIC_DEN, (16, 3)) for _ in "qp")
     pairs, _ = lattice_pairs(SystemSpec(L=3))
     steps = 4
-    work = np.empty((2 * len(pairs), len(shifts), 16), dtype=np.int64)
     # a frame is valid only until the next step, so keep a copy of each
     frames = [frame.copy() for frame in
-              _relative_frames(q0, p0, DYADIC_DEN, DEFAULT_MAP, pairs, shifts, steps, work)]
+              _relative_frames(q0, p0, DYADIC_DEN, DEFAULT_MAP, pairs, shifts, steps)]
     assert len(frames) == steps
     for t, frame in enumerate(frames):
-        assert frame.shape == (len(shifts), len(pairs), 16)
+        assert frame.shape == (len(pairs), len(shifts), 16)
         for k, shift in enumerate(shifts):
             q = _stepped_directly(q0, p0, shift, t)
             for r, (a, b) in enumerate(pairs):
-                assert np.array_equal(frame[k, r], (q[:, a] - q[:, b]) % DYADIC_DEN)
+                assert np.array_equal(frame[r, k], (q[:, a] - q[:, b]) % DYADIC_DEN)
 
 
 # each entry of [[a, b], [c, d]] is 1, -1, 2 and 3 in one of these maps; the array step skips
@@ -118,12 +117,13 @@ def test_step_arrays_coefficient_branches_match_python_ints(den):
     entries = [(m.a, m.b, m.c, m.d) for m in BRANCH_MAPS]
     assert all({e[slot] for e in entries} >= {1, -1, 2, 3} for slot in range(4))
     rng = philox(12)
-    # the (copies, pairs, n) layout of the Monte Carlo frames, with the lattice edges in it
-    q0, p0 = (rng.integers(0, den, (2, 3, 32)) for _ in "qp")
+    # the (pairs, copies, n) layout of the Monte Carlo frames, with the lattice edges in it; the
+    # one scratch array has q's shape, and a coefficient b other than 1 takes a temporary b p
+    q0, p0 = (rng.integers(0, den, (3, 2, 32)) for _ in "qp")
     q0[0, 0, :4], p0[0, 0, :4] = [0, den - 1, 0, den - 1], [0, 0, den - 1, den - 1]
     for m, e in zip(BRANCH_MAPS, entries):
         q, p = q0.copy(), p0.copy()
-        image = step_arrays(q, p, m, den, np.empty((2,) + q.shape, dtype=np.int64))
+        image = step_arrays(q, p, m, den, np.empty(q.shape, dtype=np.int64))
         assert image[0] is q and image[1] is p  # in place
         pairs = list(zip(q0.ravel().tolist(), p0.ravel().tolist()))
         unreduced = [(m.a * x + m.b * y, m.c * x + m.d * y) for x, y in pairs]

@@ -127,6 +127,27 @@ def test_quantum_and_compare_pipeline(tmp_path):
     assert isinstance(combined["all_passed"], bool)
 
 
+@pytest.mark.parametrize("coupling", [{"epsilon": 0.01}, {"Lambda": 0.2107}])
+def test_quantum_lambda_column_is_the_runs_lambda(tmp_path, coupling):
+    # Lambda = eps^2 T_H / hbar^2 with hbar = 1/(2 pi N): eps = 0.01 at N = 4, L = 2 is
+    # Lambda = 1e-4 * 16 * (8 pi)^2, about 1.01; a Lambda-configured run writes its own value
+    cfg = validate_config({"kind": "quantum-sff", "seed": 23, "outdir": str(tmp_path / "q"),
+                           "quantum": {"N": 4, "L": 2, "members": 2, "t_max": 8, **coupling}})
+    run_experiment(cfg)
+    with open(tmp_path / "q/sff_numeric.csv") as f:
+        f.readline()
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 8
+    lam = coupling.get("Lambda", 1e-4 * 16 * (8.0 * np.pi) ** 2)
+    eps = np.sqrt(lam) / (8.0 * np.pi) / 4.0  # sqrt(Lambda) hbar / sqrt(T_H)
+    for r in rows:
+        assert (r["N"], r["L"]) == ("4", "2")
+        assert float(r["Lambda"]) == pytest.approx(lam, rel=1e-12)
+        assert float(r["epsilon"]) == pytest.approx(eps, rel=1e-12)
+    if "Lambda" in coupling:
+        assert {r["Lambda"] for r in rows} == {"0.2107"}
+
+
 def test_compare_self_consistency_passes(tmp_path):
     # write a synthetic series that equals the closed form, then compare against it
     from sfflab.potts import PottsParams, closed_form_sff

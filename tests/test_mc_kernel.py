@@ -1,7 +1,6 @@
 """The in-place lattice Monte Carlo kernel against the allocating formulation, bit for bit."""
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, DYADIC_DEN, NEAREST_NEIGHB
 from sfflab.orbits import enumerate_lattice, smith_lattice
 from sfflab.util import mod1, philox, spawn_seeds
 
-from oracles import (poison_empty, reference_bond_sum, reference_correlation,
+from oracles import (peak_mib, poison_empty, reference_bond_sum, reference_correlation,
                      reference_lattice_cos, reference_pairs, reference_phase_samples,
                      reference_time_average_ladder)
 
@@ -90,9 +89,10 @@ def test_time_average_ladder_matches_allocating_kernel(monkeypatch, m, L, amplit
 
 
 @pytest.mark.parametrize("m, L, amplitude, topology, start", CASES)
-def test_time_average_ladder_with_shared_sites(monkeypatch, m, L, amplitude, topology, start):
-    # a site with shift 0 is stepped once for both copies; (15, 0) is a per-bond
-    # table row, (0, 2, 0) shares the sites on both sides of the shifted one
+def test_time_average_ladder_with_unshifted_sites(monkeypatch, m, L, amplitude, topology,
+                                                   start):
+    # shift components of 0 beside a nonzero one: (15, 0) is a per-bond table row, and
+    # (0, 2, 0) gives the ring's pairs a rising, a falling and an equal pair of shifts
     spec, bl = _setup(monkeypatch, m, L, amplitude, topology, start)
     s = (15, 0) if L == 2 else (0, 2, 0)
     got = phases.variance_time_average(spec, s, 16, 700, 3, batch=300).ladder
@@ -221,9 +221,8 @@ def _assert_exact_orbit_differences(m, spec, shifts, T):
         index = philox(24).integers(0, d1 * den, (n, L))
         starts = lattice_points(smith, index // den, index % den)
         qs, ps = (x.tolist() for x in starts)
-    work = np.empty((max(2 * len(pairs), 4), len(shifts), n), dtype=np.int64)
-    frames = [f.copy() for f in _relative_frames(*starts, den, m, pairs, shifts, steps, work)]
-    assert len(frames) == steps and frames[0].shape == (len(shifts), len(pairs), n)
+    frames = [f.copy() for f in _relative_frames(*starts, den, m, pairs, shifts, steps)]
+    assert len(frames) == steps and frames[0].shape == (len(pairs), len(shifts), n)
     for i in range(n):
         orbits = []
         for q, p in zip(qs[i], ps[i]):
@@ -238,7 +237,7 @@ def _assert_exact_orbit_differences(m, spec, shifts, T):
             for r, (a, b) in enumerate(pairs):
                 want = [(orbits[a][t + shift[a]] - orbits[b][t + shift[b]]) % den
                         for t in range(steps)]
-                assert [int(f[c, r, i]) for f in frames] == want
+                assert [int(f[r, c, i]) for f in frames] == want
 
 
 def test_mirrored_pairs_are_evaluated_once_with_weight_two():
@@ -326,15 +325,17 @@ def test_mirrored_bond_reuses_its_cosine_bitwise(off):
 
 def test_time_average_peak_memory():
     # the float kernel held 3.7 MiB here and the per-site lattice kernel 3.21 MiB; the
-    # relative frames hold 2.75 MiB: the pair differences of position and momentum,
-    # three int64 planes shared by the shift, the step and the lattice cosine, the
-    # bond sums and the checkpoint copies
+    # relative frames hold 3.06 MiB: the pair differences of position and momentum, the
+    # step's one scratch row, the lattice cosine's three int64 planes, the bond sums and
+    # the checkpoint copies
     spec = SystemSpec(L=2)
-    phases.variance_time_average(spec, (0, 3), 64, 200, 1)
-    tracemalloc.start()
-    try:
-        phases.variance_time_average(spec, (0, 3), 64, 20000, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.21 * 2**20
+    assert peak_mib(lambda: phases.variance_time_average(spec, (0, 3), 64, 20000, 1)) < 3.21
+
+
+def test_time_average_peak_memory_with_many_pairs():
+    # all-to-all L = 8 has 28 pairs; when the step's scratch grew with them (two int64
+    # planes per pair besides the differences) this peaked at 37.1 MiB, and it holds
+    # 21.5 MiB with one scratch row stepped pair by pair
+    spec = SystemSpec(L=8, topology=ALL_TO_ALL)
+    s = (0, 1, 2, 3, 0, 1, 2, 3)
+    assert peak_mib(lambda: phases.variance_time_average(spec, s, 8, 20000, 1)) < 24

@@ -1,7 +1,6 @@
 import csv
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -27,7 +26,7 @@ from sfflab.orbits import (
 from sfflab.dynamics import SystemSpec
 from sfflab.util import philox
 
-from oracles import brute_force_cycles, brute_force_periodic_points, shift_action_lattice
+from oracles import brute_force_cycles, brute_force_periodic_points, peak_mib, shift_action_lattice
 
 
 OTHER_MAP = CatMapSpec(1, 1, 2, 3)
@@ -241,17 +240,12 @@ def test_orbits_beyond_inventory_lists_no_point(tmp_path):
     # traced alone: run_experiment hashes its artifacts in 1 MiB reads.
     cfg = validate_config({"kind": "orbits", "seed": 1, "outdir": str(tmp_path),
                            "orbits": {"T_list": [16], "inventory_max_T": 8}})
-    tracemalloc.start()
-    try:
-        _run_orbits(cfg, DEFAULT_MAP, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_mib(lambda: _run_orbits(cfg, DEFAULT_MAP, tmp_path))
     with open(tmp_path / "orbit_summary.csv") as f:
         f.readline()
         (row,) = csv.DictReader(f)
     assert row["count"] == row["expected_count"] == "4870845"
-    assert peak < 1 << 20
+    assert peak < 1
 
 
 @pytest.mark.parametrize("m, T", [(DEFAULT_MAP, 17), (DEFAULT_MAP, 30), (DEFAULT_MAP, 43),
@@ -315,12 +309,6 @@ def test_orbit_inventory_csv(tmp_path):
 def test_enumerate_lattice_peak_memory():
     # the two int64 output arrays take 16 bytes per point; one more full-size
     # temporary (an allocating % d2) would put the peak at 1.5 times that
-    enumerate_lattice(3, DEFAULT_MAP)
-    tracemalloc.start()
-    try:
-        nq, _, _ = enumerate_lattice(14, DEFAULT_MAP)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(nq) == periodic_point_count(14, DEFAULT_MAP)
-    assert peak < 1.25 * 16 * len(nq)
+    points = periodic_point_count(14, DEFAULT_MAP)
+    assert len(enumerate_lattice(14, DEFAULT_MAP)[0]) == points
+    assert peak_mib(lambda: enumerate_lattice(14, DEFAULT_MAP)) < 1.25 * 16 * points / 2**20

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,8 +28,8 @@ from sfflab.phases import (
 from sfflab.util import philox
 
 from oracles import (block_periodicity_jacobian, float_position_cycle, geometric_series_variance,
-                     phase_difference, phase_difference_direct, reference_lattice_bond_sum,
-                     rolled_position_matrix)
+                     peak_mib, phase_difference, phase_difference_direct,
+                     reference_lattice_bond_sum, rolled_position_matrix)
 
 
 @pytest.mark.parametrize("T", [1, 2, 5])
@@ -272,15 +271,13 @@ def test_exact_sampling_range(m, T_ok, T_over):
 def test_exact_sampling_lists_no_point():
     # T = 16 has 4,870,845 points; drawing indexes into their list took 80 MB
     spec = SystemSpec(L=2)
-    sample_phase_distribution(spec, 16, (0, 1), budget=1000, seed=5, mode="exact")
-    tracemalloc.start()
-    try:
-        sset = sample_phase_distribution(spec, 16, (0, 1), budget=100_000, seed=5, mode="exact")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def sample():
+        return sample_phase_distribution(spec, 16, (0, 1), budget=100_000, seed=5, mode="exact")
+
+    sset = sample()
     assert sset.mode == "exact" and len(sset.phi_tilde) == 100_000
-    assert peak < 10 << 20
+    assert peak_mib(sample) < 10
 
 
 def test_empirical_variance_matches_series_value():
