@@ -31,6 +31,7 @@ from .potts import (
     SffPrediction,
     closed_form_sff,
     deviation_bound,
+    prediction,
     scaled_kappa,
     sff_transfer,
     thouless_time,

@@ -32,8 +32,8 @@ from .phases import (
     variance_series,
     variance_time_average,
 )
-from .potts import (PottsError, PottsParams, SffPrediction, bound_check, check_family,
-                    closed_form_sff, scaled_kappa, thouless_time)
+from .potts import (PREDICTION_FORMS, PottsError, PottsParams, bound_check, check_family,
+                    prediction, scaled_kappa, thouless_time)
 from .quantum import (CircuitSpec, ConventionError, SffSeries, compare, reference_trace_error,
                       sff_numeric)
 from .util import philox, sha256_file, spawn_seeds
@@ -69,7 +69,7 @@ _PREDICTION_SCHEMA = {
     "chi": (float, None),
     "Lambda": (float, None),
     "sigma2_phi": (float, 1.0),
-    "form": (str, "closed-form", ("closed-form", "kappa")),
+    "form": (str, "closed-form", PREDICTION_FORMS),
 }
 
 _SYSTEM_SCHEMA = {
@@ -92,7 +92,6 @@ SECTION_SCHEMAS = {
         "T_stop": (float, 1e5, 1),
         "T_points": (int, 400, 1),
         "T_spacing": (str, "log", ("log", "linear", "integer")),
-        "emit_limits": (bool, True),
         "emit_kappa": (bool, False),
     },
     "orbits": {
@@ -379,28 +378,22 @@ def _predict_params(cfg) -> PottsParams:
 def _run_predict(cfg, params: PottsParams, outdir):
     sec = cfg.section
     grid = _t_grid(sec)
-    pred = closed_form_sff(params, grid)
     header = ["T", "tau", "K", "log10_K", "mode", "L", "chi", "Lambda", "sigma2_phi"]
-    n = len(grid)
     blocks = []
-
-    def emit(p: SffPrediction, mode: str, chi_val: float):
-        blocks.append([p.times, p.times / params.T_H, p.values, p.log_values / math.log(10.0),
-                       mode, params.L, float(chi_val), float(params.lam),
-                       float(params.sigma2_phi)])
-
-    emit(pred, "closed-form", params.chi)
-    if sec["emit_limits"]:
-        emit(closed_form_sff(PottsParams.from_chi(params.L, params.T_H, 1.0), grid),
-             "limit-chi1", 1.0)
-        emit(closed_form_sff(PottsParams.from_chi(params.L, params.T_H, 0.0), grid),
-             "limit-chi0", 0.0)
+    # the run's curve, then its chi = 1 (T^L) and chi = 0 (T) limits
+    for mode, p in (("closed-form", params),
+                    ("limit-chi1", PottsParams.from_chi(params.L, params.T_H, 1.0)),
+                    ("limit-chi0", PottsParams.from_chi(params.L, params.T_H, 0.0))):
+        pred = prediction(p, "closed-form", grid)
+        blocks.append([pred.times, pred.times / params.T_H, pred.values,
+                       pred.log_values / math.log(10.0), mode, params.L, float(p.chi),
+                       float(params.lam), float(params.sigma2_phi)])
     _write_csv(outdir / "predict_sff.csv", "predict_sff", header, blocks)
     if sec["emit_kappa"]:
         tau = grid / params.T_H
         _write_csv(outdir / "kappa.csv", "kappa", ["tau", "kappa", "L", "chi"],
                    [[tau, scaled_kappa(params, tau), params.L, float(params.chi)]])
-    return {"n_rows": n * len(blocks), "params": params.to_dict()}
+    return {"n_rows": len(grid) * len(blocks), "params": params.to_dict()}
 
 
 def _cat_map(entries) -> CatMapSpec:
@@ -613,22 +606,6 @@ def _run_quantum(cfg, spec: CircuitSpec, outdir):
             "reference_trace_error_max": reference_error}
 
 
-def _prediction_for(params: PottsParams, form: str, times) -> tuple[SffPrediction, float | None]:
-    times = np.asarray(times, dtype=float)
-    try:
-        t_th = thouless_time(params)
-    except PottsError:
-        t_th = None
-    if form == "kappa":
-        tau = times / params.T_H
-        vals = params.T_H * np.asarray(scaled_kappa(params, tau))
-        pred = SffPrediction(times=times, values=vals, log_values=np.log(vals),
-                             mode="scaled-kappa", params=params.to_dict())
-    else:
-        pred = closed_form_sff(params, times)
-    return pred, t_th
-
-
 def report_text(rep_dict: dict) -> str:
     lines = ["comparison report",
              "-----------------"]
@@ -650,10 +627,22 @@ def _compare_prediction(cfg) -> PottsParams:
 
 def _run_compare(cfg, params: PottsParams, outdir):
     sec = cfg.section
-    series = read_sff_csv(sec["series_csv"])
+    path = sec["series_csv"]
+    series = read_sff_csv(path)
+    # the series fixes the curve's L and T_H = N^L, as it fixes the late window
+    if params.L != series.L:
+        raise SchemaError(f"compare.prediction.L = {params.L}, but {path} is a series at "
+                          f"L = {series.L}")
+    if params.T_H != series.N**series.L:
+        raise SchemaError(f"compare.prediction.T_H = {params.T_H}, but {path} is a series at "
+                          f"T_H = N^L = {series.N**series.L}")
     if sec["use_raw"]:
         series.values = series.raw_values
-    pred, t_th = _prediction_for(params, sec["prediction"]["form"], series.times)
+    try:
+        t_th = thouless_time(params)
+    except PottsError:
+        t_th = None
+    pred = prediction(params, sec["prediction"]["form"], series.times)
     rep = compare(series, pred, late_window=tuple(sec["late_window"]),
                   slope_tol=sec["slope_tol"], ratio_tol=sec["ratio_tol"])
     out = {**rep.to_dict(), "thouless_tau": t_th, "prediction_form": sec["prediction"]["form"]}
@@ -678,8 +667,7 @@ def _run_bound(cfg, params: PottsParams, outdir):
     blocks = []
     verdicts = []
     for fam in sec["families"]:
-        res = bound_check(params.L, params.T_H, params.lam, sec["f0"],
-                          fam["eta"], fam["theta"], grid)
+        res = bound_check(params, sec["f0"], fam["eta"], fam["theta"], grid)
         n = len(res.times)
         blocks.append([[float(res.eta)] * n, [float(res.theta)] * n, res.times, res.K, res.K0,
                        res.deviation, res.bound, res.deviation <= res.bound + 1e-12])

@@ -9,12 +9,13 @@ this collapses to the closed form
 with chi = exp(-Lambda sigma_Phi^2 / 2) and tau = T / T_H.  Also provides
 the conjectured scaled limit kappa(tau), the Thouless time, and the
 deviation bound for subexponentially decaying correlation families.
+`prediction` evaluates the K(T) form a config names.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +66,6 @@ class SffPrediction:
     times: np.ndarray
     values: np.ndarray
     log_values: np.ndarray
-    mode: str  # "transfer-matrix" | "closed-form" | "scaled-kappa"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(self.values[np.isfinite(self.values)] < 0):
@@ -91,8 +90,7 @@ def sff_transfer(table: VarianceTable, params: PottsParams) -> SffPrediction:
     times = np.array([T], dtype=float)
     vals = np.array([val])
     return SffPrediction(times=times, values=vals,
-                         log_values=np.log(np.maximum(vals, np.finfo(float).tiny)),
-                         mode="transfer-matrix", params=params.to_dict())
+                         log_values=np.log(np.maximum(vals, np.finfo(float).tiny)))
 
 
 def _closed_form_log(L: int, T: np.ndarray, tau: np.ndarray, chi: float) -> np.ndarray:
@@ -127,8 +125,7 @@ def closed_form_sff(params: PottsParams, T_grid) -> SffPrediction:
         logv = _closed_form_log(params.L, T, tau, chi)
         with np.errstate(over="ignore"):
             vals = np.exp(logv)
-    return SffPrediction(times=T, values=vals, log_values=logv,
-                         mode="closed-form", params=params.to_dict())
+    return SffPrediction(times=T, values=vals, log_values=logv)
 
 
 def scaled_kappa(params: PottsParams, tau):
@@ -136,14 +133,24 @@ def scaled_kappa(params: PottsParams, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise PottsError("tau must be positive")
-    chi = params.chi
-    if chi == 0.0:
-        x = np.zeros_like(tau)
-    else:
-        x = chi**tau
+    x = params.chi**tau
     y = (1.0 - x) ** (params.L - 1) * (1.0 - x + params.L * x)
     out = (1.0 - y) + y * tau
     return out if out.ndim else float(out)
+
+
+PREDICTION_FORMS = ("closed-form", "kappa")
+
+
+def prediction(params: PottsParams, form: str, times) -> SffPrediction:
+    """K(T) on the given times: the closed form, or the scaled form T_H kappa(T / T_H)."""
+    if form == "closed-form":
+        return closed_form_sff(params, times)
+    if form == "kappa":
+        times = np.asarray(times, dtype=float)
+        vals = params.T_H * np.asarray(scaled_kappa(params, times / params.T_H))
+        return SffPrediction(times=times, values=vals, log_values=np.log(vals))
+    raise PottsError(f"unknown prediction form {form!r}; expected one of {PREDICTION_FORMS}")
 
 
 def thouless_time(params: PottsParams, cap: float = 1e12) -> float:
@@ -245,20 +252,13 @@ class BoundCheckResult:
         return self.deviation / np.maximum(self.K, np.finfo(float).tiny)
 
 
-def bound_check(
-    L: int,
-    T_H: float,
-    lam: float,
-    f0: float,
-    eta: float,
-    theta: float,
-    T_grid,
-) -> BoundCheckResult:
+def bound_check(params: PottsParams, f0: float, eta: float, theta: float,
+                T_grid) -> BoundCheckResult:
     """Validate the deviation bound on one synthetic subexponential family."""
+    L, T_H, lam = params.L, params.T_H, params.lam
     times = np.asarray(sorted(int(t) for t in T_grid))
     K = np.empty(len(times))
     K0 = np.empty(len(times))
-    bound = np.empty(len(times))
     a = A = None
     for i, T in enumerate(times):
         cls = synthetic_class_variances(int(T), L, f0, eta, theta)
@@ -268,7 +268,6 @@ def bound_check(
         K[i] = sff_from_class_variances(L, int(T), T_H, lam, cls)
         tau = T / T_H
         K0[i] = T + (T**L - T) * math.exp(-lam * tau * f0 / 2.0)
-    params = PottsParams(L=L, T_H=T_H, lam=lam, sigma2_phi=f0 / L)
     bound = deviation_bound(params, a, A, times)
     return BoundCheckResult(eta=eta, theta=theta, f0=f0, a=a, A=A, times=times,
                             K=K, K0=K0, deviation=np.abs(K - K0), bound=bound)

@@ -22,13 +22,8 @@ from sfflab.phases import (
     variance_series,
     variance_time_average,
 )
-from sfflab.potts import PottsParams, bound_check, closed_form_sff, scaled_kappa, sff_transfer
-from sfflab.quantum import (
-    CircuitSpec,
-    SffPrediction,
-    compare,
-    sff_numeric,
-)
+from sfflab.potts import PottsParams, bound_check, closed_form_sff, prediction, sff_transfer
+from sfflab.quantum import CircuitSpec, compare, sff_numeric
 from sfflab.util import philox
 
 from oracles import brute_force_periodic_points, geometric_series_variance
@@ -272,10 +267,7 @@ def test_criterion_10_quantum_vs_prediction():
     # late-time agreement against the theory curve in its scaled (kappa) form:
     # the raw closed form overcounts beyond the subsystem Heisenberg time
     params = PottsParams.from_chi(L=2, T_H=float(T_H), chi=chi)
-    tau = t / T_H
-    kline = T_H * np.asarray(scaled_kappa(params, tau))
-    pred = SffPrediction(times=t.astype(float), values=kline, log_values=np.log(kline),
-                         mode="scaled-kappa", params=params.to_dict())
+    pred = prediction(params, "kappa", t)
     rep = compare(series, pred, late_window=(0.4, 1.0), slope_tol=0.25, ratio_tol=0.25)
     ok = bump_ok and rep.passed
     _report(10, "quantum SFF: bump-then-ramp ordering and late-time theory agreement",
@@ -293,7 +285,8 @@ def test_criterion_11_deviation_bound():
     ok = True
     details = []
     for eta, theta in families:
-        res = bound_check(L=2, T_H=16.0, lam=2.0, f0=1.0, eta=eta, theta=theta, T_grid=grid)
+        res = bound_check(PottsParams(L=2, T_H=16.0, lam=2.0), f0=1.0, eta=eta, theta=theta,
+                          T_grid=grid)
         fam_ok = res.dominated and res.relative_deviation[-1] < 1e-3
         ok = ok and fam_ok
         details.append(f"eta={eta}/theta={theta}: dominated={res.dominated}, "

@@ -440,6 +440,16 @@ BOUNDARY_ROWS = [
     # the Smith index map of exact sampling overflows int64 from T = 44 on
     (["clt", "--set", "clt.T_list=[44]", "--set", "clt.budget=1000", "--set", "clt.mode=exact"],
      "clt.T_list[0]"),
+    # the curve's L and T_H = N^L are the series' (N = 4, L = 2); the late window already was
+    (["compare", "--set", "compare.series_csv={series}",
+      "--set", "compare.prediction={L: 3, T_H: 16.0, chi: 0.9}"],
+     "compare.prediction.L = 3, but {series} is a series at L = 2"),
+    (["compare", "--set", "compare.series_csv={series}",
+      "--set", "compare.prediction={L: 2, T_H: 100.0, chi: 0.9, form: kappa}"],
+     "compare.prediction.T_H = 100.0, but {series} is a series at T_H = N^L = 16"),
+    # the chi = 1 and chi = 0 rows are always written
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9",
+      "--set", "predict.emit_limits=true"], "predict.emit_limits"),
 ]
 
 
@@ -455,7 +465,7 @@ def test_invalid_input_exits_2_naming_its_field(tmp_path, capsys, args, field):
     argv = [a.replace("{bad}", str(bad)).replace("{series}", str(series)) for a in args]
     argv += ["--outdir", str(out), "--seed", "1"]
     assert cli_main(argv) == 2
-    assert field in capsys.readouterr().err
+    assert field.replace("{series}", str(series)) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from sfflab.potts import (
     deviation_bound,
     fit_bound_constants,
     perp_distance,
+    prediction,
     scaled_kappa,
     sff_from_class_variances,
     sff_transfer,
@@ -132,6 +133,22 @@ def test_scaled_kappa_endpoints():
     assert np.allclose(kL1, tau, atol=1e-15)
 
 
+@pytest.mark.parametrize("chi", [0.0, 0.9, 1.0])
+def test_prediction_forms_are_the_named_functions(chi):
+    params = PottsParams.from_chi(L=3, T_H=50.0, chi=chi)
+    grid = np.geomspace(1, 1e4, 60)
+    closed, direct = prediction(params, "closed-form", grid), closed_form_sff(params, grid)
+    for got, want in ((closed.times, direct.times), (closed.values, direct.values),
+                      (closed.log_values, direct.log_values)):
+        assert np.array_equal(got, want)
+    kappa = prediction(params, "kappa", grid)
+    assert np.array_equal(kappa.times, grid)
+    assert np.array_equal(kappa.values, 50.0 * scaled_kappa(params, grid / 50.0))
+    assert np.array_equal(kappa.log_values, np.log(kappa.values))
+    with pytest.raises(PottsError, match="transfer-matrix"):
+        prediction(params, "transfer-matrix", grid)
+
+
 def test_thouless_time():
     p = PottsParams.from_chi(L=2, T_H=10.0, chi=0.5)
     assert thouless_time(p) == pytest.approx(1.0, rel=1e-12)
@@ -148,12 +165,12 @@ def test_thouless_time():
 def test_k0_reference_values():
     # bound_check's instantaneous-decay reference K0(T) = T + (T^L - T) exp(-Lambda tau f0 / 2)
     grid = np.array([2, 8, 64])
-    res = bound_check(L=3, T_H=16.0, lam=0.0, f0=3.0, eta=0.5, theta=1.0, T_grid=grid)
+    res = bound_check(PottsParams(L=3, T_H=16.0, lam=0.0), f0=3.0, eta=0.5, theta=1.0,
+                      T_grid=grid)
     assert np.allclose(res.K0, grid**3.0, rtol=1e-12)
     # f0 = L sigma2_phi ties it to the chain: the damping factor is chi^(L tau)
     p = PottsParams.from_chi(L=3, T_H=16.0, chi=0.5)
-    res = bound_check(L=3, T_H=16.0, lam=p.lam, f0=3.0 * p.sigma2_phi, eta=0.5, theta=1.0,
-                      T_grid=grid)
+    res = bound_check(p, f0=3.0 * p.sigma2_phi, eta=0.5, theta=1.0, T_grid=grid)
     assert np.allclose(res.K0, grid + (grid**3.0 - grid) * 0.5 ** (3.0 * grid / 16.0), rtol=1e-12)
 
 
@@ -163,8 +180,7 @@ def test_k0_equals_closed_form_at_L2():
     grid = np.unique(np.geomspace(2, 512, 40).astype(int))
     for chi in (0.3, 0.9, 0.99):
         p = PottsParams.from_chi(L=2, T_H=64.0, chi=chi)
-        k0 = bound_check(L=2, T_H=64.0, lam=p.lam, f0=2.0 * p.sigma2_phi, eta=0.5, theta=1.0,
-                         T_grid=grid).K0
+        k0 = bound_check(p, f0=2.0 * p.sigma2_phi, eta=0.5, theta=1.0, T_grid=grid).K0
         kc = closed_form_sff(p, grid).values
         assert np.allclose(k0, kc, rtol=1e-12)
 
@@ -207,7 +223,8 @@ def test_perp_distance_depends_only_on_the_class():
 
 def test_synthetic_family_and_bound_dominance():
     grid = np.unique(np.geomspace(2, 512, 40).astype(int))
-    res = bound_check(L=2, T_H=16.0, lam=2.0, f0=1.0, eta=0.5, theta=1.0, T_grid=grid)
+    res = bound_check(PottsParams(L=2, T_H=16.0, lam=2.0), f0=1.0, eta=0.5, theta=1.0,
+                      T_grid=grid)
     assert isinstance(res, BoundCheckResult)
     assert res.dominated
     # relative deviation dies off once the damping overwhelms the class sum
