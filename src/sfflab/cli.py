@@ -76,6 +76,9 @@ def main(argv=None) -> int:
             data["workers"] = args.workers
         for assignment in args.set:
             _apply_override(data, assignment)
+        if data["kind"] != args.command:
+            raise ConfigError(f"--set kind: the kind is the subcommand {args.command!r}, "
+                              f"got {data['kind']!r}")
         cfg = validate_config(data)
         manifest = run_experiment(cfg)
         print(f"wrote {cfg.outdir} ({len(manifest.digests)} artifacts, "

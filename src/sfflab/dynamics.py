@@ -298,24 +298,17 @@ def pair_gradient(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
 
 
 def pair_hessian(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
-    """d^2 V / dq_i dq_j for a single configuration q of shape (L,)."""
+    """d^2 V / dq_i dq_j, shape (..., L, L)."""
     q = np.asarray(q, dtype=float)
     L = q.shape[-1]
-    H = np.zeros((L, L))
+    H = np.zeros(q.shape + (L,))
     for i, j, off in bonds(spec, L, offsets):
-        c = -(TWO_PI**2) * math.cos(TWO_PI * (q[i] - q[j] + off))
-        H[i, i] += c
-        H[j, j] += c
-        H[i, j] -= c
-        H[j, i] -= c
+        c = -(TWO_PI**2) * np.cos(TWO_PI * (q[..., i] - q[..., j] + off))
+        H[..., i, i] += c
+        H[..., j, j] += c
+        H[..., i, j] -= c
+        H[..., j, i] -= c
     return spec.amplitude * H
-
-
-def coupled_step_unreduced(q: np.ndarray, p: np.ndarray, spec: SystemSpec, offsets=None):
-    """Kick-then-rotate composition without modular reduction (for lifts/Jacobians)."""
-    m = spec.subsystem
-    pk = p + spec.epsilon * pair_gradient(q, spec, offsets)
-    return m.a * q + m.b * pk, m.c * q + m.d * pk
 
 
 # ---------------------------------------------------------------------------

@@ -500,22 +500,11 @@ def _run_clt(cfg, spec: SystemSpec, outdir):
     for T, seed in zip(sec["T_list"], seeds):
         s = tuple(sec["s"]) if sec["s"] else _staircase(spec.L, T)
         sset = sample_phase_distribution(spec, T, s, sec["budget"], seed, mode=sec["mode"])
-        rep = clt_diagnostics(sset)
         kept = sset.phi_tilde[: sec["csv_rows"]]
-        n = len(kept)
-        blocks.append([T, sset.mode, np.arange(n), kept * math.sqrt(T), kept,
-                       ";".join(str(v) for v in s)])
-        report[str(T)] = {
-            "mode": sset.mode,
-            "s": list(s),
-            "n": rep.n,
-            "skewness": rep.skewness,
-            "excess_kurtosis": rep.excess_kurtosis,
-            "ks_distance": rep.ks_distance,
-            "fitted_variance": rep.fitted_variance,
-            "degenerate": rep.degenerate,
-            "seed": seed,
-        }
+        blocks.append([T, sset.mode, np.arange(len(kept)), kept * math.sqrt(T), kept,
+                       ";".join(map(str, sset.s))])
+        report[str(T)] = {**asdict(clt_diagnostics(sset)), "mode": sset.mode, "s": list(sset.s),
+                          "seed": seed}
     _write_csv(outdir / "phase_samples.csv", "phase_samples",
                ["T", "mode", "index", "phi", "phi_tilde", "s"], blocks)
     _write_json(outdir / "clt_report.json", report)
@@ -600,10 +589,7 @@ def _run_quantum(cfg, spec: CircuitSpec, outdir):
                  series.errors, spec.N, spec.L, float(spec.eps_effective),
                  float(spec.lam_effective)]])
     return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"],
-            "unitarity_residual_max": series.meta["unitarity_residual_max"],
-            "trace_check_max": series.meta["trace_check_max"],
-            "second_solves": series.meta["second_solves"],
-            "reference_trace_error_max": reference_error}
+            **series.meta, "reference_trace_error_max": reference_error}
 
 
 def report_text(rep_dict: dict) -> str:

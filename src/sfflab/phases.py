@@ -20,9 +20,9 @@ from .dynamics import (
     CatMapSpec,
     SpecError,
     SystemSpec,
-    coupled_step_unreduced,
     estimate_correlation,
     observable_frames,
+    pair_gradient,
     pair_hessian,
     pair_potential,
 )
@@ -129,8 +129,8 @@ def _shifted_lifts(family: OrbitFamily, r, s, spec: SystemSpec):
     sv = as_shift(s, family.L, family.period)
     lift_r = _orbit_lift(family, rv, spec.subsystem)
     lift_s = _orbit_lift(family, sv, spec.subsystem)
-    v_r = pair_potential(lift_r[0][:, :spec.L], spec)
-    v_s = pair_potential(lift_s[0][:, :spec.L], spec)
+    v_r = pair_potential(lift_r[0], spec)
+    v_s = pair_potential(lift_s[0], spec)
     return rv, sv, lift_r, lift_s, math.fsum(v_r.tolist() + (-v_s).tolist())
 
 
@@ -155,24 +155,21 @@ class ContinuationResult:
 
 
 def _orbit_lift(family: OrbitFamily, shift: tuple[int, ...], m: CatMapSpec):
-    """Unperturbed orbit as floats plus the exact integer lift offsets.
+    """Unperturbed orbit positions as floats plus the exact integer lift offsets.
 
-    Returns Y0 of shape (T, 2L) with per-time layout [q_0..q_{L-1}, p_0..p_{L-1}]
-    and n_off (T, 2L) integers with phi_unreduced(x_t) + n_t = x_{t+1} exactly.
+    Returns q0 of shape (T, L) and n_off (T, 2L) integers, per time laid out
+    [n^q_0..n^q_{L-1}, n^p_0..n^p_{L-1}], with phi_unreduced(x_t) + n_t =
+    x_{t+1} exactly.
     """
     T, L = family.period, family.L
-    lat = []
-    for orbit, off in zip(family.reps, shift):
+    q0 = np.empty((T, L))
+    n_off = np.zeros((T, 2 * L))
+    for l, (orbit, off) in enumerate(zip(family.reps, shift)):
         qs, ps, den = orbit.cycle_lattice(m)
         qs = qs[off:] + qs[:off]
         ps = ps[off:] + ps[:off]
-        lat.append((qs, ps, den))
-    Y0 = np.empty((T, 2 * L))
-    n_off = np.zeros((T, 2 * L))
-    for l, (qs, ps, den) in enumerate(lat):
         for t in range(T):
-            Y0[t, l] = qs[t] / den
-            Y0[t, L + l] = ps[t] / den
+            q0[t, l] = qs[t] / den
             qi = m.a * qs[t] + m.b * ps[t]
             pi = m.c * qs[t] + m.d * ps[t]
             tn = (t + 1) % T
@@ -180,64 +177,67 @@ def _orbit_lift(family: OrbitFamily, shift: tuple[int, ...], m: CatMapSpec):
                 raise SpecError("representative cycle is not exactly periodic")
             n_off[t, l] = (qs[tn] - qi) // den
             n_off[t, L + l] = (ps[tn] - pi) // den
-    return Y0, n_off
+    return q0, n_off
 
 
-def _periodicity_residual(Y, n_off, spec: SystemSpec):
-    L = Y.shape[1] // 2
-    q, p = Y[:, :L], Y[:, L:]
-    qn, pn = coupled_step_unreduced(q, p, spec)
-    img = np.concatenate([qn, pn], axis=1) + n_off
-    return img - np.roll(Y, -1, axis=0)
+def _periodicity_residual(q, w, spec: SystemSpec):
+    """R_t = q_{t+1} - (a + d) q_t + q_{t-1} - b eps V'(q_t) - w_t, shape (T, L).
 
-
-def _periodicity_jacobian(Y, spec: SystemSpec):
-    """Jacobian of _periodicity_residual: slot t's step Jacobian minus the identity at t+1."""
-    T, twoL = Y.shape
-    L = twoL // 2
+    The kick-then-rotate lift q_{t+1} = a q_t + b (p_t + eps V'(q_t)) + n^q_t,
+    p_{t+1} = c q_t + d (p_t + eps V'(q_t)) + n^p_t with det M = 1 eliminates
+    the momenta (Percival & Vivaldi's linear code): times b, never divided
+    by it, with the integers w_t = n^q_t - d n^q_{t-1} + b n^p_{t-1}.
+    """
     m = spec.subsystem
-    eye = np.eye(L)
+    kick = spec.epsilon * pair_gradient(q, spec)
+    return np.roll(q, -1, axis=0) - (m.a + m.d) * q + np.roll(q, 1, axis=0) - m.b * kick - w
+
+
+def _periodicity_jacobian(q, spec: SystemSpec):
+    """(TL x TL) Jacobian of _periodicity_residual: block-circulant, identities at t +- 1."""
+    T, L = q.shape
+    m = spec.subsystem
     slots = np.arange(T)
-    J = np.zeros((T * twoL, T * twoL))
-    Jb = J.reshape(T, twoL, T, twoL)  # Jb[t, :, u, :] is the (t, u) block
-    Jb[slots, :L, slots, L:] = m.b * eye
-    Jb[slots, L:, slots, L:] = m.d * eye
-    for t in range(T):
-        H = spec.epsilon * pair_hessian(Y[t, :L], spec)
-        Jb[t, :L, t, :L] = m.a * eye + m.b * H
-        Jb[t, L:, t, :L] = m.c * eye + m.d * H
-    Jb[slots, :, (slots + 1) % T, :] -= np.eye(twoL)
+    J = np.zeros((T * L, T * L))
+    Jb = J.reshape(T, L, T, L)  # Jb[t, :, u, :] is the (t, u) block
+    H = spec.epsilon * pair_hessian(q, spec)  # (T, L, L)
+    Jb[slots, :, slots, :] = -(m.a + m.d) * np.eye(L) - m.b * H
+    Jb[slots, :, (slots + 1) % T, :] += np.eye(L)
+    Jb[slots, :, (slots - 1) % T, :] += np.eye(L)
     return J
 
 
-def _newton_periodic(Y0, n_off, spec: SystemSpec, tol=1e-12, max_iter=60):
-    """Damped Newton on the T-step periodicity system in the fixed lift."""
-    T, twoL = Y0.shape
-    Y = Y0.copy()
-    G = _periodicity_residual(Y, n_off, spec)
+def _newton_periodic(q0, n_off, spec: SystemSpec, tol=1e-12, max_iter=60):
+    """Damped Newton on the position-form periodicity system in the fixed lift.
+
+    Returns (q, converged), converged a Python bool: the residual fell below tol.
+    """
+    T, L = q0.shape
+    m = spec.subsystem
+    w = n_off[:, :L] - np.roll(m.d * n_off[:, :L] - m.b * n_off[:, L:], 1, axis=0)
+    q = q0.copy()
+    G = _periodicity_residual(q, w, spec)
     res = np.abs(G).max()
     for _ in range(max_iter):
         if res < tol:
-            return Y, True
+            break
         try:
-            dY = np.linalg.solve(_periodicity_jacobian(Y, spec), -G.reshape(-1)).reshape(T, twoL)
+            dq = np.linalg.solve(_periodicity_jacobian(q, spec), -G.reshape(-1)).reshape(T, L)
         except np.linalg.LinAlgError:
-            return Y, False
-        improved = False
+            break
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            Y_try = Y + alpha * dY
-            G_try = _periodicity_residual(Y_try, n_off, spec)
+            q_try = q + alpha * dq
+            G_try = _periodicity_residual(q_try, w, spec)
             r_try = np.abs(G_try).max()
             if r_try < res:
-                Y, G, res = Y_try, G_try, r_try
-                improved = True
+                q, G, res = q_try, G_try, r_try
                 break
-        if not improved:
-            return Y, res < tol
-    return Y, res < tol
+        else:
+            break  # no damped step lowers the residual
+    return q, bool(res < tol)
 
 
-def _orbit_action(Y, n_off, spec: SystemSpec) -> float:
+def _orbit_action(q, n_off, spec: SystemSpec) -> float:
     """Action of the continued orbit in its fixed lift, winding-corrected.
 
     Uses the position-only form: the step's first argument is rebuilt from
@@ -250,9 +250,8 @@ def _orbit_action(Y, n_off, spec: SystemSpec) -> float:
     time slot, so two shifts of one family sum identical multisets at
     eps = 0 and the action difference vanishes exactly there.
     """
-    L = Y.shape[1] // 2
+    L = q.shape[1]
     m = spec.subsystem
-    q = Y[:, :L]
     q_next = np.roll(q, -1, axis=0)
     q_img = q_next - n_off[:, :L]
     w0 = (m.d * q_img**2 - 2.0 * q_img * q + m.a * q**2) / (2.0 * m.b)
@@ -275,11 +274,11 @@ def action_difference_identity_check(
     deltas, residuals, converged = [], [], []
     for eps in eps_list:
         spec_e = dataclasses.replace(spec, epsilon=float(eps))
-        Yr, ok_r = _newton_periodic(lift_r[0], lift_r[1], spec_e, tol=tol)
-        Ys, ok_s = _newton_periodic(lift_s[0], lift_s[1], spec_e, tol=tol)
+        qr, ok_r = _newton_periodic(*lift_r, spec_e, tol=tol)
+        qs, ok_s = _newton_periodic(*lift_s, spec_e, tol=tol)
         ok = ok_r and ok_s
         d = (
-            _orbit_action(Yr, lift_r[1], spec_e) - _orbit_action(Ys, lift_s[1], spec_e)
+            _orbit_action(qr, lift_r[1], spec_e) - _orbit_action(qs, lift_s[1], spec_e)
             if ok
             else float("nan")
         )

@@ -16,7 +16,7 @@ multiples of themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -483,19 +483,7 @@ class CompareReport:
     bump_time: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "chi2_per_point": self.chi2_per_point,
-            "median_ratio": self.median_ratio,
-            "late_window": list(self.late_window),
-            "late_mean_ratio": self.late_mean_ratio,
-            "slope_series": self.slope_series,
-            "slope_prediction": self.slope_prediction,
-            "slope_ok": self.slope_ok,
-            "ratio_ok": self.ratio_ok,
-            "passed": self.passed,
-            "bump_time": self.bump_time,
-            "n_points": self.n_points,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "ratio"}
 
 
 def compare(

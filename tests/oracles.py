@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 
+from sfflab.dynamics import pair_gradient
 from sfflab.harness import read_config, validate_config
 from sfflab.orbits import as_shift
 from sfflab.phases import _shifted_lifts
@@ -295,23 +296,22 @@ def reference_phase_samples(m, amplitude, bond_list, L, T, s, budget, rng, batch
     return np.concatenate(out) / math.sqrt(T)
 
 
-def block_periodicity_jacobian(Y, spec, pair_hessian):
-    """Newton Jacobian of the T-step periodicity residual, one np.block per time slot."""
-    T, twoL = Y.shape
-    L = twoL // 2
+def block_periodicity_jacobian(q, spec, pair_hessian):
+    """Newton Jacobian of the position-form periodicity residual, one block row per time slot.
+
+    Row t holds -(a + d) I - b eps V''(q_t) at slot t and I at slots t + 1
+    and t - 1 (mod T), added in turn so that coinciding neighbours sum.
+    """
+    T, L = q.shape
     m = spec.subsystem
-    J = np.zeros((T * twoL, T * twoL))
+    J = np.zeros((T * L, T * L))
     eye = np.eye(L)
     for t in range(T):
-        H = spec.epsilon * pair_hessian(Y[t, :L], spec)
-        block = np.block([
-            [m.a * eye + m.b * H, m.b * eye],
-            [m.c * eye + m.d * H, m.d * eye],
-        ])
-        r0 = t * twoL
-        J[r0:r0 + twoL, r0:r0 + twoL] = block
-        c1 = ((t + 1) % T) * twoL
-        J[r0:r0 + twoL, c1:c1 + twoL] -= np.eye(twoL)
+        r0 = t * L
+        J[r0:r0 + L, r0:r0 + L] = -(m.a + m.d) * eye - m.b * (spec.epsilon * pair_hessian(q[t], spec))
+        for u in (t + 1, t - 1):
+            c0 = (u % T) * L
+            J[r0:r0 + L, c0:c0 + L] += eye
     return J
 
 
@@ -371,3 +371,14 @@ def phase_difference(family, r, s, spec):
 def load_config(path):
     """The validated ExperimentConfig of a YAML config file."""
     return validate_config(read_config(path))
+
+
+def coupled_step_unreduced(q, p, spec, offsets=None):
+    """Kick-then-rotate coupled map without modular reduction, in floats.
+
+    p is kicked by eps dV/dq (pair_gradient) and the cat map rotates (q, p):
+    the map whose orbits the position-form continuation solves for.
+    """
+    m = spec.subsystem
+    pk = p + spec.epsilon * pair_gradient(q, spec, offsets)
+    return m.a * q + m.b * pk, m.c * q + m.d * pk

@@ -11,7 +11,6 @@ from sfflab.dynamics import (
     SpecError,
     SystemSpec,
     _relative_frames,
-    coupled_step_unreduced,
     estimate_correlation,
     lattice_pairs,
     pair_gradient,
@@ -21,7 +20,7 @@ from sfflab.dynamics import (
 )
 from sfflab.util import mod1, philox
 
-from oracles import float_mod1, scalar_cat_step, straight_line_coupled_step
+from oracles import coupled_step_unreduced, float_mod1, scalar_cat_step, straight_line_coupled_step
 
 
 def test_cat_map_validation():

@@ -256,12 +256,18 @@ def test_variance_table_is_built_from_the_configured_system(tmp_path):
 def test_clt_pipeline_small(tmp_path):
     cfg = validate_config({
         "kind": "clt", "seed": 41, "outdir": str(tmp_path / "clt"),
-        "clt": {"T_list": [4, 8], "budget": 5000, "csv_rows": 100},
+        "clt": {"T_list": [4, 8], "budget": 5000, "csv_rows": 100, "s": [0, 5]},
     })
     run_experiment(cfg)
     rep = json.loads((tmp_path / "clt/clt_report.json").read_text())
     assert set(rep) == {"4", "8"}
     assert rep["8"]["n"] == 5000
+    # the shift is recorded as sampled: reduced mod T
+    assert rep["4"]["s"] == [0, 1] and rep["8"]["s"] == [0, 5]
+    with open(tmp_path / "clt/phase_samples.csv") as f:
+        f.readline()
+        cells = {(r["T"], r["s"]) for r in csv.DictReader(f)}
+    assert cells == {("4", "0;1"), ("8", "0;5")}
 
 
 def test_bound_pipeline(tmp_path):
@@ -450,6 +456,8 @@ BOUNDARY_ROWS = [
     # the chi = 1 and chi = 0 rows are always written
     (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9",
       "--set", "predict.emit_limits=true"], "predict.emit_limits"),
+    # the subcommand is the kind: an override must not swap the experiment behind it
+    (["predict", "--set", "kind=orbits", "--set", "orbits.T_list=[1,2]"], "--set kind"),
 ]
 
 

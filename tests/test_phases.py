@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -6,10 +8,11 @@ import pytest
 from scipy import special, stats
 
 from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, bonds,
-                             lattice_points, pair_hessian, pair_potential)
+                             lattice_points, pair_gradient, pair_hessian, pair_potential)
 from sfflab import phases
-from sfflab.orbits import (MAX_PERIOD, OrbitFamily, enumerate_lattice, family_iterator,
-                           periodic_point_count, smith_lattice, subsystem_orbits)
+from sfflab.orbits import (MAX_PERIOD, OrbitFamily, as_shift, enumerate_lattice,
+                           family_iterator, periodic_point_count, smith_lattice,
+                           subsystem_orbits)
 from sfflab.phases import (
     EXACT_SAMPLING_MAX_POINTS,
     SeriesError,
@@ -27,9 +30,9 @@ from sfflab.phases import (
 )
 from sfflab.util import philox
 
-from oracles import (block_periodicity_jacobian, float_position_cycle, geometric_series_variance,
-                     peak_mib, phase_difference, phase_difference_direct,
-                     reference_lattice_bond_sum, rolled_position_matrix)
+from oracles import (block_periodicity_jacobian, coupled_step_unreduced, float_position_cycle,
+                     geometric_series_variance, peak_mib, phase_difference,
+                     phase_difference_direct, reference_lattice_bond_sum, rolled_position_matrix)
 
 
 @pytest.mark.parametrize("T", [1, 2, 5])
@@ -38,19 +41,68 @@ from oracles import (block_periodicity_jacobian, float_position_cycle, geometric
                                              epsilon=0.7, topology=ALL_TO_ALL)],
                          ids=["L2", "L3-all-to-all"])
 def test_periodicity_jacobian(spec, T):
-    Y = philox(31).uniform(-1.0, 2.0, (T, 2 * spec.L))
-    J = phases._periodicity_jacobian(Y, spec)
-    want = block_periodicity_jacobian(Y, spec, pair_hessian)
+    # at T = 1 and T = 2 the neighbours t + 1 and t - 1 are one slot, and their identities add
+    q = philox(31).uniform(-1.0, 2.0, (T, spec.L))
+    J = phases._periodicity_jacobian(q, spec)
+    assert J.shape == (T * spec.L, T * spec.L)
+    want = block_periodicity_jacobian(q, spec, pair_hessian)
     assert np.array_equal(J.view(np.uint64), want.view(np.uint64))
-    n_off = np.zeros(Y.shape)
+    w = np.zeros(q.shape)
     h = 1e-6
-    for k in range(Y.size):
-        dY = np.zeros(Y.size)
-        dY[k] = h
-        dY = dY.reshape(Y.shape)
-        diff = (phases._periodicity_residual(Y + dY, n_off, spec)
-                - phases._periodicity_residual(Y - dY, n_off, spec)) / (2 * h)
+    for k in range(q.size):
+        dq = np.zeros(q.size)
+        dq[k] = h
+        dq = dq.reshape(q.shape)
+        diff = (phases._periodicity_residual(q + dq, w, spec)
+                - phases._periodicity_residual(q - dq, w, spec)) / (2 * h)
         assert np.allclose(J[:, k], diff.reshape(-1), atol=1e-6)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("spec", [SystemSpec(L=2),
+                                  SystemSpec(L=3, subsystem=CatMapSpec(1, -1, -1, 2),
+                                             topology=ALL_TO_ALL)],
+                         ids=["L2", "L3-all-to-all"])
+def test_periodicity_jacobian_spectrum_at_eps0(spec, T):
+    # uncoupled, the Jacobian is circulant: eigenvalues 2 cos(2 pi k / T) - (a + d),
+    # each once per site, and none vanishes for a hyperbolic map
+    q = philox(32).random((T, spec.L))
+    m = spec.subsystem
+    got = np.sort(np.linalg.eigvalsh(phases._periodicity_jacobian(q, spec)))
+    want = np.sort(np.repeat(2.0 * np.cos(2.0 * np.pi * np.arange(T) / T) - (m.a + m.d), spec.L))
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.05])
+@pytest.mark.parametrize("spec", [SystemSpec(L=2),
+                                  SystemSpec(L=3, subsystem=CatMapSpec(1, -1, -1, 2),
+                                             topology=ALL_TO_ALL)],
+                         ids=["L2", "L3-all-to-all"])
+def test_continued_orbits_close_the_coupled_map(spec, eps):
+    # the continuation solves for positions only; the momenta it implies,
+    # b p_t = q_{t+1} - a q_t - n^q_t - b eps V'(q_t), must close the
+    # kick-then-rotate map in the same fixed lift.  Every orbit converges at
+    # eps = 1e-3; at eps = 0.05 Newton from the uncoupled orbit fails on 3 of
+    # the 18 ring orbits and 5 of the 20 all-to-all ones
+    m = spec.subsystem
+    spec_e = dataclasses.replace(spec, epsilon=eps)
+    L = spec.L
+    cases = closed = 0
+    for T in range(2, 7):
+        for fam in itertools.islice(family_iterator(spec, T), 0, 28, 7):
+            q0, n_off = phases._orbit_lift(fam, as_shift(range(L), L, T), m)
+            q, ok = phases._newton_periodic(q0, n_off, spec_e)
+            assert type(ok) is bool  # a plain bool, so a result with failed solves dumps to JSON
+            cases += 1
+            if not ok:
+                continue
+            closed += 1
+            q_next = np.roll(q, -1, axis=0)
+            p = (q_next - m.a * q - n_off[:, :L]) / m.b - eps * pair_gradient(q, spec)
+            qn, pn = coupled_step_unreduced(q, p, spec_e)
+            assert np.abs(qn + n_off[:, :L] - q_next).max() < 1e-12
+            assert np.abs(pn + n_off[:, L:] - np.roll(p, -1, axis=0)).max() < 1e-12
+    assert closed == cases if eps == 1e-3 else closed >= 15
 
 
 def _full_period_family(spec, T, index=0):
@@ -115,7 +167,7 @@ def test_phase_difference_bitwise_equals_rolled_float_cycles(L, picks):
             fam = OrbitFamily(tuple(orbits[i] for i in pick))
             for r, s in pairs:
                 for shift in (r, s):
-                    got = phases._orbit_lift(fam, shift, m)[0][:, :L]
+                    got = phases._orbit_lift(fam, shift, m)[0]
                     want = rolled_position_matrix(fam, shift, m)
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
                 v_r = pair_potential(rolled_position_matrix(fam, r, m), spec)
