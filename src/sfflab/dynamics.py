@@ -47,10 +47,6 @@ class CatMapSpec:
         if abs(self.a + self.d) <= 2:
             raise SpecError("cat map must be hyperbolic: |a + d| > 2")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.int64)
-
 
 DEFAULT_MAP = CatMapSpec(2, 1, 1, 1)
 

@@ -26,6 +26,7 @@ from .dynamics import (DEFAULT_MAP, NEAREST_NEIGHBOUR, CatMapSpec, SpecError, Sy
 from .orbits import (MAX_LISTED_POINTS, MAX_PERIOD, periodic_point_count, smith_lattice,
                      stability_amplitude_sq, subsystem_orbits)
 from .phases import (
+    TIME_AVERAGE_HORIZON,
     clt_diagnostics,
     per_bond_variance_table,
     sample_phase_distribution,
@@ -112,7 +113,7 @@ SECTION_SCHEMAS = {
         "T": (int, 16, 1),
         "estimator": (str, "time-average", ("time-average", "series")),
         "samples": (int, 20_000, 1),
-        "horizon": (int, 256, 4),  # variance_time_average needs 4
+        "horizon": (int, TIME_AVERAGE_HORIZON, 4),  # variance_time_average needs 4
         "t_max": (int, 10, 0),
         "invariance_checks": (int, 0, 0),
         "invariance_samples": (int, 20_000, 1),

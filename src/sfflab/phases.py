@@ -268,29 +268,30 @@ def action_difference_identity_check(
     s,
     tol: float = 1e-12,
 ) -> ContinuationResult:
-    """Continue the orbit pair (phi^r, phi^s) in eps and test Delta = eps*Phi + O(eps^2)."""
+    """Continue the orbit pair (phi^r, phi^s) in eps and test Delta = eps*Phi + O(eps^2).
+
+    The exponent fits the residuals |Delta - eps*Phi| above 16 ulp of the larger continued
+    action (rounding has no exponent to fit), and is NaN when fewer than two remain.
+    """
     rv, sv, lift_r, lift_s, phi = _shifted_lifts(family, r, s, spec)
 
-    deltas, residuals, converged = [], [], []
+    deltas, residuals, converged, pts = [], [], [], []
     for eps in eps_list:
         spec_e = dataclasses.replace(spec, epsilon=float(eps))
         qr, ok_r = _newton_periodic(*lift_r, spec_e, tol=tol)
         qs, ok_s = _newton_periodic(*lift_s, spec_e, tol=tol)
         ok = ok_r and ok_s
-        d = (
-            _orbit_action(qr, lift_r[1], spec_e) - _orbit_action(qs, lift_s[1], spec_e)
-            if ok
-            else float("nan")
-        )
+        d = res = float("nan")
+        if ok:
+            a_r, a_s = _orbit_action(qr, lift_r[1], spec_e), _orbit_action(qs, lift_s[1], spec_e)
+            d = a_r - a_s
+            res = abs(d - eps * phi)
+            if eps > 0 and res > 16.0 * math.ulp(max(abs(a_r), abs(a_s))):
+                pts.append((eps, res))
         deltas.append(d)
-        residuals.append(abs(d - eps * phi) if ok else float("nan"))
+        residuals.append(res)
         converged.append(ok)
 
-    pts = [
-        (e, res)
-        for e, res, ok in zip(eps_list, residuals, converged)
-        if ok and e > 0 and res > 0
-    ]
     if len(pts) >= 2:
         le = np.log10([p[0] for p in pts])
         lr = np.log10([p[1] for p in pts])
@@ -347,35 +348,35 @@ def sample_phase_distribution(
     if mode not in ("exact", "proxy"):
         raise SpecError(f"unknown sampling mode {mode!r}")
     lattice = smith_lattice(T, spec.subsystem) if mode == "exact" else None
-    shifts = ((0,) * spec.L, sv)
-    rng = philox(seed)
-    out = np.empty(budget)
-    done = 0
-    while done < budget:
-        n = min(batch, budget - done)
-        frames = observable_frames(spec, rng, n, shifts, T, lattice)
-        out[done:done + n] = _phase_sums(frames, n, (T,))[T]
-        done += n
-    return PhaseSampleSet(phi_tilde=out / math.sqrt(T), T=T, s=sv, mode=mode, seed=seed)
+    batches = _phase_sums(spec, sv, (T,), budget, seed, lattice, batch)
+    phi = np.concatenate([sums[T] for sums in batches])
+    return PhaseSampleSet(phi_tilde=phi / math.sqrt(T), T=T, s=sv, mode=mode, seed=seed)
 
 
-def _phase_sums(frames, n, checkpoints):
-    """Phi_t = sum_{t' < t} [V(q_t') - V(q^s_t')] at each checkpoint t.
+def _phase_sums(spec: SystemSpec, s, checkpoints, samples, seed, lattice, batch):
+    """The one Phi sampler: yields {t: Phi_t} per batch of at most batch samples.
 
-    frames yields the (unshifted, shifted) observable V of n samples, shape
-    (2, n), at t' = 0, 1, ... (observable_frames).  Returns {t: array of
-    shape (n,)}.  Each frame is read before the next is requested, so frames
-    may reuse its buffer; the sums accumulate in place and are copied at
-    checkpoints.
+    Phi_t = sum_{t' < t} [W(x_t') - W(phi^s x_t')] at each checkpoint t, from
+    philox(seed) starts through observable_frames: Smith-indexed period-T
+    points when lattice is given, uniform 2**53 lattice points otherwise.
+    Frames are read in turn, so their buffer may be reused; the one dict is
+    emptied before the next batch is drawn.
     """
-    acc = np.zeros(n)
+    rng = philox(seed)
+    shifts = ((0,) * spec.L, s)
     out = {}
-    for t, v in enumerate(frames, start=1):
-        v[0] -= v[1]
-        acc += v[0]
-        if t in checkpoints:
-            out[t] = acc.copy()
-    return out
+    for start in range(0, samples, batch):
+        n = min(batch, samples - start)
+        acc = np.zeros(n)
+        frames = observable_frames(spec, rng, n, shifts, max(checkpoints), lattice)
+        for t, v in enumerate(frames, start=1):
+            v[0] -= v[1]
+            acc += v[0]
+            if t in checkpoints:
+                out[t] = acc.copy()
+        del v  # the last frame would keep this batch's buffers alive through the next draw
+        yield out
+        out.clear()
 
 
 # Cephes ndtr/erf/erfc (S. L. Moshier, Methods and Programs for Mathematical
@@ -495,6 +496,8 @@ def clt_diagnostics(samples) -> CltReport:
 # ---------------------------------------------------------------------------
 # variance estimators
 
+TIME_AVERAGE_HORIZON = 256  # per_bond_variance_table's and the config's variance.horizon default
+
 
 def variance_time_average(
     spec: SystemSpec,
@@ -518,16 +521,11 @@ def variance_time_average(
     checkpoints = sorted({horizon // 4, horizon // 2, horizon})
     sums = {c: 0.0 for c in checkpoints}
     sums2 = {c: 0.0 for c in checkpoints}
-    rng = philox(seed)
-    done = 0
-    while done < samples:
-        n = min(batch, samples - done)
-        frames = observable_frames(spec, rng, n, ((0,) * spec.L, s_t), horizon)
-        for t, acc in _phase_sums(frames, n, checkpoints).items():
+    for batch_sums in _phase_sums(spec, s_t, checkpoints, samples, seed, None, batch):
+        for t, acc in batch_sums.items():
             vals = acc * acc / t
             sums[t] += vals.sum()
             sums2[t] += (vals * vals).sum()
-        done += n
 
     ladder = []
     for c in checkpoints:
@@ -620,7 +618,7 @@ def per_bond_variance_table(
     estimator: str = "time-average",
     samples: int = 20000,
     seed: int = 0,
-    horizon: int | None = None,
+    horizon: int = TIME_AVERAGE_HORIZON,
     t_max: int = 10,
 ) -> VarianceTable:
     """sigma^2_{v_{s~}} for s~ = 0..T-1 on the two-site bond problem.
@@ -632,7 +630,6 @@ def per_bond_variance_table(
         raise SpecError("per-bond table requires nearest-neighbour-periodic topology")
     if estimator not in ("time-average", "series"):
         raise SpecError(f"unknown estimator {estimator!r}")
-    horizon = horizon or max(256, 8 * T)
     bond = SystemSpec(L=2, subsystem=spec.subsystem, amplitude=spec.amplitude / 2)
     seeds = spawn_seeds(seed, T)
     sigma2, err = np.zeros(T), np.zeros(T)

@@ -203,6 +203,17 @@ def test_criterion_07_variance_estimator_agreement():
             f"+-{se.std_error:.4f}; geometric sigma2 = {sigma2:.12f}", t0, 120.0)
 
 
+# acceptance 08's band on the T = 32 moments
+CLT_SKEWNESS_BAND = 0.1
+CLT_KURTOSIS_BAND = 0.2
+
+
+def _clt_band_margin(rep) -> float:
+    """How far the moments sit inside acceptance 08's band; negative outside it."""
+    return min(CLT_SKEWNESS_BAND - abs(rep.skewness),
+               CLT_KURTOSIS_BAND - abs(rep.excess_kurtosis))
+
+
 def test_criterion_08_clt_diagnostics():
     t0 = time.monotonic()
     spec = SystemSpec(L=2)
@@ -218,10 +229,20 @@ def test_criterion_08_clt_diagnostics():
     r32 = reports[32]
     slack = 3.0 / math.sqrt(budget)
     monotone = ks[16] <= ks[8] + slack and ks[32] <= ks[16] + slack
-    ok = abs(r32.skewness) < 0.1 and abs(r32.excess_kurtosis) < 0.2 and monotone
+    ok = _clt_band_margin(r32) > 0 and monotone
     _report(8, "CLT: T=32 moments within band, KS non-increasing over T in {8,16,32}",
             ok, f"skew {r32.skewness:+.4f}, kurtosis {r32.excess_kurtosis:+.4f}, "
                 f"KS {ks[8]:.4f} -> {ks[16]:.4f} -> {ks[32]:.4f}", t0, 300.0)
+
+
+def test_criterion_08_band_rejects_a_uniform_sample():
+    # negative control: a unit-variance uniform sample, excess kurtosis -6/5
+    rep = clt_diagnostics(philox(808).uniform(-math.sqrt(3.0), math.sqrt(3.0), 100_000))
+    margin = _clt_band_margin(rep)
+    print(f"\nCONTROL 08 uniform sample: skew {rep.skewness:+.4f}, "
+          f"kurtosis {rep.excess_kurtosis:+.4f}, band margin {margin:+.4f}")
+    assert abs(rep.excess_kurtosis + 1.2) < 0.05
+    assert margin < 0
 
 
 def test_criterion_09_quantum_factorization():

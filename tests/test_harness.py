@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import importlib.util
+import inspect
 import json
+import math
 import os
 import signal
 import subprocess
@@ -23,6 +26,7 @@ from sfflab.harness import (
     validate_config,
     verify_manifest,
 )
+from sfflab.phases import TIME_AVERAGE_HORIZON, per_bond_variance_table, variance_series
 from sfflab.util import spawn_seeds
 
 from oracles import load_config, poison_empty, write_csv_rows
@@ -221,6 +225,37 @@ def test_variance_pipeline_small(tmp_path):
         f.readline()
         rows = list(csv.DictReader(f))
     assert float(rows[0]["sigma2"]) == 0.0
+
+
+def test_variance_agreement_rejects_a_wrong_amplitude(tmp_path, monkeypatch):
+    # negative control: the series runs at twice the amplitude, so it estimates
+    # four times the time average's variance
+    def series_at_double_amplitude(spec, *args):
+        return variance_series(dataclasses.replace(spec, amplitude=2 * spec.amplitude), *args)
+
+    monkeypatch.setattr(harness, "variance_series", series_at_double_amplitude)
+    cfg = validate_config({
+        "kind": "variance", "seed": 31, "outdir": str(tmp_path / "v"),
+        "variance": {"T": 2, "samples": 4000, "horizon": 64, "agreement_check": True,
+                     "t_max": 4},
+    })
+    run_experiment(cfg)
+    agr = json.loads((tmp_path / "v/variance_report.json").read_text())["agreement"]
+    allowed = (3.0 * math.hypot(agr["time_average_err"], agr["series_err"])
+               + agr["series_truncation_bound"])
+    margin = abs(agr["time_average"] - agr["series"]) - allowed
+    print(f"\nCONTROL agreement at amplitudes 1 and 2: time average {agr['time_average']:.3f}, "
+          f"series {agr['series']:.3f}, rejected by {margin:.3f} beyond {allowed:.3f}")
+    assert margin > 0
+    assert not agr["ok"]
+
+
+def test_variance_horizon_default_is_the_tables(tmp_path):
+    # a variance run and per_bond_variance_table pick one horizon at every T, T > 32 included
+    cfg = validate_config({"kind": "variance", "seed": 1, "outdir": str(tmp_path / "v"),
+                           "variance": {"T": 64}})
+    default = inspect.signature(per_bond_variance_table).parameters["horizon"].default
+    assert cfg.section["horizon"] == default == TIME_AVERAGE_HORIZON
 
 
 def test_variance_manifest_records_every_task_seed(tmp_path):

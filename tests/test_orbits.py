@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from sfflab import harness
 from sfflab.dynamics import DEFAULT_MAP, CatMapSpec, lattice_points
 from sfflab.harness import _run_orbits, run_experiment, validate_config
 from sfflab.orbits import (
@@ -304,6 +305,29 @@ def test_orbit_inventory_csv(tmp_path):
     for r in summary:
         assert r["count"] == r["expected_count"]
         assert float(r["sum_rule"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_orbit_count_check_rejects_a_dropped_orbit(tmp_path, monkeypatch):
+    # negative control: with one orbit missing from each listing, count falls
+    # short of |tr M^T - 2| by that orbit's period
+    dropped = {}
+
+    def all_but_the_last(T, m):
+        orbits = subsystem_orbits(T, m)
+        dropped[T] = orbits[-1].primitive_period
+        return orbits[:-1]
+
+    monkeypatch.setattr(harness, "subsystem_orbits", all_but_the_last)
+    cfg = validate_config({"kind": "orbits", "seed": 1, "outdir": str(tmp_path / "o"),
+                           "orbits": {"T_list": [1, 2, 3, 4, 5, 6], "inventory_max_T": 6}})
+    run_experiment(cfg)
+    with open(tmp_path / "o/orbit_summary.csv") as f:
+        f.readline()
+        summary = list(csv.DictReader(f))
+    margins = {int(r["T"]): int(r["expected_count"]) - int(r["count"]) for r in summary}
+    print(f"\nCONTROL orbit count with one orbit dropped: shortfall per T {margins}")
+    assert margins == dropped
+    assert all(m > 0 for m in margins.values())
 
 
 def test_enumerate_lattice_peak_memory():

@@ -196,6 +196,32 @@ def test_action_identity_synchronous_pair_vanishes():
     assert all(abs(d) < 1e-9 for d in res.deltas)
 
 
+def _distinct_full_period_family(spec, T, index):
+    """The index-th family of the benchmark's continuation menu: full period, distinct orbits."""
+    fams = [f for f in family_iterator(spec, T)
+            if all(o.primitive_period == T for o in f.reps)
+            and f.reps[0].representative != f.reps[1].representative]
+    return fams[index]
+
+
+def test_action_identity_exponent_skips_rounding_residuals():
+    # Phi = 0 and Delta cancels to all orders: the residuals are 1-2 ulp of the
+    # continued actions, and a slope fitted to them would be rounding noise
+    spec = SystemSpec(L=2)
+    eps = [1e-3, 1e-4, 1e-5]
+    res = action_difference_identity_check(_distinct_full_period_family(spec, 3, 0), spec, eps,
+                                           (0, 1), (1, 0))
+    assert res.all_converged and res.phi == 0.0
+    assert max(res.residuals) < 1e-14
+    assert math.isnan(res.exponent)
+    # Phi is rounding-sized here too, but Delta is a true O(eps^2) term
+    # (2.4e-8 at eps = 1e-5), so the fit is kept
+    res = action_difference_identity_check(_distinct_full_period_family(spec, 3, 1), spec, eps,
+                                           (0, 1), (1, 0))
+    assert res.all_converged and 0.0 < abs(res.phi) < 1e-15
+    assert 1.99 <= res.exponent <= 2.0
+
+
 def test_action_identity_phi_bitwise_equals_phase_difference():
     # the continuation takes Phi from the lifts it continues; it must be
     # phase_difference's value bit for bit, synchronous pairs (exactly 0) included
@@ -421,6 +447,20 @@ def test_ndtr_matches_scipy_bit_for_bit():
 def test_clt_diagnostics_needs_enough_samples():
     with pytest.raises(SpecError):
         clt_diagnostics(np.zeros(10))
+
+
+@pytest.mark.parametrize("spec, s", [(SystemSpec(L=2), (0, 3)),
+                                     (SystemSpec(L=3, subsystem=CatMapSpec(1, 1, 2, 3),
+                                                 amplitude=0.7), (0, 2, 5))])
+def test_time_average_and_clt_read_one_phase_sampler(spec, s):
+    # at T = horizon, proxy sampling draws the time average's starts and sums
+    # the same Phi, so its phases give the full-horizon rung
+    horizon, samples, seed = 16, 700, 9
+    est = variance_time_average(spec, s, horizon, samples, seed, batch=300)
+    sset = sample_phase_distribution(spec, horizon, s, samples, seed, mode="proxy", batch=300)
+    assert est.s == sset.s
+    mean = float(np.mean(sset.phi_tilde**2))
+    assert abs(mean - est.sigma2) <= 1e-12 * est.sigma2
 
 
 def test_variance_time_average_synchronous_coboundary():
