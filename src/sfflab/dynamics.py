@@ -95,37 +95,31 @@ class CorrelationEstimate:
 DYADIC_DEN = 2**53
 
 
-def step_arrays(q, p, m: CatMapSpec, den: int, work=None):
-    """One exact map step of the lattice numerators q, p over den; returns (q, p).
+def step_arrays(q, p, m: CatMapSpec, den: int):
+    """One exact map step of the lattice numerators q, p over den; returns the new (q, p).
 
-    (a q + b p, c q + d p), each reduced by mod1.  Without work, q and p are
-    Python ints or int64 arrays and the image is new.  With work, an int64
-    array of q's shape, the int64 arrays q and p are overwritten with the
-    image, skipping the products b p, c q and d p whose coefficient is 1.
-    The unreduced image must fit in int64 (check_lattice_map).
+    (a q + b p, c q + d p), each reduced by mod1; q and p are Python ints or
+    int64 arrays.  The unreduced image must fit in int64 (check_lattice_map).
     """
-    if work is None:
-        return mod1(m.a * q + m.b * p, den), mod1(m.c * q + m.d * p, den)
-    np.multiply(q, m.a, out=work)
-    work += p if m.b == 1 else m.b * p
-    if m.c != 1:
-        q *= m.c
-    if m.d != 1:
-        p *= m.d
-    p += q
-    return mod1(work, den, out=q), mod1(p, den, out=p)
+    return mod1(m.a * q + m.b * p, den), mod1(m.c * q + m.d * p, den)
 
 
 def check_lattice_map(m: CatMapSpec, den: int = DYADIC_DEN) -> None:
-    """SpecError unless a k + b l and c k + d l stay below 2**63 for numerators below den.
+    """SpecError unless a k + b l, c k + d l and (a + d) k - l fit int64 for k, l below den.
 
-    On the Monte Carlo lattice (den = 2**53) that is |a| + |b| < 2**10 and
-    |c| + |d| < 2**10.
+    The rows are step_arrays and the first images, the trace is the position
+    recurrence of _relative_frames.  On the Monte Carlo lattice (den = 2**53)
+    that is |a| + |b| < 2**10 and |c| + |d| < 2**10, which imply |a + d| < 2**10.
     """
     for name, row in (("|a| + |b|", abs(m.a) + abs(m.b)), ("|c| + |d|", abs(m.c) + abs(m.d))):
         if row * den >= 2**63:
             raise SpecError(f"{name} = {row} overflows the int64 lattice step over "
                             f"den = {den}; need {name} < {-(-2**63 // den)}")
+    trace = m.a + m.d
+    lo, hi = min(trace, 0) * (den - 1) - (den - 1), max(trace, 0) * (den - 1)
+    if lo < -(2**63) or hi >= 2**63:
+        raise SpecError(f"|a + d| = {abs(trace)} overflows the int64 position recurrence over "
+                        f"den = {den}: (a + d) k - l spans [{lo}, {hi}], beyond [-2**63, 2**63)")
 
 
 def check_aliasing(m: CatMapSpec, steps: int, den: int = DYADIC_DEN) -> None:
@@ -210,15 +204,18 @@ def _cos_table(den: int):
 def lattice_pairs(spec: SystemSpec) -> tuple[list[tuple[int, int]], float]:
     """(pairs, scale) with W = scale * sum over pairs (i, j) of cos(2 pi (q_i - q_j)).
 
-    W is amplitude times the offset-free bond sum, with each unordered pair
-    evaluated once: the L = 2 ring and all-to-all count every pair in both
-    directions, so their scale is 2 amplitude.  All-to-all with L = 1 has no
-    pairs, and W = 0.
+    W is amplitude times the offset-free bond sum of bonds(spec, L), with the
+    mirror (j, i) of an earlier bond (i, j) merged into its pair, so each
+    unordered pair is evaluated once.  The L = 2 ring and all-to-all mirror
+    every bond, so their scale is 2 amplitude; all-to-all with L = 1 has no
+    bonds, no pairs, and W = 0.
     """
-    L = spec.L
-    if spec.topology == ALL_TO_ALL or L == 2:
-        return [(i, j) for i in range(L) for j in range(i + 1, L)], 2.0 * spec.amplitude
-    return [(l, (l + 1) % L) for l in range(L)], spec.amplitude
+    bond_list = bonds(spec, spec.L)
+    pairs = []
+    for i, j, _ in bond_list:
+        if (j, i) not in pairs:
+            pairs.append((i, j))
+    return pairs, (2.0 if len(bond_list) == 2 * len(pairs) else 1.0) * spec.amplitude
 
 
 def _lattice_bond_sum(d: np.ndarray, den: int, out: np.ndarray, work: np.ndarray):
@@ -326,38 +323,56 @@ def _relative_frames(q0: np.ndarray, p0: np.ndarray, den: int, m: CatMapSpec, pa
 
     q0, p0 are int64 numerator arrays of shape (n, L): Monte Carlo draws
     (_dyadic_starts) or Smith-indexed periodic points (lattice_points).
-    Copy k has site l advanced shifts[k][l] map steps.  The map is linear, so
-    the difference of two lattice orbits is one too, M x_i - M x_j = M (x_i -
-    x_j) mod den: each (pair (i, j), copy) starts at M^a x_i - M^b x_j =
-    M^c (M^(a-c) x_i - M^(b-c) x_j), c = min(a, b), and each pair takes one
-    step_arrays call per step, with one (len(shifts), n) scratch row.  Yields
-    the position differences (q_i - q_j) mod den, an int64 array of shape
-    (len(pairs), len(shifts), n), stepped in place: a yielded frame is valid
-    only until the next step.
+    Copy k has site l advanced shifts[k][l] map steps.  Only positions are
+    stepped: det M = 1 gives M^2 = (a + d) M - I, so each position, and each
+    difference of two orbits, follows q_{t+1} = (a + d) q_t - q_{t-1} mod den,
+    and a start's momentum enters once, through its first image a q_0 + b p_0.
+    Each (pair (i, j), copy) takes the lead site's |a - b| steps, subtracts
+    the lag site and takes min(a, b) steps more, holding two consecutive
+    positions in two int64 planes; each pair takes one step per frame, with
+    one (len(shifts), n) scratch row.  Yields the differences (q_i - q_j) mod
+    den, an int64 array of shape (len(pairs), len(shifts), n), stepped in
+    place: a yielded frame is valid only until the next step.
     """
     check_lattice_map(m, den)
-    dq = np.empty((len(pairs), len(shifts), q0.shape[0]), dtype=np.int64)
-    dp = np.empty_like(dq)
-    work = np.empty(dq.shape[1:], dtype=np.int64)
+    x = [np.empty((len(pairs), len(shifts), q0.shape[0]), dtype=np.int64) for _ in "lh"]
+    work = np.empty(x[0].shape[1:], dtype=np.int64)
+
+    def advance(lo, hi, w):
+        """(hi, lo) after lo <- (a + d) hi - lo mod den: the next two positions."""
+        np.multiply(hi, m.a + m.d, out=w)
+        np.subtract(w, lo, out=lo)
+        return hi, mod1(lo, den, out=lo)
+
+    def first_image(l, out):
+        """q_1 = a q_0 + b p_0 mod den of site l, into out."""
+        np.multiply(q0[:, l], m.a, out=out)
+        out += p0[:, l] if m.b == 1 else m.b * p0[:, l]
+        return mod1(out, den, out=out)
+
     for r, (i, j) in enumerate(pairs):
         for k, shift in enumerate(shifts):
             a, b = shift[i], shift[j]
             lead, lag = (i, j) if a >= b else (j, i)
-            q, p = dq[r, k], dp[r, k]
-            q[:], p[:] = q0[:, lead], p0[:, lead]
+            # each of the max(a, b) steps swaps the planes: t = 0 ends in the first
+            lo, hi = x[max(a, b) % 2][r, k], x[1 - max(a, b) % 2][r, k]
+            lo[:] = q0[:, lead]
+            first_image(lead, hi)
             for _ in range(abs(a - b)):
-                step_arrays(q, p, m, den, work[k])
-            for x, y in ((q0[:, lag], q), (p0[:, lag], p)):
-                np.subtract(*((y, x) if a >= b else (x, y)), out=y)
+                lo, hi = advance(lo, hi, work[k])
+            for y, v in ((lo, q0[:, lag]), (hi, first_image(lag, work[k]))):
+                np.subtract(*((y, v) if a >= b else (v, y)), out=y)
                 mod1(y, den, out=y)
             for _ in range(min(a, b)):
-                step_arrays(q, p, m, den, work[k])
+                lo, hi = advance(lo, hi, work[k])
     del q0, p0  # the starts are not kept
+    lo, hi = x
     for t in range(steps):
         if t:
-            for q, p in zip(dq, dp):
-                step_arrays(q, p, m, den, work)
-        yield dq
+            for r in range(len(pairs)):
+                advance(lo[r], hi[r], work)
+            lo, hi = hi, lo
+        yield lo
 
 
 def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts, steps: int,
@@ -397,6 +412,19 @@ def observable_frames(spec: SystemSpec, rng: np.random.Generator, n: int, shifts
         yield w
 
 
+def frame_batches(spec: SystemSpec, seed: int, samples: int, batch: int, shifts, steps: int,
+                  lattice=None):
+    """(n, observable_frames of n starts) per batch of at most batch of the samples.
+
+    The Monte Carlo estimators' one seeded batch loop: each batch draws its
+    starts from one philox(seed) stream when its frames are first read.
+    """
+    rng = philox(seed)
+    for start in range(0, samples, batch):
+        n = min(batch, samples - start)
+        yield n, observable_frames(spec, rng, n, shifts, steps, lattice)
+
+
 def estimate_correlation(
     spec: SystemSpec,
     shift: Sequence[int],
@@ -407,7 +435,7 @@ def estimate_correlation(
     """C_w(shift) = <W(phi^shift x) W(x)> - <W>^2 for W the interaction derivative.
 
     Uniform (Lebesgue = SRB) initial conditions, drawn as points of the 2**53
-    lattice and stepped exactly (observable_frames).  Negative shift components
+    lattice and stepped exactly (frame_batches).  Negative shift components
     are handled by translating both factors with a synchronous offset, using
     the invariance of the measure.
     """
@@ -416,20 +444,17 @@ def estimate_correlation(
         raise SpecError("shift must have one component per site")
     if samples <= 0:
         raise SpecError("samples must be positive")
-    rng = philox(seed)
     m_off = max(0, -min(shift))
     shifts = ((m_off,) * spec.L, tuple(m_off + s for s in shift))
-    n_done = 0
     s_p = s_p2 = s_a = s_b = 0.0
-    while n_done < samples:
-        n = min(batch, samples - n_done)
-        a, b = next(observable_frames(spec, rng, n, shifts, 1))
+    for _, frames in frame_batches(spec, seed, samples, batch, shifts, 1):
+        a, b = next(frames)
+        del frames  # frees the batch's planes before the products are formed
         prod = a * b
         s_p += prod.sum()
         s_p2 += (prod * prod).sum()
         s_a += a.sum()
         s_b += b.sum()
-        n_done += n
 
     mean_p = s_p / samples
     value = mean_p - (s_a / samples) * (s_b / samples)

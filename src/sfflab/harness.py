@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import time
 from dataclasses import asdict, dataclass, field
@@ -583,14 +584,23 @@ def _run_quantum(cfg, spec: CircuitSpec, outdir):
     t_max = sec["t_max"] or int(round(1.25 * spec.T_H))
     # first, while no member rows are held, so its solve adds nothing to the peak RSS
     reference_error = reference_trace_error(spec, t_max)
+    faults = _minor_faults()
     series = sff_numeric(spec, t_max, workers=cfg.workers)
+    faults = _minor_faults() - faults
     _write_csv(outdir / "sff_numeric.csv", "sff_numeric",
                ["t", "tau", "K", "K_raw", "err", "N", "L", "epsilon", "Lambda"],
                [[series.times, series.times / spec.T_H, series.values, series.raw_values,
                  series.errors, spec.N, spec.L, float(spec.eps_effective),
                  float(spec.lam_effective)]])
     return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"],
-            **series.meta, "reference_trace_error_max": reference_error}
+            **series.meta, "reference_trace_error_max": reference_error,
+            "minor_faults_per_member": faults / sec["members"]}
+
+
+def _minor_faults() -> int:
+    """Minor page faults so far of this process and its finished children (getrusage)."""
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def report_text(rep_dict: dict) -> str:

@@ -21,13 +21,13 @@ from .dynamics import (
     SpecError,
     SystemSpec,
     estimate_correlation,
-    observable_frames,
+    frame_batches,
     pair_gradient,
     pair_hessian,
     pair_potential,
 )
 from .orbits import MAX_PERIOD, OrbitFamily, as_shift, periodic_point_count, smith_lattice
-from .util import philox, spawn_seeds
+from .util import spawn_seeds
 
 
 class SeriesError(ValueError):
@@ -357,18 +357,15 @@ def _phase_sums(spec: SystemSpec, s, checkpoints, samples, seed, lattice, batch)
     """The one Phi sampler: yields {t: Phi_t} per batch of at most batch samples.
 
     Phi_t = sum_{t' < t} [W(x_t') - W(phi^s x_t')] at each checkpoint t, from
-    philox(seed) starts through observable_frames: Smith-indexed period-T
-    points when lattice is given, uniform 2**53 lattice points otherwise.
-    Frames are read in turn, so their buffer may be reused; the one dict is
-    emptied before the next batch is drawn.
+    the seeded batches of frame_batches: Smith-indexed period-T points when
+    lattice is given, uniform 2**53 lattice points otherwise.  Frames are
+    read in turn, so their buffer may be reused; the one dict is emptied
+    before the next batch is drawn.
     """
-    rng = philox(seed)
-    shifts = ((0,) * spec.L, s)
     out = {}
-    for start in range(0, samples, batch):
-        n = min(batch, samples - start)
+    for n, frames in frame_batches(spec, seed, samples, batch, ((0,) * spec.L, s),
+                                   max(checkpoints), lattice):
         acc = np.zeros(n)
-        frames = observable_frames(spec, rng, n, shifts, max(checkpoints), lattice)
         for t, v in enumerate(frames, start=1):
             v[0] -= v[1]
             acc += v[0]

@@ -15,6 +15,7 @@ multiples of themselves.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -258,24 +259,32 @@ def build_circuit(spec: CircuitSpec, member: MemberRealization | None = None,
                   sites: list | None = None) -> np.ndarray:
     """U = (tensor of subsystem maps) * diagonal coupling; exact kron at eps = 0.
 
-    sites are subsystem_unitaries(spec, member) when the caller already holds them.
+    One site has no bond, so at L = 1 U is its map.  sites are
+    subsystem_unitaries(spec, member) when the caller already holds them.
     """
     _check_budget(spec)
     subs = subsystem_unitaries(spec, member) if sites is None else sites
     U = subs[0]
     for u in subs[1:]:
         U = np.kron(U, u)
-    if spec.eps_effective != 0.0:
-        coup = coupling_operator(spec, member.bond_offsets if member else None)
-        U = U * coup[None, :]
+    if spec.eps_effective != 0.0 and spec.L > 1:  # in place: U is a new Kronecker product
+        U *= coupling_operator(spec, member.bond_offsets if member else None)
     return U
+
+
+@functools.lru_cache(maxsize=4)
+def _probe(dim: int) -> np.ndarray:
+    """The fixed unit probe vector of _unitarity_residual, drawn once per dimension."""
+    rng = philox(0)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x /= np.linalg.norm(x)
+    x.flags.writeable = False
+    return x
 
 
 def _unitarity_residual(U: np.ndarray) -> float:
     """||U^H U x - x|| for one fixed unit probe vector x; O(dim^2), no dense copy."""
-    rng = philox(0)
-    x = rng.standard_normal(U.shape[0]) + 1j * rng.standard_normal(U.shape[0])
-    x /= np.linalg.norm(x)
+    x = _probe(U.shape[0])
     return float(np.linalg.norm(np.conj(U.T @ np.conj(U @ x)) - x))
 
 

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from sfflab import phases
 from sfflab.dynamics import DEFAULT_MAP, SystemSpec
 from sfflab.harness import validate_config, run_experiment
 from sfflab.orbits import enumerate_lattice, family_iterator, periodic_point_count, sum_rule_check
@@ -151,6 +152,39 @@ def test_criterion_05_action_difference_identity():
                 f"{len(super_quadratic)} symmetry-suppressed pairs at exponent ~3), "
                 f"range [{min(exponents):.2f}, {max(exponents):.2f}]",
             t0, None)
+
+
+def test_criterion_05_rule_rejects_a_perturbed_phase(monkeypatch):
+    # negative control: Phi scaled by 1 + 1e-3 adds the first-order residual 1e-3 eps Phi,
+    # which pulls the fitted exponent toward 1, below acceptance 05's floor of 1.8
+    spec = SystemSpec(L=2)
+    eps_list = [1e-3, 1e-4, 1e-5]
+
+    def first_quadratic_pair():
+        # the first pair of acceptance 05's T = 4 menu that fits the quadratic band
+        for f in family_iterator(spec, 4):
+            if (all(o.primitive_period == 4 for o in f.reps)
+                    and f.reps[0].representative != f.reps[1].representative):
+                for r, s in (((0, 1), (1, 0)), ((0, 2), (1, 0)), ((0, 1), (2, 0))):
+                    res = action_difference_identity_check(f, spec, eps_list, r, s)
+                    if (res.all_converged and max(res.residuals) >= 1e-12
+                            and 1.8 <= res.exponent <= 2.2):
+                        return f, r, s, res
+
+    fam, r, s, exact = first_quadratic_pair()
+    shifted_lifts = phases._shifted_lifts
+
+    def perturbed(*args):
+        *lifts, phi = shifted_lifts(*args)
+        return (*lifts, phi * (1.0 + 1e-3))
+
+    monkeypatch.setattr(phases, "_shifted_lifts", perturbed)
+    res = action_difference_identity_check(fam, spec, eps_list, r, s)
+    margin = res.exponent - 1.8
+    print(f"\nCONTROL 05 Phi scaled by 1 + 1e-3: exponent {res.exponent:.3f} "
+          f"(exact Phi {exact.exponent:.3f}), margin {margin:+.3f}")
+    assert res.all_converged and res.phi == exact.phi * (1.0 + 1e-3)
+    assert margin < 0
 
 
 def test_criterion_06_variance_shift_invariance():

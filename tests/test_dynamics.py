@@ -33,16 +33,16 @@ def test_cat_map_validation():
 
 def test_subsystem_step_fixed_point():
     q, p = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    image = step_arrays(q, p, DEFAULT_MAP, DYADIC_DEN, np.empty(1, dtype=np.int64))
-    assert image[0] is q and image[1] is p  # in place
-    assert q[0] == 0 and p[0] == 0
+    image = step_arrays(q, p, DEFAULT_MAP, DYADIC_DEN)
+    assert image[0] is not q and image[1] is not p  # a new image
+    assert image[0][0] == 0 and image[1][0] == 0
 
 
 def test_subsystem_step_direct_substitution():
-    # (1/2, 1/2) -> (3/2, 1) = (1/2, 0) mod 1, as Python ints and in place
+    # (1/2, 1/2) -> (3/2, 1) = (1/2, 0) mod 1, as Python ints and as arrays
     assert step_arrays(1, 1, DEFAULT_MAP, 2) == (1, 0)
-    q, p = np.array([DYADIC_DEN // 2]), np.array([DYADIC_DEN // 2])
-    step_arrays(q, p, DEFAULT_MAP, DYADIC_DEN, np.empty(1, dtype=np.int64))
+    q, p = step_arrays(np.array([DYADIC_DEN // 2]), np.array([DYADIC_DEN // 2]), DEFAULT_MAP,
+                       DYADIC_DEN)
     assert q[0] == DYADIC_DEN // 2 and p[0] == 0
 
 
@@ -50,9 +50,7 @@ def test_subsystem_step_inverse_roundtrip():
     inv = CatMapSpec(1, -1, -1, 2)  # inverse of the default map
     rng = philox(1)
     q0, p0 = (rng.integers(0, DYADIC_DEN, 50) for _ in "qp")
-    work = np.empty(50, dtype=np.int64)
-    q, p = step_arrays(*step_arrays(q0.copy(), p0.copy(), DEFAULT_MAP, DYADIC_DEN, work), inv,
-                       DYADIC_DEN, work)
+    q, p = step_arrays(*step_arrays(q0, p0, DEFAULT_MAP, DYADIC_DEN), inv, DYADIC_DEN)
     assert np.array_equal(q, q0) and np.array_equal(p, p0)  # exact on the lattice
 
 
@@ -104,8 +102,9 @@ def test_trajectory_matches_direct_stepping(shifts):
                 assert np.array_equal(frame[r, k], (q[:, a] - q[:, b]) % DYADIC_DEN)
 
 
-# each entry of [[a, b], [c, d]] is 1, -1, 2 and 3 in one of these maps; the array step skips
-# a product b p, c q or d p whose coefficient is 1
+# each entry of [[a, b], [c, d]] is 1, -1, 2 and 3 in one of these maps, and their traces a + d
+# take both signs: the first image a q + b p and the recurrence (a + d) q_t - q_{t-1} then have
+# negative unreduced values to reduce
 BRANCH_MAPS = [CatMapSpec(*e) for e in ((2, 1, 1, 1), (1, 1, 2, 3), (1, -1, -1, 2), (-3, 2, 1, -1),
                                         (-2, 1, 3, -2), (-2, 3, 1, -2), (-1, -2, -1, -3),
                                         (3, -2, -1, 1))]
@@ -115,21 +114,33 @@ BRANCH_MAPS = [CatMapSpec(*e) for e in ((2, 1, 1, 1), (1, 1, 2, 3), (1, -1, -1, 
 def test_step_arrays_coefficient_branches_match_python_ints(den):
     entries = [(m.a, m.b, m.c, m.d) for m in BRANCH_MAPS]
     assert all({e[slot] for e in entries} >= {1, -1, 2, 3} for slot in range(4))
+    assert {m.a + m.d > 0 for m in BRANCH_MAPS} == {True, False}
     rng = philox(12)
-    # the (pairs, copies, n) layout of the Monte Carlo frames, with the lattice edges in it; the
-    # one scratch array has q's shape, and a coefficient b other than 1 takes a temporary b p
+    # the lattice edges beside generic numerators
     q0, p0 = (rng.integers(0, den, (3, 2, 32)) for _ in "qp")
     q0[0, 0, :4], p0[0, 0, :4] = [0, den - 1, 0, den - 1], [0, 0, den - 1, den - 1]
+    pairs = list(zip(q0.ravel().tolist(), p0.ravel().tolist()))
+    # the position recurrence of the Monte Carlo frames: site 1 starts at the fixed point 0, so
+    # the frames of the pair (0, 1) are the positions of site 0, with the lead site advanced on
+    # either side of the pair
+    starts = [np.stack([x[0, 0], np.zeros_like(x[0, 0])], axis=1) for x in (q0, p0)]
+    shifts, steps = ((0, 0), (3, 0), (0, 3)), 9
     for m, e in zip(BRANCH_MAPS, entries):
-        q, p = q0.copy(), p0.copy()
-        image = step_arrays(q, p, m, den, np.empty(q.shape, dtype=np.int64))
-        assert image[0] is q and image[1] is p  # in place
-        pairs = list(zip(q0.ravel().tolist(), p0.ravel().tolist()))
+        q, p = step_arrays(q0, p0, m, den)
         unreduced = [(m.a * x + m.b * y, m.c * x + m.d * y) for x, y in pairs]
         assert list(zip(q.ravel().tolist(), p.ravel().tolist())) == [
             (u % den, v % den) for u, v in unreduced]
         if min(e) < 0:
             assert min(min(u, v) for u, v in unreduced) < 0  # negative images were reduced
+
+        frames = [f.copy() for f in _relative_frames(*starts, den, m, [(0, 1)], shifts, steps)]
+        for i, (x, y) in enumerate(pairs[:32]):
+            orbit = []
+            for _ in range(steps + 3):
+                orbit.append(x)
+                x, y = (m.a * x + m.b * y) % den, (m.c * x + m.d * y) % den
+            for c, (a, _) in enumerate(shifts):
+                assert [int(f[0, c, i]) for f in frames] == orbit[a:a + steps], (m, i, c)
 
 
 @pytest.mark.parametrize("spec, offsets", [

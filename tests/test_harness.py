@@ -100,6 +100,20 @@ def test_manifest_integrity(tmp_path):
     assert not verify_manifest(tmp_path / "m")
 
 
+def test_quantum_manifest_counts_minor_faults_per_member(tmp_path):
+    # page-fault health of the member solves, from getrusage: a manifest field that differs
+    # between runs while the series CSV stays the same
+    quantum = {"N": 4, "L": 2, "Lambda": 0.2107, "members": 4, "t_max": 20}
+    mans = [run_experiment(validate_config({"kind": "quantum-sff", "seed": 5,
+                                            "outdir": str(tmp_path / d), "quantum": quantum}))
+            for d in "ab"]
+    for man in mans:
+        faults = man.extras["minor_faults_per_member"]
+        assert isinstance(faults, float) and faults >= 0
+    assert mans[0].digests["sff_numeric.csv"] == mans[1].digests["sff_numeric.csv"]
+    assert "minor_faults" not in (tmp_path / "a/sff_numeric.csv").read_text()
+
+
 def test_quantum_and_compare_pipeline(tmp_path):
     qcfg = validate_config({
         "kind": "quantum-sff", "seed": 21, "outdir": str(tmp_path / "q"),

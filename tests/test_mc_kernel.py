@@ -64,7 +64,7 @@ def _bits(x):
 
 
 def _setup(monkeypatch, m, L, amplitude, topology, start):
-    monkeypatch.setattr(phases, "philox", start)
+    # dynamics.frame_batches is the one place the Monte Carlo estimators seed their starts
     monkeypatch.setattr(dynamics, "philox", start)
     spec = SystemSpec(L=L, subsystem=m, amplitude=amplitude, topology=topology)
     return spec, bonds(spec, L)
@@ -279,6 +279,23 @@ def test_lattice_map_must_fit_int64():
             spec = SystemSpec(L=2, subsystem=m)
             next(observable_frames(spec, philox(1), 4, ((0, 0), (1, 0)), 2))
     check_lattice_map(CatMapSpec(1023, 1, 1022, 1), den=2**40)
+
+
+def test_position_recurrence_must_fit_int64():
+    # R = ceil(2**63 / den): rows |a| + |b| and |c| + |d| up to R - 1 pass the step's bound, and
+    # the trace a + d = +-(R - 1) keeps (a + d) k - l in int64 for the positive sign only, where
+    # over den = 3**25 the negative one reaches -R (den - 1) < -2**63
+    den = 3**25
+    R = -(-(2**63) // den)
+    assert R * (den - 1) > 2**63
+    check_lattice_map(CatMapSpec(R - 2, 1, R - 3, 1), den)
+    wraps = CatMapSpec(-(R - 2), -1, -(R - 3), -1)
+    starts = (np.zeros((4, 2), dtype=np.int64),) * 2
+    for refused in (lambda: check_lattice_map(wraps, den),
+                    lambda: next(_relative_frames(*starts, den, wraps, [(0, 1)], [(0, 1)], 2))):
+        with pytest.raises(SpecError, match=re.escape(f"|a + d| = {R - 1} overflows the int64 "
+                                                      "position recurrence")):
+            refused()
 
 
 def test_mod1_without_remainder_matches_np_remainder():
