@@ -584,9 +584,9 @@ def _run_quantum(cfg, spec: CircuitSpec, outdir):
     t_max = sec["t_max"] or int(round(1.25 * spec.T_H))
     # first, while no member rows are held, so its solve adds nothing to the peak RSS
     reference_error = reference_trace_error(spec, t_max)
-    faults = _minor_faults()
+    faults, start = _minor_faults(), time.monotonic()
     series = sff_numeric(spec, t_max, workers=cfg.workers)
-    faults = _minor_faults() - faults
+    faults, seconds = _minor_faults() - faults, time.monotonic() - start
     _write_csv(outdir / "sff_numeric.csv", "sff_numeric",
                ["t", "tau", "K", "K_raw", "err", "N", "L", "epsilon", "Lambda"],
                [[series.times, series.times / spec.T_H, series.values, series.raw_values,
@@ -594,7 +594,7 @@ def _run_quantum(cfg, spec: CircuitSpec, outdir):
                  float(spec.lam_effective)]])
     return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"],
             **series.meta, "reference_trace_error_max": reference_error,
-            "minor_faults_per_member": faults / sec["members"]}
+            "minor_faults_per_member": faults / sec["members"], "member_seconds": seconds}
 
 
 def _minor_faults() -> int:

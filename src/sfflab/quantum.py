@@ -15,6 +15,7 @@ multiples of themselves.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import asdict, dataclass, field
@@ -60,6 +61,13 @@ _POWER_BLOCK = 32
 # 2 arctan(lambda) moves by at most twice that, so below this bound every
 # eigenphase stays within _UNITARY_TOL / 2 (about 1126).
 _POLE_BOUND = _UNITARY_TOL / (4.0 * np.finfo(float).eps)
+# (glibc mallopt parameter, bytes) that _keep_solve_buffers sets: M_MMAP_THRESHOLD
+# and M_TRIM_THRESHOLD.  A dim-256 member frees about 4 MiB of solve buffers (inv's
+# and eigvalsh's 1 MiB dim^2 matrices and workspaces), which glibc unmaps or trims
+# and the next member faults back in (about 990 minor faults).  Blocks below 32 MiB
+# (the ceiling of glibc's own adaptive mmap threshold; one dim-1024 matrix is 16 MiB)
+# then come from the heap, and up to 128 MiB of free heap top stays mapped.
+_MALLOPT_THRESHOLDS = ((-3, 32 << 20), (-1, 128 << 20))
 
 
 @dataclass(frozen=True)
@@ -175,6 +183,17 @@ def check_convention(m: CatMapSpec, N: int) -> None:
         )
 
 
+@functools.cache
+def _keep_solve_buffers() -> bool:
+    """Keep this process's freed solve buffers mapped, once; True when glibc's
+    mallopt took both thresholds, False (allocator untouched) without mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return [mallopt(param, value) for param, value in _MALLOPT_THRESHOLDS] == [1, 1]
+
+
 def quantize_subsystem(m: CatMapSpec, N: int) -> np.ndarray:
     """Discretized e^{iW/hbar} kernel of the linear map (N x N); unitary by Gauss sums."""
     check_convention(m, N)
@@ -185,11 +204,28 @@ def quantize_subsystem(m: CatMapSpec, N: int) -> np.ndarray:
     return np.exp(1j * np.pi * ph / (m.b * N)) / np.sqrt(1j * m.b * N)
 
 
+@functools.lru_cache(maxsize=4)
+def _site_kernel(N: int) -> np.ndarray:
+    """quantize_subsystem(DEFAULT_MAP, N), built once per N and read-only."""
+    U = quantize_subsystem(DEFAULT_MAP, N)
+    U.flags.writeable = False
+    return U
+
+
+@functools.lru_cache(maxsize=4)
+def _dft(N: int) -> np.ndarray:
+    """The unitary N-point DFT matrix, built once per N and read-only."""
+    n = np.arange(N)
+    F = np.exp(-2j * np.pi * np.outer(n, n) / N) / math.sqrt(N)
+    F.flags.writeable = False
+    return F
+
+
 def torus_translation(N: int, vq: float, vp: float) -> np.ndarray:
     """Quantized phase-space translation x -> x + (vq, vp); vq, vp real."""
     n = np.arange(N)
     boost = np.exp(2j * np.pi * vp * n)
-    F = np.exp(-2j * np.pi * np.outer(n, n) / N) / math.sqrt(N)
+    F = _dft(N)
     mom = np.where(n <= N // 2, n, n - N)
     shift = F.conj().T @ (np.exp(-2j * np.pi * vq * mom)[:, None] * F)
     return boost[:, None] * shift
@@ -249,7 +285,7 @@ def _check_budget(spec: CircuitSpec) -> None:
 
 
 def subsystem_unitaries(spec: CircuitSpec, member: MemberRealization | None = None):
-    base = quantize_subsystem(DEFAULT_MAP, spec.N)
+    base = _site_kernel(spec.N)
     if member is None:
         return [base] * spec.L
     return [torus_translation(spec.N, vq, vp) @ base for vq, vp in member.site_translations]
@@ -259,14 +295,13 @@ def build_circuit(spec: CircuitSpec, member: MemberRealization | None = None,
                   sites: list | None = None) -> np.ndarray:
     """U = (tensor of subsystem maps) * diagonal coupling; exact kron at eps = 0.
 
-    One site has no bond, so at L = 1 U is its map.  sites are
-    subsystem_unitaries(spec, member) when the caller already holds them.
+    One site has no bond, so at L = 1 U is a copy of its map (the sites may
+    be the read-only cached kernel).  sites are subsystem_unitaries(spec,
+    member) when the caller already holds them.
     """
     _check_budget(spec)
     subs = subsystem_unitaries(spec, member) if sites is None else sites
-    U = subs[0]
-    for u in subs[1:]:
-        U = np.kron(U, u)
+    U = subs[0].copy() if len(subs) == 1 else functools.reduce(np.kron, subs)
     if spec.eps_effective != 0.0 and spec.L > 1:  # in place: U is a new Kronecker product
         U *= coupling_operator(spec, member.bond_offsets if member else None)
     return U
@@ -412,8 +447,9 @@ def _circuit_traces(spec: CircuitSpec, member: MemberRealization | None,
 
     The site maps give both the circuit and its pole; the circuit goes
     straight into trace_powers, so no reference here keeps it alive through
-    the eigensolve.
+    the eigensolve.  The solving process keeps its freed buffers mapped.
     """
+    _keep_solve_buffers()
     sites = subsystem_unitaries(spec, member)
     alpha = uncoupled_pole(sites)
     return trace_powers(build_circuit(spec, member, sites), t_max, alpha)
@@ -472,6 +508,7 @@ def sff_numeric(spec: CircuitSpec, t_max: int, workers: int = 1) -> SffSeries:
             "unitarity_residual_max": max(residuals),
             "trace_check_max": max(s1_errors),
             "second_solves": sum(second_solves),
+            "heap_retained": _keep_solve_buffers(),
         },
     )
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfflab import harness
+from sfflab import harness, quantum
 from sfflab.cli import main as cli_main
 from sfflab.harness import (
     ConfigError,
@@ -110,8 +110,23 @@ def test_quantum_manifest_counts_minor_faults_per_member(tmp_path):
     for man in mans:
         faults = man.extras["minor_faults_per_member"]
         assert isinstance(faults, float) and faults >= 0
+        assert isinstance(man.extras["heap_retained"], bool)
+        assert man.extras["member_seconds"] > 0
     assert mans[0].digests["sff_numeric.csv"] == mans[1].digests["sff_numeric.csv"]
-    assert "minor_faults" not in (tmp_path / "a/sff_numeric.csv").read_text()
+    body = (tmp_path / "a/sff_numeric.csv").read_text()
+    assert not any(key in body for key in ("minor_faults", "heap_retained", "member_seconds"))
+
+
+def test_quantum_members_keep_solve_buffers_mapped(tmp_path):
+    # dim-256 members: with freed solve buffers unmapped or trimmed, each member faults
+    # about 930 pages back in; kept mapped, about 1
+    if not quantum._keep_solve_buffers():
+        pytest.skip("the C library has no mallopt")
+    quantum_sec = {"N": 16, "L": 2, "Lambda": 0.2107, "members": 8, "t_max": 40}
+    man = run_experiment(validate_config({"kind": "quantum-sff", "seed": 5,
+                                          "outdir": str(tmp_path), "quantum": quantum_sec}))
+    assert man.extras["heap_retained"] is True
+    assert man.extras["minor_faults_per_member"] < 50
 
 
 def test_quantum_and_compare_pipeline(tmp_path):

@@ -129,6 +129,24 @@ def test_build_circuit_against_dense_kernel_oracle():
     assert np.abs(U - want).max() < 1e-10
 
 
+def test_build_circuit_returns_a_fresh_writable_array():
+    # at L = 1 with no member the circuit is the cached site kernel: a build must copy it
+    spec = CircuitSpec(L=1, N=8, epsilon=0.0)
+    U = build_circuit(spec)
+    want = quantize_subsystem(DEFAULT_MAP, 8)
+    assert U.flags.writeable and np.array_equal(U, want)
+    U *= 2.0
+    assert np.array_equal(build_circuit(spec), want)
+
+
+@pytest.mark.parametrize("cached", [quantum._site_kernel, quantum._dft],
+                         ids=["site_kernel", "dft"])
+def test_per_n_arrays_are_read_only(cached):
+    with pytest.raises(ValueError, match="read-only"):
+        cached(8)[0, 0] = 0.0
+    assert cached(8) is cached(8)
+
+
 def test_memory_budget_preflight():
     spec = CircuitSpec(L=2, N=512, epsilon=0.0, memory_budget_bytes=2 << 30)
     with pytest.raises(MemoryBudgetError):
