@@ -61,16 +61,16 @@ _REQUIRED = object()
 
 # key -> (type, default[, rule]).  A type is a scalar type, a nested schema
 # dict, or [element type] for a list; a rule is a tuple of allowed values, a
-# range, or a lower bound, applied to each element of a list.
+# range, or a lower bound, applied to each element of a list.  A nested schema
+# whose default is {} is filled from its own defaults when the key is absent.
 _MAP_SCHEMA = {"a": (int, _REQUIRED), "b": (int, _REQUIRED),
                "c": (int, _REQUIRED), "d": (int, _REQUIRED)}
 
 _PREDICTION_SCHEMA = {
-    "L": (int, _REQUIRED),
-    "T_H": (float, _REQUIRED),
+    "L": (int, None),
+    "T_H": (float, None),
     "chi": (float, None),
     "Lambda": (float, None),
-    "sigma2_phi": (float, 1.0),
     "form": (str, "closed-form", PREDICTION_FORMS),
 }
 
@@ -88,7 +88,6 @@ SECTION_SCHEMAS = {
         "L": (int, _REQUIRED),
         "chi": (float, None),
         "Lambda": (float, None),
-        "sigma2_phi": (float, 1.0),
         "T_H": (float, 100.0),
         "T_start": (float, 1.0, 1),
         "T_stop": (float, 1e5, 1),
@@ -124,18 +123,14 @@ SECTION_SCHEMAS = {
     "quantum": {
         "N": (int, _REQUIRED),
         "L": (int, 2),
-        "Lambda": (float, None),
-        "epsilon": (float, None),
+        "Lambda": (float, _REQUIRED),
         "members": (int, 64),
         "t_max": (int, 0, 0),  # 0: 1.25 T_H
         "memory_budget_mb": (int, 2048, 1),
     },
     "compare": {
         "series_csv": (str, _REQUIRED),
-        "prediction": (_PREDICTION_SCHEMA, _REQUIRED),
-        "late_window": ([float], [0.4, 1.0]),
-        "slope_tol": (float, 0.25),
-        "ratio_tol": (float, 0.25),
+        "prediction": (_PREDICTION_SCHEMA, {}),
         "use_raw": (bool, False),
     },
     "bound": {
@@ -223,8 +218,8 @@ def _validate_section(data, schema, path):
             raise ConfigError(f"unknown key {prefix}{key}")
     out = {}
     for key, (typ, default, *rule) in schema.items():
-        if data.get(key) is not None:
-            out[key] = _field(data[key], typ, rule[0] if rule else None, prefix + key)
+        if data.get(key) is not None or default == {}:
+            out[key] = _field(data.get(key), typ, rule[0] if rule else None, prefix + key)
         elif default is _REQUIRED:
             raise ConfigError(f"missing required field {prefix}{key}")
         else:
@@ -332,14 +327,16 @@ def read_sff_csv(path) -> SffSeries:
         if None in r or None in r.values():  # DictReader's marks for extra and missing cells
             raise SchemaError(f"{path}: data row {i} does not have one cell per field")
     try:
-        sizes = {(int(r["N"]), int(r["L"])) for r in rows}
+        has_lam = "Lambda" in rows[0]  # a series of the quantum-sff kind records its Lambda
+        sizes = {(int(r["N"]), int(r["L"]), float(r["Lambda"]) if has_lam else None) for r in rows}
         if len(sizes) > 1:
-            raise SchemaError(f"{path}: rows disagree on (N, L): {sorted(sizes)}")
-        ((N, L),) = sizes
+            raise SchemaError(f"{path}: rows disagree on (N, L, Lambda): {sorted(sizes)}")
+        ((N, L, lam),) = sizes
         return SffSeries(times=np.array([int(r["t"]) for r in rows]),
                          values=np.array([float(r["K"]) for r in rows]),
                          errors=np.array([float(r["err"]) for r in rows]),
-                         raw_values=np.array([float(r["K_raw"]) for r in rows]), N=N, L=L)
+                         raw_values=np.array([float(r["K_raw"]) for r in rows]), N=N, L=L,
+                         lam=lam)
     except SchemaError:
         raise
     except (ValueError, TypeError) as e:  # SpecError is a ValueError
@@ -362,8 +359,8 @@ def _potts_params(sec) -> PottsParams:
     if (chi is None) == (lam is None):
         raise PottsError("specify exactly one of chi or Lambda")
     if chi is not None:
-        return PottsParams.from_chi(sec["L"], sec["T_H"], chi, sec["sigma2_phi"])
-    return PottsParams(L=sec["L"], T_H=sec["T_H"], lam=lam, sigma2_phi=sec["sigma2_phi"])
+        return PottsParams.from_chi(sec["L"], sec["T_H"], chi)
+    return PottsParams(L=sec["L"], T_H=sec["T_H"], lam=lam)
 
 
 def _predict_params(cfg) -> PottsParams:
@@ -518,6 +515,7 @@ def _run_variance(cfg, spec: SystemSpec, outdir):
     T = sec["T"]
     seeds = spawn_seeds(cfg.seed, 3 + 2 * sec["invariance_checks"])
     task_seeds = {"table": seeds[0], "invariance_shifts": seeds[1], "agreement": seeds[2]}
+    plateau_ok = {}  # the ladder flag of each checked time average, keyed like its seed
     table = per_bond_variance_table(
         spec, T, estimator=sec["estimator"], samples=sec["samples"],
         seed=seeds[0], horizon=sec["horizon"], t_max=sec["t_max"],
@@ -544,6 +542,8 @@ def _run_variance(cfg, spec: SystemSpec, outdir):
             seed2 = task_seeds[f"invariance_{i}_shifted"] = seeds[4 + 2 * i]
             e1 = variance_time_average(spec, s, sec["horizon"], sec["invariance_samples"], seed1)
             e2 = variance_time_average(spec, s2, sec["horizon"], sec["invariance_samples"], seed2)
+            plateau_ok[f"invariance_{i}"], plateau_ok[f"invariance_{i}_shifted"] = (
+                e1.plateau_ok, e2.plateau_ok)
             comb = math.sqrt(e1.std_error**2 + e2.std_error**2)
             # unconverged-horizon systematics estimated from the ladder drift
             drift = abs(e1.ladder[-1][1] - e1.ladder[-2][1]) + abs(e2.ladder[-1][1] - e2.ladder[-2][1])
@@ -558,6 +558,7 @@ def _run_variance(cfg, spec: SystemSpec, outdir):
     if sec["agreement_check"]:
         s = tuple(sec["agreement_s"]) if sec["agreement_s"] else _staircase(spec.L, T)
         ta = variance_time_average(spec, s, sec["horizon"], sec["samples"], seeds[2])
+        plateau_ok["agreement"] = ta.plateau_ok
         task_seeds["agreement_series"] = seeds[2] + 1
         se = variance_series(spec, s, sec["t_max"], sec["samples"], seeds[2] + 1)
         comb = math.sqrt(ta.std_error**2 + se.std_error**2)
@@ -569,12 +570,12 @@ def _run_variance(cfg, spec: SystemSpec, outdir):
             "ok": bool(abs(ta.sigma2 - se.sigma2) <= 3.0 * comb + se.truncation_bound),
         }
     _write_json(outdir / "variance_report.json", report)
-    return {"task_seeds": task_seeds}
+    return {"task_seeds": task_seeds, "plateau_ok": plateau_ok}
 
 
 def _circuit_spec(cfg) -> CircuitSpec:
     sec = cfg.section
-    return CircuitSpec(L=sec["L"], N=sec["N"], epsilon=sec["epsilon"], lam=sec["Lambda"],
+    return CircuitSpec(L=sec["L"], N=sec["N"], lam=sec["Lambda"],
                        members=sec["members"], seed=cfg.seed,
                        memory_budget_bytes=sec["memory_budget_mb"] * 2**20)
 
@@ -590,8 +591,7 @@ def _run_quantum(cfg, spec: CircuitSpec, outdir):
     _write_csv(outdir / "sff_numeric.csv", "sff_numeric",
                ["t", "tau", "K", "K_raw", "err", "N", "L", "epsilon", "Lambda"],
                [[series.times, series.times / spec.T_H, series.values, series.raw_values,
-                 series.errors, spec.N, spec.L, float(spec.eps_effective),
-                 float(spec.lam_effective)]])
+                 series.errors, spec.N, spec.L, float(spec.eps_effective), float(spec.lam)]])
     return {"epsilon": spec.eps_effective, "T_H": spec.T_H, "members": sec["members"],
             **series.meta, "reference_trace_error_max": reference_error,
             "minor_faults_per_member": faults / sec["members"], "member_seconds": seconds}
@@ -615,34 +615,34 @@ def report_text(rep_dict: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compare_prediction(cfg) -> PottsParams:
-    window = cfg.section["late_window"]
-    if len(window) != 2 or not window[0] < window[1]:
-        raise SpecError(f"compare.late_window needs two entries start < stop, got {window}")
-    return _potts_params(cfg.section["prediction"])
-
-
-def _run_compare(cfg, params: PottsParams, outdir):
-    sec = cfg.section
-    path = sec["series_csv"]
+def _compare_inputs(cfg) -> tuple[SffSeries, PottsParams]:
+    """The series and the curve it is compared with, at the series' L, T_H = N^L and
+    Lambda; a typed chi or Lambda replaces the series' Lambda, a typed L or T_H is checked."""
+    path, typed = cfg.section["series_csv"], cfg.section["prediction"]
     series = read_sff_csv(path)
-    # the series fixes the curve's L and T_H = N^L, as it fixes the late window
-    if params.L != series.L:
-        raise SchemaError(f"compare.prediction.L = {params.L}, but {path} is a series at "
-                          f"L = {series.L}")
-    if params.T_H != series.N**series.L:
-        raise SchemaError(f"compare.prediction.T_H = {params.T_H}, but {path} is a series at "
-                          f"T_H = N^L = {series.N**series.L}")
-    if sec["use_raw"]:
+    T_H = series.N**series.L
+    for key, name, value in (("L", "L", series.L), ("T_H", "T_H = N^L", T_H)):
+        if typed[key] not in (None, value):
+            raise SchemaError(f"compare.prediction.{key} = {typed[key]}, but {path} is a series "
+                              f"at {name} = {value}")
+    if typed["chi"] is None and typed["Lambda"] is None:
+        if series.lam is None:
+            raise SchemaError(f"{path}: no Lambda column; set compare.prediction.chi or Lambda")
+        typed = {**typed, "Lambda": series.lam}
+    return series, _potts_params({**typed, "L": series.L, "T_H": float(T_H)})
+
+
+def _run_compare(cfg, built: tuple[SffSeries, PottsParams], outdir):
+    series, params = built
+    form = cfg.section["prediction"]["form"]
+    if cfg.section["use_raw"]:
         series.values = series.raw_values
     try:
         t_th = thouless_time(params)
     except PottsError:
         t_th = None
-    pred = prediction(params, sec["prediction"]["form"], series.times)
-    rep = compare(series, pred, late_window=tuple(sec["late_window"]),
-                  slope_tol=sec["slope_tol"], ratio_tol=sec["ratio_tol"])
-    out = {**rep.to_dict(), "thouless_tau": t_th, "prediction_form": sec["prediction"]["form"]}
+    rep = compare(series, prediction(params, form, series.times))
+    out = {**rep.to_dict(), "thouless_tau": t_th, "prediction_form": form}
     _write_json(outdir / "compare_report.json", out)
     (outdir / "compare_report.txt").write_text(report_text(out))
     return {"passed": out["passed"]}
@@ -700,7 +700,7 @@ _KINDS = {
     "clt": _Kind("clt", _clt_system, _run_clt),
     "variance": _Kind("variance", _variance_system, _run_variance),
     "quantum-sff": _Kind("quantum", _circuit_spec, _run_quantum),
-    "compare": _Kind("compare", _compare_prediction, _run_compare),
+    "compare": _Kind("compare", _compare_inputs, _run_compare),
     "bound-check": _Kind("bound", _bound_params, _run_bound),
 }
 KINDS = tuple(_KINDS)
@@ -774,7 +774,7 @@ def verify_manifest(outdir) -> bool:
     with open(outdir / "manifest.json") as f:
         manifest = json.load(f)
     for name, digest in manifest["digests"].items():
-        if sha256_file(outdir / name) != digest:
+        if not (outdir / name).is_file() or sha256_file(outdir / name) != digest:
             return False
     return True
 

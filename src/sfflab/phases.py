@@ -510,8 +510,8 @@ def variance_time_average(
     set when each pair of consecutive rungs (quarter and half, half and
     full) agrees within one combined standard error.
     """
-    if horizon < 4:
-        raise SpecError("horizon must be >= 4")
+    if horizon < 4 or samples < 1:
+        raise SpecError(f"need horizon >= 4 and samples >= 1, got {horizon} and {samples}")
     s_t = tuple(int(v) for v in s)
     if len(s_t) != spec.L or any(v < 0 for v in s_t):
         raise SpecError("shift must be a length-L tuple of nonnegative integers")

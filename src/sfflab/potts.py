@@ -40,7 +40,7 @@ class PottsParams:
             raise PottsError("L must be >= 1")
         if not self.T_H > 0:
             raise PottsError("T_H must be positive")
-        if self.lam < 0 or self.sigma2_phi < 0:
+        if not (self.lam >= 0 and self.sigma2_phi >= 0):  # NaN fails too
             raise PottsError("Lambda and sigma2_phi must be >= 0")
 
     @property
@@ -48,11 +48,12 @@ class PottsParams:
         return math.exp(-self.lam * self.sigma2_phi / 2.0)
 
     @classmethod
-    def from_chi(cls, L: int, T_H: float, chi: float, sigma2_phi: float = 1.0) -> "PottsParams":
+    def from_chi(cls, L: int, T_H: float, chi: float) -> "PottsParams":
+        """The parameters at chi = exp(-Lambda / 2), sigma2_phi = 1."""
         if not 0.0 <= chi <= 1.0:
             raise PottsError("chi must lie in [0, 1]")
-        lam = math.inf if chi == 0.0 else -2.0 * math.log(chi) / sigma2_phi if chi < 1.0 else 0.0
-        return cls(L=L, T_H=T_H, lam=lam, sigma2_phi=sigma2_phi)
+        lam = math.inf if chi == 0.0 else -2.0 * math.log(chi) if chi < 1.0 else 0.0
+        return cls(L=L, T_H=T_H, lam=lam)
 
     def to_dict(self) -> dict:
         return {"L": self.L, "T_H": self.T_H, "Lambda": self.lam,

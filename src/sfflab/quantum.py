@@ -72,15 +72,14 @@ _MALLOPT_THRESHOLDS = ((-3, 32 << 20), (-1, 128 << 20))
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """L-site circuit of DEFAULT_MAP sites at dimension N; coupling via epsilon or Lambda.
+    """L-site circuit of DEFAULT_MAP sites at dimension N, coupled at Lambda = lam.
 
     members and seed fix the averaging ensemble (see ensemble_members).
     """
 
     L: int
     N: int
-    epsilon: float | None = None
-    lam: float | None = None
+    lam: float
     members: int = 1
     seed: int = 0
     memory_budget_bytes: int = 2 << 30
@@ -90,10 +89,8 @@ class CircuitSpec:
             raise SpecError("need L >= 1")
         if self.members < 1:
             raise SpecError(f"members must be >= 1, got {self.members}")
-        if (self.epsilon is None) == (self.lam is None):
-            raise SpecError("specify exactly one of epsilon or Lambda")
-        if (self.lam if self.epsilon is None else self.epsilon) < 0:
-            raise SpecError("epsilon and Lambda must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise SpecError(f"Lambda must be finite and >= 0, got {self.lam}")
         check_convention(DEFAULT_MAP, self.N)
 
     @property
@@ -106,16 +103,7 @@ class CircuitSpec:
 
     @property
     def eps_effective(self) -> float:
-        if self.lam is not None:
-            return math.sqrt(self.lam) * self.hbar / math.sqrt(self.T_H)
-        return self.epsilon
-
-    @property
-    def lam_effective(self) -> float:
-        """Lambda = epsilon^2 T_H / hbar^2, the inverse of eps_effective."""
-        if self.lam is not None:
-            return self.lam
-        return self.epsilon**2 * self.T_H / self.hbar**2
+        return math.sqrt(self.lam) * self.hbar / math.sqrt(self.T_H)
 
     def system(self) -> SystemSpec:
         return SystemSpec(L=self.L, epsilon=self.eps_effective)
@@ -133,8 +121,9 @@ class MemberRealization:
 class SffSeries:
     """Numerical K(t) of an L-site circuit at dimension N, as sff_numeric.csv holds it.
 
-    values are window-averaged, raw_values the raw ensemble means; meta holds
-    the eigensolve health that goes to the manifest, not to the CSV.
+    values are window-averaged (K), raw_values the raw ensemble means (K_raw);
+    lam is the circuit's Lambda, None for a series that does not record it;
+    meta holds the eigensolve health that goes to the manifest, not to the CSV.
     """
 
     times: np.ndarray
@@ -143,14 +132,20 @@ class SffSeries:
     raw_values: np.ndarray
     N: int
     L: int
+    lam: float | None = None
     meta: dict = field(default_factory=dict)
     member_values: np.ndarray | None = None  # windowed rows, one per member
 
     def __post_init__(self):
-        if np.any(self.raw_values < 0) or np.any(self.errors < 0):
-            raise SpecError("SFF series values and errors must be nonnegative")
+        if np.any(self.times < 1) or np.any(np.diff(self.times) <= 0):
+            raise SpecError("times must be >= 1 and strictly increase")
+        finite = all(np.isfinite(c).all() for c in (self.values, self.raw_values, self.errors))
+        if not finite or np.any(self.raw_values < 0) or np.any(self.errors < 0):
+            raise SpecError("K, K_raw and err must be finite, and K_raw and err nonnegative")
         if self.N < 1 or self.L < 1:
             raise SpecError(f"need N >= 1 and L >= 1, got N = {self.N}, L = {self.L}")
+        if self.lam is not None and not 0.0 <= self.lam < math.inf:
+            raise SpecError(f"Lambda must be finite and >= 0, got {self.lam}")
 
     def band_mean(self, t_lo: float, t_hi: float) -> tuple[float, float]:
         """Ensemble mean and standard error of the series averaged over a band.
@@ -472,7 +467,7 @@ def reference_trace_error(spec: CircuitSpec, t_max: int) -> float:
     lattice_fixed_count(t, DEFAULT_MAP, N), so this checks the eigensolve
     against integers at the dimension of the run.
     """
-    ref = CircuitSpec(L=spec.L, N=spec.N, epsilon=0.0,
+    ref = CircuitSpec(L=spec.L, N=spec.N, lam=0.0,
                       memory_budget_bytes=spec.memory_budget_bytes)
     K = np.abs(_circuit_traces(ref, None, t_max).traces) ** 2
     exact = np.array([float(lattice_fixed_count(t, DEFAULT_MAP, spec.N)) ** spec.L
@@ -503,6 +498,7 @@ def sff_numeric(spec: CircuitSpec, t_max: int, workers: int = 1) -> SffSeries:
         raw_values=raw.mean(axis=0),
         N=spec.N,
         L=spec.L,
+        lam=spec.lam,
         member_values=win,
         meta={
             "unitarity_residual_max": max(residuals),

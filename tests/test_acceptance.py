@@ -283,7 +283,7 @@ def test_criterion_09_quantum_factorization():
     t0 = time.monotonic()
     from sfflab.quantum import build_circuit, ensemble_members, subsystem_unitaries, trace_powers
 
-    spec = CircuitSpec(L=2, N=16, epsilon=0.0, members=2, seed=99)
+    spec = CircuitSpec(L=2, N=16, lam=0.0, members=2, seed=99)
     worst = 0.0
     for mem in ensemble_members(spec):
         k_full = np.abs(trace_powers(build_circuit(spec, mem), 64).traces) ** 2

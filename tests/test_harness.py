@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from sfflab.harness import (
     verify_manifest,
 )
 from sfflab.phases import TIME_AVERAGE_HORIZON, per_bond_variance_table, variance_series
+from sfflab.potts import PottsParams, thouless_time
 from sfflab.util import spawn_seeds
 
 from oracles import load_config, poison_empty, write_csv_rows
@@ -45,7 +47,7 @@ def _cfg_predict(outdir, **over):
 def test_minimal_predict_config_fills_defaults():
     cfg = _cfg_predict("/tmp/x")
     assert cfg.section["T_H"] == 100.0
-    assert cfg.section["sigma2_phi"] == 1.0
+    assert cfg.section["T_spacing"] == "log"
     assert cfg.workers == 1
 
 
@@ -97,6 +99,8 @@ def test_manifest_integrity(tmp_path):
     assert "predict_sff.csv" in man.digests
     with open(tmp_path / "m/predict_sff.csv", "a") as f:
         f.write("tampered\n")
+    assert not verify_manifest(tmp_path / "m")
+    (tmp_path / "m/predict_sff.csv").unlink()  # a listed artifact that is gone
     assert not verify_manifest(tmp_path / "m")
 
 
@@ -159,26 +163,31 @@ def test_quantum_and_compare_pipeline(tmp_path):
     assert "comparison report" in text
     assert isinstance(combined["all_passed"], bool)
 
+    # with no typed chi or Lambda, the curve is at the series' L, T_H = N^L and Lambda
+    run_experiment(validate_config({
+        "kind": "compare", "seed": 22, "outdir": str(tmp_path / "c2"),
+        "compare": {"series_csv": str(tmp_path / "q/sff_numeric.csv"),
+                    "prediction": {"form": "kappa"}},
+    }))
+    rep = json.loads((tmp_path / "c2/compare_report.json").read_text())
+    assert rep["thouless_tau"] == thouless_time(PottsParams(L=2, T_H=64.0, lam=0.2107))
 
-@pytest.mark.parametrize("coupling", [{"epsilon": 0.01}, {"Lambda": 0.2107}])
-def test_quantum_lambda_column_is_the_runs_lambda(tmp_path, coupling):
-    # Lambda = eps^2 T_H / hbar^2 with hbar = 1/(2 pi N): eps = 0.01 at N = 4, L = 2 is
-    # Lambda = 1e-4 * 16 * (8 pi)^2, about 1.01; a Lambda-configured run writes its own value
+
+def test_quantum_lambda_column_is_the_runs_lambda(tmp_path):
+    # a run writes its own Lambda, and epsilon = sqrt(Lambda) hbar / sqrt(T_H), hbar = 1/(2 pi N)
     cfg = validate_config({"kind": "quantum-sff", "seed": 23, "outdir": str(tmp_path / "q"),
-                           "quantum": {"N": 4, "L": 2, "members": 2, "t_max": 8, **coupling}})
+                           "quantum": {"N": 4, "L": 2, "members": 2, "t_max": 8,
+                                       "Lambda": 0.2107}})
     run_experiment(cfg)
     with open(tmp_path / "q/sff_numeric.csv") as f:
         f.readline()
         rows = list(csv.DictReader(f))
     assert len(rows) == 8
-    lam = coupling.get("Lambda", 1e-4 * 16 * (8.0 * np.pi) ** 2)
-    eps = np.sqrt(lam) / (8.0 * np.pi) / 4.0  # sqrt(Lambda) hbar / sqrt(T_H)
+    eps = np.sqrt(0.2107) / (8.0 * np.pi) / 4.0
     for r in rows:
-        assert (r["N"], r["L"]) == ("4", "2")
-        assert float(r["Lambda"]) == pytest.approx(lam, rel=1e-12)
+        assert (r["N"], r["L"], r["Lambda"]) == ("4", "2", "0.2107")
         assert float(r["epsilon"]) == pytest.approx(eps, rel=1e-12)
-    if "Lambda" in coupling:
-        assert {r["Lambda"] for r in rows} == {"0.2107"}
+    assert read_sff_csv(tmp_path / "q/sff_numeric.csv").lam == 0.2107
 
 
 def test_compare_self_consistency_passes(tmp_path):
@@ -227,12 +236,20 @@ def test_schema_mismatch_named(tmp_path):
         read_sff_csv(path)
 
 
+def _compare_of_a_vanished_series(tmp_path, outdir):
+    """A valid compare config whose series is deleted after validation, so that the
+    run, which reads the series again, fails."""
+    series = tmp_path / "series.csv"
+    series.write_text("# schema: sfflab/sff_numeric v1\nt,K,K_raw,err,N,L,Lambda\n"
+                      + "".join(f"{t},{t}.0,{t}.0,0.1,8,2,0.2\n" for t in range(1, 21)))
+    cfg = validate_config({"kind": "compare", "seed": 1, "outdir": str(outdir),
+                           "compare": {"series_csv": str(series)}})
+    series.unlink()
+    return cfg
+
+
 def test_failed_run_cleans_outputs(tmp_path):
-    cfg = validate_config({
-        "kind": "compare", "seed": 1, "outdir": str(tmp_path / "fail"),
-        "compare": {"series_csv": str(tmp_path / "missing.csv"),
-                    "prediction": {"L": 2, "T_H": 64.0, "chi": 1.0}},
-    })
+    cfg = _compare_of_a_vanished_series(tmp_path, tmp_path / "fail")
     with pytest.raises(Exception):
         run_experiment(cfg)
     assert list(tmp_path.iterdir()) == []  # no outdir, no staged directory
@@ -244,12 +261,18 @@ def test_variance_pipeline_small(tmp_path):
         "variance": {"T": 4, "samples": 4000, "horizon": 64, "invariance_checks": 2,
                      "invariance_samples": 4000, "agreement_check": True, "t_max": 4},
     })
-    run_experiment(cfg)
+    man = run_experiment(cfg)
     rep = json.loads((tmp_path / "v/variance_report.json").read_text())
     assert rep["invariance_all_ok"]
     assert rep["agreement"]["ok"]
     seeds = json.loads((tmp_path / "v/manifest.json").read_text())["task_seeds"]
     assert seeds["agreement_series"] == seeds["agreement"] + 1
+    # the ladder plateau flag of each checked time average goes to the manifest only
+    assert set(man.extras["plateau_ok"]) == {"invariance_0", "invariance_0_shifted", "invariance_1",
+                                             "invariance_1_shifted", "agreement"}
+    assert all(isinstance(flag, bool) for flag in man.extras["plateau_ok"].values())
+    for name in ("variance_report.json", "variance_table.csv"):
+        assert "plateau" not in (tmp_path / "v" / name).read_text()
     with open(tmp_path / "v/variance_table.csv") as f:
         f.readline()
         rows = list(csv.DictReader(f))
@@ -360,7 +383,7 @@ def test_uncoupled_series_vs_chi1_prediction(tmp_path):
     # the ratio statistic is the median (arithmetic echoes spoil the mean)
     qcfg = validate_config({
         "kind": "quantum-sff", "seed": 71, "outdir": str(tmp_path / "q0"),
-        "quantum": {"N": 16, "L": 2, "epsilon": 0.0, "members": 64, "t_max": 16},
+        "quantum": {"N": 16, "L": 2, "Lambda": 0.0, "members": 64, "t_max": 16},
     })
     run_experiment(qcfg)
     ccfg = validate_config({
@@ -522,6 +545,24 @@ BOUNDARY_ROWS = [
       "--set", "predict.emit_limits=true"], "predict.emit_limits"),
     # the subcommand is the kind: an override must not swap the experiment behind it
     (["predict", "--set", "kind=orbits", "--set", "orbits.T_list=[1,2]"], "--set kind"),
+    # the coupling is Lambda alone, sigma2_phi is 1 per bond, and compare's gate is fixed
+    (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.epsilon=0.01"],
+     "unknown key quantum.epsilon"),
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9",
+      "--set", "predict.sigma2_phi=2.0"], "unknown key predict.sigma2_phi"),
+    (["compare", "--set", "compare.series_csv={series}", "--set", "compare.prediction.chi=0.9",
+      "--set", "compare.slope_tol=10.0"], "unknown key compare.slope_tol"),
+    (["compare", "--set", "compare.series_csv={series}", "--set", "compare.prediction.chi=0.9",
+      "--set", "compare.ratio_tol=10.0"], "unknown key compare.ratio_tol"),
+    # the series has no Lambda column, so the curve needs one typed chi or Lambda
+    (["compare", "--set", "compare.series_csv={series}"], "{series}: no Lambda column"),
+    (["compare", "--set", "compare.series_csv={series}",
+      "--set", "compare.prediction={chi: 0.9, Lambda: 0.2}"], "exactly one of chi or Lambda"),
+    # a NaN coupling is no coupling: it used to write NaN curves and exit 0
+    (["predict", "--set", "predict.L=2", "--set", "predict.Lambda=.nan"],
+     "section predict: Lambda"),
+    (["compare", "--set", "compare.series_csv={series}", "--set", "compare.prediction.Lambda=.nan"],
+     "section compare: Lambda"),
 ]
 
 
@@ -546,10 +587,11 @@ def test_invalid_input_exits_2_naming_its_field(tmp_path, capsys, args, field):
     ("compare", {"series_csv": "s.csv", "prediction": {"L": 2, "T_H": 16.0, "chi": 0.9,
                                                        "form": "bogus"}},
      "compare.prediction.form"),
-    ("compare", {"series_csv": "s.csv", "prediction": {"L": 2, "T_H": 16.0}}, "chi or Lambda"),
+    ("compare", {"series_csv": "s.csv", "prediction": {"chi": 0.9, "sigma2_phi": 2.0}},
+     "unknown key compare.prediction.sigma2_phi"),
     ("bound-check", {"families": [{"eta": 0.5}]}, r"bound.families\[0\].theta"),
     ("bound-check", {"families": [0.5]}, r"bound.families\[0\]"),
-    ("quantum-sff", {"N": 4}, "epsilon or Lambda"),
+    ("quantum-sff", {"N": 4}, "quantum.Lambda"),
     ("orbits", {"T_list": [2], "map": {"a": 1, "b": 1, "c": 0, "d": 1}}, "hyperbolic"),
     ("clt", {"T_list": [4], "system": {"L": 2, "topology": "star"}}, "topology"),
     # an asynchronous shift needs T >= 2; at T = 1 the invariance draw never ends
@@ -591,6 +633,11 @@ MALFORMED_SERIES = {
                                        lambda t: f"{t},{t},{t},0.1,{5 if t == 9 else 4},2"),
     "L disagrees with the first row": ("t,K,K_raw,err,N,L",
                                        lambda t: f"{t},{t},{t},0.1,4,{3 if t == 20 else 2}"),
+    "Lambda disagrees with the first row": (
+        "t,K,K_raw,err,N,L,Lambda", lambda t: f"{t},{t},{t},0.1,4,2,{0.3 if t == 9 else 0.2}"),
+    "t = 0": ("t,K,K_raw,err,N,L", lambda t: f"{t - 1},{t},{t},0.1,4,2"),
+    "repeated t": ("t,K,K_raw,err,N,L", lambda t: f"{t - (t == 6)},{t},{t},0.1,4,2"),
+    "nan K": ("t,K,K_raw,err,N,L", lambda t: f"{t},{'nan' if t == 7 else t},{t},0.1,4,2"),
 }
 
 
@@ -641,11 +688,7 @@ def test_failed_rerun_leaves_earlier_run_untouched(tmp_path):
     out = tmp_path / "out"
     run_experiment(_cfg_predict(out))
     before = _tree(out)
-    cfg = validate_config({
-        "kind": "compare", "seed": 1, "outdir": str(out),
-        "compare": {"series_csv": str(tmp_path / "missing.csv"),
-                    "prediction": {"L": 2, "T_H": 64.0, "chi": 0.9}},
-    })
+    cfg = _compare_of_a_vanished_series(tmp_path, out)
     with pytest.raises(Exception):
         run_experiment(cfg)
     assert _tree(out) == before and verify_manifest(out)
@@ -856,3 +899,31 @@ def test_traced_names_exist():
         module = importlib.import_module(f"sfflab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"sfflab.{layer}.{name}"
+
+
+def _readme_commands():
+    """The sfflab commands of README's command-line block, one argv each."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sfflab ")]
+
+
+def test_readme_commands_pass_validation(tmp_path, monkeypatch):
+    # every example validates against the schema; the runs themselves are stubbed out
+    ran = []
+
+    def validated_only(cfg):
+        ran.append(cfg.kind)
+        return harness.RunManifest(config=cfg.to_dict(), version="", wall_time_s=0.0,
+                                   task_seeds={}, digests={})
+
+    monkeypatch.setattr("sfflab.cli.run_experiment", validated_only)
+    monkeypatch.chdir(tmp_path)
+    series = tmp_path / "runs/q/sff_numeric.csv"  # what the quantum-sff example writes
+    series.parent.mkdir(parents=True)
+    series.write_text("# schema: sfflab/sff_numeric v1\nt,K,K_raw,err,N,L,Lambda\n"
+                      + "".join(f"{t},{t}.0,{t}.0,0.1,16,2,0.2107\n" for t in range(1, 321)))
+    for argv in _readme_commands():
+        if argv[0] != "report":  # report reads compare reports and has no config
+            assert cli_main(argv) == 0, argv
+    assert sorted(ran) == sorted(harness.KINDS)

@@ -587,6 +587,13 @@ def test_per_bond_table_requires_nn_topology():
         per_bond_variance_table(SystemSpec(L=2, topology=ALL_TO_ALL), 4)
 
 
+def test_time_average_rejects_zero_samples():
+    with pytest.raises(SpecError, match="samples"):
+        variance_time_average(SystemSpec(L=2), (1, 0), 16, 0, seed=1)
+    with pytest.raises(SpecError, match="samples"):
+        per_bond_variance_table(SystemSpec(L=2), 2, samples=0, horizon=16)
+
+
 def test_variance_table_validation():
     with pytest.raises(TableError, match="sigma2"):
         VarianceTable([0.5, 1.0, 1.0], [0.0, 0.0, 0.0])

@@ -92,16 +92,16 @@ def test_single_map_ramp_over_translation_ensemble():
 
 
 def test_coupling_operator_identity_and_modulus():
-    spec0 = CircuitSpec(L=2, N=8, epsilon=0.0)
+    spec0 = CircuitSpec(L=2, N=8, lam=0.0)
     assert np.array_equal(coupling_operator(spec0), np.ones(64, dtype=complex))
-    spec = CircuitSpec(L=2, N=8, epsilon=0.01)
+    spec = CircuitSpec(L=2, N=8, lam=0.01**2 * 64 * (2 * np.pi * 8) ** 2)  # eps = 0.01
     diag = coupling_operator(spec)
     assert np.allclose(np.abs(diag), 1.0, atol=1e-14)
 
 
 def test_coupling_operator_classical_limit():
     N = 64
-    spec = CircuitSpec(L=2, N=N, epsilon=1e-3)
+    spec = CircuitSpec(L=2, N=N, lam=1e-3**2 * N**2 * (2 * np.pi * N) ** 2)  # eps = 1e-3
     ph = np.angle(coupling_operator(spec)).reshape(N, N)
     grad = pair_gradient(position_grid(N, 2), spec.system())[:, 0].reshape(N, N)
     target = spec.eps_effective * grad / spec.hbar
@@ -111,7 +111,7 @@ def test_coupling_operator_classical_limit():
 
 
 def test_build_circuit_tensor_identity_at_eps0():
-    spec = CircuitSpec(L=2, N=8, epsilon=0.0, members=1, seed=3)
+    spec = CircuitSpec(L=2, N=8, lam=0.0, members=1, seed=3)
     mem = ensemble_members(spec)[0]
     U = build_circuit(spec, mem)
     subs = subsystem_unitaries(spec, mem)
@@ -123,7 +123,7 @@ def test_build_circuit_tensor_identity_at_eps0():
 
 
 def test_build_circuit_against_dense_kernel_oracle():
-    spec = CircuitSpec(L=2, N=4, epsilon=0.01)
+    spec = CircuitSpec(L=2, N=4, lam=0.01**2 * 16 * (2 * np.pi * 4) ** 2)  # eps = 0.01
     U = build_circuit(spec)
     want = dense_kernel_circuit(4, 0.01)
     assert np.abs(U - want).max() < 1e-10
@@ -131,7 +131,7 @@ def test_build_circuit_against_dense_kernel_oracle():
 
 def test_build_circuit_returns_a_fresh_writable_array():
     # at L = 1 with no member the circuit is the cached site kernel: a build must copy it
-    spec = CircuitSpec(L=1, N=8, epsilon=0.0)
+    spec = CircuitSpec(L=1, N=8, lam=0.0)
     U = build_circuit(spec)
     want = quantize_subsystem(DEFAULT_MAP, 8)
     assert U.flags.writeable and np.array_equal(U, want)
@@ -148,14 +148,14 @@ def test_per_n_arrays_are_read_only(cached):
 
 
 def test_memory_budget_preflight():
-    spec = CircuitSpec(L=2, N=512, epsilon=0.0, memory_budget_bytes=2 << 30)
+    spec = CircuitSpec(L=2, N=512, lam=0.0, memory_budget_bytes=2 << 30)
     with pytest.raises(MemoryBudgetError):
         build_circuit(spec)
     # the budget covers the four dim x dim complex matrices trace_powers holds during inv
     need = 4 * 16 * 64**2
-    build_circuit(CircuitSpec(L=2, N=8, epsilon=0.0, memory_budget_bytes=need))
+    build_circuit(CircuitSpec(L=2, N=8, lam=0.0, memory_budget_bytes=need))
     with pytest.raises(MemoryBudgetError):
-        build_circuit(CircuitSpec(L=2, N=8, epsilon=0.0, memory_budget_bytes=need - 1))
+        build_circuit(CircuitSpec(L=2, N=8, lam=0.0, memory_budget_bytes=need - 1))
 
 
 def _matrix_power_traces(U, t_max):
@@ -177,7 +177,7 @@ def test_untranslated_circuit_K_is_the_lattice_count():
     # |tr u^t|^2 is the number of period-t lattice points mod N, so K = n_t^L;
     # checked against traces of explicit matrix powers
     for L, N in ((1, 2), (1, 10), (1, 16), (2, 4), (2, 6), (2, 8), (3, 4)):
-        spec = CircuitSpec(L=L, N=N, epsilon=0.0)
+        spec = CircuitSpec(L=L, N=N, lam=0.0)
         U = build_circuit(spec)
         t_max = 3 * N**L
         K = np.abs(_matrix_power_traces(U, t_max)) ** 2
@@ -196,7 +196,7 @@ def test_trace_powers_against_lattice_counts(L, N, monkeypatch):
     # dims 256 to 1024, every t <= 1.25 T_H, at the pole a run places from the
     # site maps and at the fixed default pole; the last pass forces the
     # re-solve at the widest gap, so every eigen path meets the integers
-    spec = CircuitSpec(L=L, N=N, epsilon=0.0)
+    spec = CircuitSpec(L=L, N=N, lam=0.0)
     t_max = int(round(1.25 * spec.T_H))
     exact = _lattice_K(N, L, t_max)
     sites_pole = uncoupled_pole(subsystem_unitaries(spec))
@@ -348,7 +348,7 @@ def test_uncoupled_pole_clears_the_exact_spectrum_at_eps0(L, N):
     # at eps = 0 the circuit's eigenphases are the sums of the site
     # eigenphases, so the pole sits in the middle of their widest gap: every
     # exact eigenphase (from eigvals) is at least half that gap from it
-    spec = CircuitSpec(L=L, N=N, epsilon=0.0, members=3, seed=14)
+    spec = CircuitSpec(L=L, N=N, lam=0.0, members=3, seed=14)
     for member in [None] + ensemble_members(spec):
         sites = subsystem_unitaries(spec, member)
         theta = np.sort(np.angle(np.linalg.eigvals(build_circuit(spec, member, sites))))
@@ -370,15 +370,16 @@ def test_lambda_scaling_of_epsilon():
     assert CircuitSpec(L=2, N=8, lam=0.0).eps_effective == 0.0
 
 
-def test_spec_requires_exactly_one_coupling():
-    with pytest.raises(SpecError):
+def test_spec_requires_a_finite_nonnegative_lambda():
+    with pytest.raises(TypeError):
         CircuitSpec(L=2, N=8)
-    with pytest.raises(SpecError):
-        CircuitSpec(L=2, N=8, epsilon=0.1, lam=0.1)
+    for lam in (-0.1, math.inf, math.nan):
+        with pytest.raises(SpecError, match="Lambda"):
+            CircuitSpec(L=2, N=8, lam=lam)
 
 
 def test_sff_numeric_nonnegative_and_factorization():
-    spec = CircuitSpec(L=2, N=16, epsilon=0.0, members=3, seed=5)
+    spec = CircuitSpec(L=2, N=16, lam=0.0, members=3, seed=5)
     series = sff_numeric(spec, 30)
     assert np.all(series.raw_values >= 0.0)
     mem = ensemble_members(spec)[0]
