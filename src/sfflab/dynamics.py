@@ -59,7 +59,6 @@ class SystemSpec:
     subsystem: CatMapSpec = DEFAULT_MAP
     amplitude: float = 1.0
     topology: str = NEAREST_NEIGHBOUR
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.L < 1:
@@ -68,8 +67,6 @@ class SystemSpec:
             raise SpecError(f"unknown topology {self.topology!r}")
         if self.topology == NEAREST_NEIGHBOUR and self.L < 2:
             raise SpecError("nearest-neighbour-periodic topology requires L >= 2")
-        if self.epsilon < 0:
-            raise SpecError("epsilon must be >= 0")
 
 
 @dataclass(frozen=True)

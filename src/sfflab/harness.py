@@ -14,7 +14,7 @@ import re
 import resource
 import shutil
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -150,11 +150,14 @@ _TOP_SCHEMA = {"seed": (int, _REQUIRED), "outdir": (str, _REQUIRED), "workers": 
 
 @dataclass
 class ExperimentConfig:
+    """A validated config; built is the domain object its kind's builder made from it."""
+
     kind: str
     seed: int
     outdir: str
     workers: int
     section: dict
+    built: object = field(init=False, default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -228,7 +231,8 @@ def _validate_section(data, schema, path):
 
 
 def validate_config(data: dict) -> ExperimentConfig:
-    """The one place a config is rejected: the schema, then the kind's builder."""
+    """The one place a config is rejected: the schema, then the kind's builder, whose
+    object the config keeps for run_experiment."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     kind = data.get("kind")
@@ -239,7 +243,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(kind=kind, **_validate_section(top, _TOP_SCHEMA, ""),
                            section=_validate_section(data.get(name), SECTION_SCHEMAS[name], name))
     try:
-        build(cfg)
+        cfg.built = build(cfg)
     except (SpecError, PottsError, ConventionError) as e:
         raise ConfigError(f"section {name}: {e}") from None
     return cfg
@@ -386,7 +390,7 @@ def _run_predict(cfg, params: PottsParams, outdir):
         pred = prediction(p, "closed-form", grid)
         blocks.append([pred.times, pred.times / params.T_H, pred.values,
                        pred.log_values / math.log(10.0), mode, params.L, float(p.chi),
-                       float(params.lam), float(params.sigma2_phi)])
+                       float(params.lam), 1.0])  # sigma2_phi, 1 per bond
     _write_csv(outdir / "predict_sff.csv", "predict_sff", header, blocks)
     if sec["emit_kappa"]:
         tau = grid / params.T_H
@@ -636,7 +640,7 @@ def _run_compare(cfg, built: tuple[SffSeries, PottsParams], outdir):
     series, params = built
     form = cfg.section["prediction"]["form"]
     if cfg.section["use_raw"]:
-        series.values = series.raw_values
+        series = replace(series, values=series.raw_values)
     try:
         t_th = thouless_time(params)
     except PottsError:
@@ -655,7 +659,7 @@ def _bound_params(cfg) -> PottsParams:
             check_family(sec["f0"], fam["eta"], fam["theta"])
         except PottsError as e:
             raise PottsError(f"bound.families[{i}]: {e}") from None
-    return PottsParams(sec["L"], sec["T_H"], sec["Lambda"], sec["f0"] / sec["L"])
+    return PottsParams(sec["L"], sec["T_H"], sec["Lambda"])
 
 
 def _run_bound(cfg, params: PottsParams, outdir):
@@ -685,8 +689,9 @@ class _Kind(NamedTuple):
     """A kind's config section, the builder of the domain object its pipeline runs on,
     and the pipeline run(cfg, built, outdir) -> manifest extras.
 
-    validate_config calls the builder too, so the object's invariants are the
-    domain rules.  Builders do arithmetic only: no circuit, no point list.
+    validate_config calls the builder once and keeps its object on the config,
+    so the object's invariants are the domain rules.  Builders do arithmetic
+    only: no circuit, no point list.
     """
 
     section: str
@@ -745,10 +750,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         (stage / "config_snapshot.yaml").write_text(dump_config(cfg))
         t0 = time.monotonic()
         try:
-            _, build, run = _KINDS[cfg.kind]
-            extras = run(cfg, build(cfg), stage)
-        except SchemaError:
-            raise
+            extras = _KINDS[cfg.kind].run(cfg, cfg.built, stage)
         except Exception as e:
             raise ExperimentError(f"experiment {cfg.kind} failed: {e}") from e
         wall = time.monotonic() - t0

@@ -8,7 +8,6 @@ action differences are first-order in the coupling.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,6 +24,7 @@ from .dynamics import (
     pair_gradient,
     pair_hessian,
     pair_potential,
+    step_arrays,
 )
 from .orbits import MAX_PERIOD, OrbitFamily, as_shift, periodic_point_count, smith_lattice
 from .util import spawn_seeds
@@ -155,79 +155,72 @@ class ContinuationResult:
 
 
 def _orbit_lift(family: OrbitFamily, shift: tuple[int, ...], m: CatMapSpec):
-    """Unperturbed orbit positions as floats plus the exact integer lift offsets.
+    """Unperturbed orbit positions q0 and their linear-code integers w, both (T, L) floats.
 
-    Returns q0 of shape (T, L) and n_off (T, 2L) integers, per time laid out
-    [n^q_0..n^q_{L-1}, n^p_0..n^p_{L-1}], with phi_unreduced(x_t) + n_t =
-    x_{t+1} exactly.
+    w_t = q_{t+1} - (a + d) q_t + q_{t-1} exactly on the lattice cycle
+    (Percival & Vivaldi's linear code, Physica D 27, 373 (1987)): the
+    integers of the position-form periodicity residual.
     """
     T, L = family.period, family.L
     q0 = np.empty((T, L))
-    n_off = np.zeros((T, 2 * L))
+    w = np.empty((T, L))
     for l, (orbit, off) in enumerate(zip(family.reps, shift)):
         qs, ps, den = orbit.cycle_lattice(m)
+        if step_arrays(qs[-1], ps[-1], m, den) != (qs[0], ps[0]):
+            raise SpecError("representative cycle is not exactly periodic")
         qs = qs[off:] + qs[:off]
-        ps = ps[off:] + ps[:off]
         for t in range(T):
             q0[t, l] = qs[t] / den
-            qi = m.a * qs[t] + m.b * ps[t]
-            pi = m.c * qs[t] + m.d * ps[t]
-            tn = (t + 1) % T
-            if (qs[tn] - qi) % den or (ps[tn] - pi) % den:
-                raise SpecError("representative cycle is not exactly periodic")
-            n_off[t, l] = (qs[tn] - qi) // den
-            n_off[t, L + l] = (ps[tn] - pi) // den
-    return q0, n_off
+            w[t, l] = (qs[(t + 1) % T] - (m.a + m.d) * qs[t] + qs[t - 1]) // den
+    return q0, w
 
 
-def _periodicity_residual(q, w, spec: SystemSpec):
+def _periodicity_residual(q, w, spec: SystemSpec, eps: float):
     """R_t = q_{t+1} - (a + d) q_t + q_{t-1} - b eps V'(q_t) - w_t, shape (T, L).
 
     The kick-then-rotate lift q_{t+1} = a q_t + b (p_t + eps V'(q_t)) + n^q_t,
     p_{t+1} = c q_t + d (p_t + eps V'(q_t)) + n^p_t with det M = 1 eliminates
-    the momenta (Percival & Vivaldi's linear code): times b, never divided
-    by it, with the integers w_t = n^q_t - d n^q_{t-1} + b n^p_{t-1}.
+    the momenta: times b, never divided by it, with the linear-code integers
+    w_t = n^q_t - d n^q_{t-1} + b n^p_{t-1} (_orbit_lift).
     """
     m = spec.subsystem
-    kick = spec.epsilon * pair_gradient(q, spec)
+    kick = eps * pair_gradient(q, spec)
     return np.roll(q, -1, axis=0) - (m.a + m.d) * q + np.roll(q, 1, axis=0) - m.b * kick - w
 
 
-def _periodicity_jacobian(q, spec: SystemSpec):
+def _periodicity_jacobian(q, spec: SystemSpec, eps: float):
     """(TL x TL) Jacobian of _periodicity_residual: block-circulant, identities at t +- 1."""
     T, L = q.shape
     m = spec.subsystem
     slots = np.arange(T)
     J = np.zeros((T * L, T * L))
     Jb = J.reshape(T, L, T, L)  # Jb[t, :, u, :] is the (t, u) block
-    H = spec.epsilon * pair_hessian(q, spec)  # (T, L, L)
+    H = eps * pair_hessian(q, spec)  # (T, L, L)
     Jb[slots, :, slots, :] = -(m.a + m.d) * np.eye(L) - m.b * H
     Jb[slots, :, (slots + 1) % T, :] += np.eye(L)
     Jb[slots, :, (slots - 1) % T, :] += np.eye(L)
     return J
 
 
-def _newton_periodic(q0, n_off, spec: SystemSpec, tol=1e-12, max_iter=60):
-    """Damped Newton on the position-form periodicity system in the fixed lift.
+def _newton_periodic(q0, w, spec: SystemSpec, eps: float, tol=1e-12, max_iter=60):
+    """Damped Newton on the position-form periodicity system with the integers w.
 
     Returns (q, converged), converged a Python bool: the residual fell below tol.
     """
     T, L = q0.shape
-    m = spec.subsystem
-    w = n_off[:, :L] - np.roll(m.d * n_off[:, :L] - m.b * n_off[:, L:], 1, axis=0)
     q = q0.copy()
-    G = _periodicity_residual(q, w, spec)
+    G = _periodicity_residual(q, w, spec, eps)
     res = np.abs(G).max()
     for _ in range(max_iter):
         if res < tol:
             break
         try:
-            dq = np.linalg.solve(_periodicity_jacobian(q, spec), -G.reshape(-1)).reshape(T, L)
+            dq = np.linalg.solve(_periodicity_jacobian(q, spec, eps), -G.reshape(-1)).reshape(T, L)
         except np.linalg.LinAlgError:
             break
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
             q_try = q + alpha * dq
-            G_try = _periodicity_residual(q_try, w, spec)
+            G_try = _periodicity_residual(q_try, w, spec, eps)
             r_try = np.abs(G_try).max()
             if r_try < res:
                 q, G, res = q_try, G_try, r_try
@@ -237,27 +230,18 @@ def _newton_periodic(q0, n_off, spec: SystemSpec, tol=1e-12, max_iter=60):
     return q, bool(res < tol)
 
 
-def _orbit_action(q, n_off, spec: SystemSpec) -> float:
-    """Action of the continued orbit in its fixed lift, winding-corrected.
+def _orbit_action(q, w, spec: SystemSpec, eps: float) -> float:
+    """S = sum_t [(a + d)/2 q_t^2 - q_t q_{t+1} + w_t q_t] / b + eps sum_t V(q_t).
 
-    Uses the position-only form: the step's first argument is rebuilt from
-    the next orbit position and the fixed winding integers, never from the
-    dynamics (which would smuggle an explicit epsilon-dependence into the
-    kinetic terms).  On the torus that sum is stationary under orbit motion
-    only up to the integer momentum windings; adding sum_t n_p(t) * q_{t+1}
-    makes it critical, so its epsilon-derivative is the explicit interaction
-    term alone.  Every term is a function of the single orbit point at its
-    time slot, so two shifts of one family sum identical multisets at
-    eps = 0 and the action difference vanishes exactly there.
+    Its gradient is -R/b (_periodicity_residual), so the continued orbit is
+    critical and dS/d(eps) is the explicit interaction sum alone.  Every
+    term belongs to one site and one time slot, so two shifts of one family
+    sum identical multisets at eps = 0 and the action difference vanishes
+    exactly there.
     """
-    L = q.shape[1]
     m = spec.subsystem
-    q_next = np.roll(q, -1, axis=0)
-    q_img = q_next - n_off[:, :L]
-    w0 = (m.d * q_img**2 - 2.0 * q_img * q + m.a * q**2) / (2.0 * m.b)
-    v = spec.epsilon * pair_potential(q, spec)
-    wind = n_off[:, L:] * q_next
-    return math.fsum(w0.ravel().tolist() + v.tolist() + wind.ravel().tolist())
+    kin = ((m.a + m.d) / 2.0 * q - np.roll(q, -1, axis=0) + w) * q / m.b
+    return math.fsum(kin.ravel().tolist() + (eps * pair_potential(q, spec)).tolist())
 
 
 def action_difference_identity_check(
@@ -272,18 +256,22 @@ def action_difference_identity_check(
 
     The exponent fits the residuals |Delta - eps*Phi| above 16 ulp of the larger continued
     action (rounding has no exponent to fit), and is NaN when fewer than two remain.
+    SpecError names an eps that is negative or not finite.
     """
+    for eps in eps_list:
+        if not 0.0 <= eps < math.inf:
+            raise SpecError(f"eps must be finite and >= 0, got {eps}")
     rv, sv, lift_r, lift_s, phi = _shifted_lifts(family, r, s, spec)
 
     deltas, residuals, converged, pts = [], [], [], []
     for eps in eps_list:
-        spec_e = dataclasses.replace(spec, epsilon=float(eps))
-        qr, ok_r = _newton_periodic(*lift_r, spec_e, tol=tol)
-        qs, ok_s = _newton_periodic(*lift_s, spec_e, tol=tol)
+        qr, ok_r = _newton_periodic(*lift_r, spec, eps, tol=tol)
+        qs, ok_s = _newton_periodic(*lift_s, spec, eps, tol=tol)
         ok = ok_r and ok_s
         d = res = float("nan")
         if ok:
-            a_r, a_s = _orbit_action(qr, lift_r[1], spec_e), _orbit_action(qs, lift_s[1], spec_e)
+            a_r = _orbit_action(qr, lift_r[1], spec, eps)
+            a_s = _orbit_action(qs, lift_s[1], spec, eps)
             d = a_r - a_s
             res = abs(d - eps * phi)
             if eps > 0 and res > 16.0 * math.ulp(max(abs(a_r), abs(a_s))):

@@ -6,8 +6,9 @@ this collapses to the closed form
 
     K(T) = (1 - chi^tau + T chi^tau)^L + (T - 1)(1 - chi^tau)^L,
 
-with chi = exp(-Lambda sigma_Phi^2 / 2) and tau = T / T_H.  Also provides
-the conjectured scaled limit kappa(tau), the Thouless time, and the
+with chi = exp(-Lambda sigma_Phi^2 / 2) = exp(-Lambda / 2) (the default
+observable's per-bond variance sigma_Phi^2 is 1) and tau = T / T_H.  Also
+provides the conjectured scaled limit kappa(tau), the Thouless time, and the
 deviation bound for subexponentially decaying correlation families.
 `prediction` evaluates the K(T) form a config names.
 """
@@ -33,31 +34,29 @@ class PottsParams:
     L: int
     T_H: float
     lam: float
-    sigma2_phi: float = 1.0
 
     def __post_init__(self):
         if self.L < 1:
             raise PottsError("L must be >= 1")
         if not self.T_H > 0:
             raise PottsError("T_H must be positive")
-        if not (self.lam >= 0 and self.sigma2_phi >= 0):  # NaN fails too
-            raise PottsError("Lambda and sigma2_phi must be >= 0")
+        if not self.lam >= 0:  # NaN fails too
+            raise PottsError("Lambda must be >= 0")
 
     @property
     def chi(self) -> float:
-        return math.exp(-self.lam * self.sigma2_phi / 2.0)
+        return math.exp(-self.lam / 2.0)
 
     @classmethod
     def from_chi(cls, L: int, T_H: float, chi: float) -> "PottsParams":
-        """The parameters at chi = exp(-Lambda / 2), sigma2_phi = 1."""
+        """The parameters at chi = exp(-Lambda / 2)."""
         if not 0.0 <= chi <= 1.0:
             raise PottsError("chi must lie in [0, 1]")
         lam = math.inf if chi == 0.0 else -2.0 * math.log(chi) if chi < 1.0 else 0.0
         return cls(L=L, T_H=T_H, lam=lam)
 
     def to_dict(self) -> dict:
-        return {"L": self.L, "T_H": self.T_H, "Lambda": self.lam,
-                "sigma2_phi": self.sigma2_phi, "chi": self.chi}
+        return {"L": self.L, "T_H": self.T_H, "Lambda": self.lam, "chi": self.chi}
 
 
 @dataclass

@@ -105,9 +105,6 @@ class CircuitSpec:
     def eps_effective(self) -> float:
         return math.sqrt(self.lam) * self.hbar / math.sqrt(self.T_H)
 
-    def system(self) -> SystemSpec:
-        return SystemSpec(L=self.L, epsilon=self.eps_effective)
-
 
 @dataclass(frozen=True)
 class MemberRealization:
@@ -237,7 +234,7 @@ def coupling_operator(spec: CircuitSpec, offsets=None) -> np.ndarray:
     if spec.L < 2:
         return np.ones(spec.T_H, dtype=complex)
     q = position_grid(spec.N, spec.L)
-    v = pair_potential(q, spec.system(), offsets)
+    v = pair_potential(q, SystemSpec(L=spec.L), offsets)
     return np.exp(1j * spec.eps_effective * v / spec.hbar)
 
 

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from sfflab.dynamics import pair_gradient
+from sfflab.dynamics import pair_gradient, pair_potential
 from sfflab.harness import read_config, validate_config
 from sfflab.orbits import as_shift
 from sfflab.phases import _shifted_lifts
@@ -296,7 +296,7 @@ def reference_phase_samples(m, amplitude, bond_list, L, T, s, budget, rng, batch
     return np.concatenate(out) / math.sqrt(T)
 
 
-def block_periodicity_jacobian(q, spec, pair_hessian):
+def block_periodicity_jacobian(q, spec, eps, pair_hessian):
     """Newton Jacobian of the position-form periodicity residual, one block row per time slot.
 
     Row t holds -(a + d) I - b eps V''(q_t) at slot t and I at slots t + 1
@@ -308,11 +308,58 @@ def block_periodicity_jacobian(q, spec, pair_hessian):
     eye = np.eye(L)
     for t in range(T):
         r0 = t * L
-        J[r0:r0 + L, r0:r0 + L] = -(m.a + m.d) * eye - m.b * (spec.epsilon * pair_hessian(q[t], spec))
+        J[r0:r0 + L, r0:r0 + L] = -(m.a + m.d) * eye - m.b * (eps * pair_hessian(q[t], spec))
         for u in (t + 1, t - 1):
             c0 = (u % T) * L
             J[r0:r0 + L, c0:c0 + L] += eye
     return J
+
+
+def winding_lift(family, shift, m):
+    """The q-p lift of a shifted family: positions q0 (T, L) and integer offsets n_off (T, 2L).
+
+    Per time n_off is laid out [n^q_0..n^q_{L-1}, n^p_0..n^p_{L-1}], with the
+    unreduced map step of x_t plus n_t equal to x_{t+1} exactly.
+    """
+    T, L = family.period, family.L
+    q0 = np.empty((T, L))
+    n_off = np.zeros((T, 2 * L))
+    for l, (orbit, off) in enumerate(zip(family.reps, shift)):
+        qs, ps, den = orbit.cycle_lattice(m)
+        qs = qs[off:] + qs[:off]
+        ps = ps[off:] + ps[:off]
+        for t in range(T):
+            q0[t, l] = qs[t] / den
+            qi = m.a * qs[t] + m.b * ps[t]
+            pi = m.c * qs[t] + m.d * ps[t]
+            tn = (t + 1) % T
+            assert (qs[tn] - qi) % den == 0 and (ps[tn] - pi) % den == 0
+            n_off[t, l] = (qs[tn] - qi) // den
+            n_off[t, L + l] = (ps[tn] - pi) // den
+    return q0, n_off
+
+
+def winding_linear_code(n_off, m):
+    """w_t = n^q_t - d n^q_{t-1} + b n^p_{t-1}: the q-p offsets with the momenta eliminated."""
+    L = n_off.shape[1] // 2
+    return n_off[:, :L] - np.roll(m.d * n_off[:, :L] - m.b * n_off[:, L:], 1, axis=0)
+
+
+def winding_action(q, n_off, spec, eps):
+    """Action of a continued orbit in its q-p lift, winding-corrected.
+
+    The cat map's generating function with the step's first argument
+    rebuilt from the next position and the fixed offsets, plus
+    sum_t n^p_t q_{t+1}, which makes the sum critical on the torus.
+    """
+    L = q.shape[1]
+    m = spec.subsystem
+    q_next = np.roll(q, -1, axis=0)
+    q_img = q_next - n_off[:, :L]
+    w0 = (m.d * q_img**2 - 2.0 * q_img * q + m.a * q**2) / (2.0 * m.b)
+    v = eps * pair_potential(q, spec)
+    wind = n_off[:, L:] * q_next
+    return math.fsum(w0.ravel().tolist() + v.tolist() + wind.ravel().tolist())
 
 
 def poison_empty(monkeypatch):
@@ -373,12 +420,12 @@ def load_config(path):
     return validate_config(read_config(path))
 
 
-def coupled_step_unreduced(q, p, spec, offsets=None):
+def coupled_step_unreduced(q, p, spec, eps, offsets=None):
     """Kick-then-rotate coupled map without modular reduction, in floats.
 
     p is kicked by eps dV/dq (pair_gradient) and the cat map rotates (q, p):
     the map whose orbits the position-form continuation solves for.
     """
     m = spec.subsystem
-    pk = p + spec.epsilon * pair_gradient(q, spec, offsets)
+    pk = p + eps * pair_gradient(q, spec, offsets)
     return m.a * q + m.b * pk, m.c * q + m.d * pk

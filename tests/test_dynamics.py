@@ -165,20 +165,20 @@ def test_pair_derivatives_match_central_differences(spec, offsets):
 
 
 def test_coupled_step_decouples_bitwise_at_eps0():
-    spec = SystemSpec(L=3, epsilon=0.0)
+    spec = SystemSpec(L=3)
     rng = philox(2)
     for _ in range(20):
         q, p = rng.random(3), rng.random(3)
-        qn, pn = (float_mod1(x) for x in coupled_step_unreduced(q, p, spec))
+        qn, pn = (float_mod1(x) for x in coupled_step_unreduced(q, p, spec, 0.0))
         for l in range(3):
             ref = scalar_cat_step(float(q[l]), float(p[l]), DEFAULT_MAP)
             assert (qn[l].hex(), pn[l].hex()) == (ref[0].hex(), ref[1].hex())
 
 
 def test_coupled_step_against_straight_line_oracle():
-    spec = SystemSpec(L=2, epsilon=1e-3)
+    spec = SystemSpec(L=2)
     q0, p0 = np.array([0.3, 0.1]), np.array([0.7, 0.2])
-    q, p = (float_mod1(x) for x in coupled_step_unreduced(q0, p0, spec))
+    q, p = (float_mod1(x) for x in coupled_step_unreduced(q0, p0, spec, 1e-3))
     q1, p1, q2, p2 = straight_line_coupled_step(0.3, 0.7, 0.1, 0.2, 1e-3)
     assert abs(q[0] - q1) < 1e-14
     assert abs(p[0] - p1) < 1e-14
@@ -187,26 +187,26 @@ def test_coupled_step_against_straight_line_oracle():
 
 
 def test_coupled_step_jacobian_is_symplectic():
-    spec = SystemSpec(L=2, epsilon=0.1)
+    spec = SystemSpec(L=2)
     rng = philox(3)
     h = 1e-6
     for _ in range(100):
         q = rng.random(2)
         p = rng.random(2)
         J = np.zeros((4, 4))
-        base = np.concatenate(coupled_step_unreduced(q, p, spec))
+        base = np.concatenate(coupled_step_unreduced(q, p, spec, 0.1))
         for i in range(4):
             dq, dp = q.copy(), p.copy()
             if i < 2:
                 dq[i] += h
             else:
                 dp[i - 2] += h
-            plus = np.concatenate(coupled_step_unreduced(dq, dp, spec))
+            plus = np.concatenate(coupled_step_unreduced(dq, dp, spec, 0.1))
             if i < 2:
                 dq[i] -= 2 * h
             else:
                 dp[i - 2] -= 2 * h
-            minus = np.concatenate(coupled_step_unreduced(dq, dp, spec))
+            minus = np.concatenate(coupled_step_unreduced(dq, dp, spec, 0.1))
             J[:, i] = (plus - minus) / (2 * h)
             _ = base
         assert abs(np.linalg.det(J) - 1.0) < 1e-8
@@ -277,8 +277,6 @@ def test_correlation_provenance():
 def test_system_spec_validation():
     with pytest.raises(SpecError):
         SystemSpec(L=1)  # periodic chain needs two sites
-    with pytest.raises(SpecError):
-        SystemSpec(L=2, epsilon=-0.1)
     with pytest.raises(SpecError):
         SystemSpec(L=2, topology="ring-of-fire")
     SystemSpec(L=1, topology=ALL_TO_ALL)

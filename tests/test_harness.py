@@ -1,10 +1,11 @@
 import csv
 import dataclasses
-import importlib.util
+import importlib
 import inspect
 import json
 import math
 import os
+import runpy
 import shlex
 import signal
 import subprocess
@@ -236,23 +237,36 @@ def test_schema_mismatch_named(tmp_path):
         read_sff_csv(path)
 
 
-def _compare_of_a_vanished_series(tmp_path, outdir):
-    """A valid compare config whose series is deleted after validation, so that the
-    run, which reads the series again, fails."""
-    series = tmp_path / "series.csv"
-    series.write_text("# schema: sfflab/sff_numeric v1\nt,K,K_raw,err,N,L,Lambda\n"
-                      + "".join(f"{t},{t}.0,{t}.0,0.1,8,2,0.2\n" for t in range(1, 21)))
-    cfg = validate_config({"kind": "compare", "seed": 1, "outdir": str(outdir),
-                           "compare": {"series_csv": str(series)}})
-    series.unlink()
-    return cfg
+def _failing_pipeline(cfg, built, outdir):
+    (outdir / "predict_sff.csv").write_text("partial\n")
+    raise RuntimeError("the pipeline failed after validation")
 
 
-def test_failed_run_cleans_outputs(tmp_path):
-    cfg = _compare_of_a_vanished_series(tmp_path, tmp_path / "fail")
+def test_failed_run_cleans_outputs(tmp_path, monkeypatch):
+    monkeypatch.setitem(harness._KINDS, "predict",
+                        harness._KINDS["predict"]._replace(run=_failing_pipeline))
+    cfg = _cfg_predict(tmp_path / "fail")
     with pytest.raises(Exception):
         run_experiment(cfg)
     assert list(tmp_path.iterdir()) == []  # no outdir, no staged directory
+
+
+def test_compare_reads_its_series_once(tmp_path):
+    # the series is read at validation and the run compares that object: a
+    # series deleted after validation is still compared, and use_raw leaves
+    # the validated series as it was, so the same config runs twice alike
+    series = tmp_path / "series.csv"
+    series.write_text("# schema: sfflab/sff_numeric v1\nt,K,K_raw,err,N,L,Lambda\n"
+                      + "".join(f"{t},{t}.0,{2 * t}.0,0.1,8,2,0.2\n" for t in range(1, 21)))
+    cfg = validate_config({"kind": "compare", "seed": 1, "outdir": str(tmp_path / "c"),
+                           "compare": {"series_csv": str(series), "use_raw": True}})
+    series.unlink()
+    reports = []
+    for _ in range(2):
+        run_experiment(cfg)
+        reports.append((tmp_path / "c/compare_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert np.array_equal(cfg.built[0].values, np.arange(1.0, 21.0))
 
 
 def test_variance_pipeline_small(tmp_path):
@@ -684,13 +698,14 @@ def _tree(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
-def test_failed_rerun_leaves_earlier_run_untouched(tmp_path):
+def test_failed_rerun_leaves_earlier_run_untouched(tmp_path, monkeypatch):
     out = tmp_path / "out"
     run_experiment(_cfg_predict(out))
     before = _tree(out)
-    cfg = _compare_of_a_vanished_series(tmp_path, out)
+    monkeypatch.setitem(harness._KINDS, "predict",
+                        harness._KINDS["predict"]._replace(run=_failing_pipeline))
     with pytest.raises(Exception):
-        run_experiment(cfg)
+        run_experiment(_cfg_predict(out))
     assert _tree(out) == before and verify_manifest(out)
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
@@ -886,11 +901,9 @@ def test_numpy_random_is_loaded_before_staging(tmp_path):
 
 
 def _spans_targets():
+    # run from source, so that no bytecode cache is written into the benchmark's tree
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return runpy.run_path(str(path))["TARGETS"]
 
 
 def test_traced_names_exist():

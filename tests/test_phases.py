@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import warnings
@@ -10,9 +9,9 @@ from scipy import special, stats
 from sfflab.dynamics import (ALL_TO_ALL, DEFAULT_MAP, CatMapSpec, SpecError, SystemSpec, bonds,
                              lattice_points, pair_gradient, pair_hessian, pair_potential)
 from sfflab import phases
-from sfflab.orbits import (MAX_PERIOD, OrbitFamily, as_shift, enumerate_lattice,
-                           family_iterator, periodic_point_count, smith_lattice,
-                           subsystem_orbits)
+from sfflab.orbits import (MAX_PERIOD, OrbitFamily, SubsystemOrbit, as_shift,
+                           enumerate_lattice, family_iterator, periodic_point_count,
+                           smith_lattice, subsystem_orbits)
 from sfflab.phases import (
     EXACT_SAMPLING_MAX_POINTS,
     SeriesError,
@@ -32,20 +31,21 @@ from sfflab.util import philox
 
 from oracles import (block_periodicity_jacobian, coupled_step_unreduced, float_position_cycle,
                      geometric_series_variance, peak_mib, phase_difference,
-                     phase_difference_direct, reference_lattice_bond_sum, rolled_position_matrix)
+                     phase_difference_direct, reference_lattice_bond_sum, rolled_position_matrix,
+                     winding_action, winding_lift, winding_linear_code)
 
 
 @pytest.mark.parametrize("T", [1, 2, 5])
-@pytest.mark.parametrize("spec", [SystemSpec(L=2, epsilon=0.3),
-                                  SystemSpec(L=3, subsystem=CatMapSpec(1, -1, -1, 2),
-                                             epsilon=0.7, topology=ALL_TO_ALL)],
+@pytest.mark.parametrize("spec, eps", [(SystemSpec(L=2), 0.3),
+                                       (SystemSpec(L=3, subsystem=CatMapSpec(1, -1, -1, 2),
+                                                   topology=ALL_TO_ALL), 0.7)],
                          ids=["L2", "L3-all-to-all"])
-def test_periodicity_jacobian(spec, T):
+def test_periodicity_jacobian(spec, eps, T):
     # at T = 1 and T = 2 the neighbours t + 1 and t - 1 are one slot, and their identities add
     q = philox(31).uniform(-1.0, 2.0, (T, spec.L))
-    J = phases._periodicity_jacobian(q, spec)
+    J = phases._periodicity_jacobian(q, spec, eps)
     assert J.shape == (T * spec.L, T * spec.L)
-    want = block_periodicity_jacobian(q, spec, pair_hessian)
+    want = block_periodicity_jacobian(q, spec, eps, pair_hessian)
     assert np.array_equal(J.view(np.uint64), want.view(np.uint64))
     w = np.zeros(q.shape)
     h = 1e-6
@@ -53,8 +53,8 @@ def test_periodicity_jacobian(spec, T):
         dq = np.zeros(q.size)
         dq[k] = h
         dq = dq.reshape(q.shape)
-        diff = (phases._periodicity_residual(q + dq, w, spec)
-                - phases._periodicity_residual(q - dq, w, spec)) / (2 * h)
+        diff = (phases._periodicity_residual(q + dq, w, spec, eps)
+                - phases._periodicity_residual(q - dq, w, spec, eps)) / (2 * h)
         assert np.allclose(J[:, k], diff.reshape(-1), atol=1e-6)
 
 
@@ -68,7 +68,7 @@ def test_periodicity_jacobian_spectrum_at_eps0(spec, T):
     # each once per site, and none vanishes for a hyperbolic map
     q = philox(32).random((T, spec.L))
     m = spec.subsystem
-    got = np.sort(np.linalg.eigvalsh(phases._periodicity_jacobian(q, spec)))
+    got = np.sort(np.linalg.eigvalsh(phases._periodicity_jacobian(q, spec, 0.0)))
     want = np.sort(np.repeat(2.0 * np.cos(2.0 * np.pi * np.arange(T) / T) - (m.a + m.d), spec.L))
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -81,17 +81,17 @@ def test_periodicity_jacobian_spectrum_at_eps0(spec, T):
 def test_continued_orbits_close_the_coupled_map(spec, eps):
     # the continuation solves for positions only; the momenta it implies,
     # b p_t = q_{t+1} - a q_t - n^q_t - b eps V'(q_t), must close the
-    # kick-then-rotate map in the same fixed lift.  Every orbit converges at
-    # eps = 1e-3; at eps = 0.05 Newton from the uncoupled orbit fails on 3 of
-    # the 18 ring orbits and 5 of the 20 all-to-all ones
+    # kick-then-rotate map in the q-p lift of the oracle.  Every orbit
+    # converges at eps = 1e-3; at eps = 0.05 Newton from the uncoupled orbit
+    # fails on 3 of the 18 ring orbits and 5 of the 20 all-to-all ones
     m = spec.subsystem
-    spec_e = dataclasses.replace(spec, epsilon=eps)
     L = spec.L
     cases = closed = 0
     for T in range(2, 7):
         for fam in itertools.islice(family_iterator(spec, T), 0, 28, 7):
-            q0, n_off = phases._orbit_lift(fam, as_shift(range(L), L, T), m)
-            q, ok = phases._newton_periodic(q0, n_off, spec_e)
+            shift = as_shift(range(L), L, T)
+            n_off = winding_lift(fam, shift, m)[1]
+            q, ok = phases._newton_periodic(*phases._orbit_lift(fam, shift, m), spec, eps)
             assert type(ok) is bool  # a plain bool, so a result with failed solves dumps to JSON
             cases += 1
             if not ok:
@@ -99,7 +99,7 @@ def test_continued_orbits_close_the_coupled_map(spec, eps):
             closed += 1
             q_next = np.roll(q, -1, axis=0)
             p = (q_next - m.a * q - n_off[:, :L]) / m.b - eps * pair_gradient(q, spec)
-            qn, pn = coupled_step_unreduced(q, p, spec_e)
+            qn, pn = coupled_step_unreduced(q, p, spec, eps)
             assert np.abs(qn + n_off[:, :L] - q_next).max() < 1e-12
             assert np.abs(pn + n_off[:, L:] - np.roll(p, -1, axis=0)).max() < 1e-12
     assert closed == cases if eps == 1e-3 else closed >= 15
@@ -236,6 +236,55 @@ def test_action_identity_phi_bitwise_equals_phase_difference():
                 assert phi.hex() == phase_difference(fam, r, s, spec).hex()
                 if (s[0] - r[0] - s[1] + r[1]) % T == 0:
                     assert phi == 0.0
+
+
+# the benchmark's continuation menu: (r, s) pairs per period, three families each
+CONTINUATION_MENU = {
+    3: [((0, 1), (1, 0))],
+    4: [((0, 1), (1, 0)), ((0, 2), (1, 0)), ((0, 1), (2, 0))],
+    5: [((0, 1), (1, 0)), ((0, 2), (1, 0)), ((0, 1), (2, 0))],
+    6: [((0, 1), (1, 0)), ((0, 2), (1, 0)), ((0, 1), (2, 0))],
+}
+
+
+def test_position_form_action_matches_the_winding_lift():
+    # the position-form action differs from the q-p lift's winding-corrected
+    # one by a constant that two shifts of one family share, so Delta agrees
+    # to rounding; the linear code is the q-p offsets with the momenta eliminated
+    spec = SystemSpec(L=2)
+    m = spec.subsystem
+    eps_list = (1e-3, 1e-4, 1e-5)
+    for T, pairs in CONTINUATION_MENU.items():
+        for index in range(3):
+            fam = _distinct_full_period_family(spec, T, index)
+            for r, s in pairs:
+                res = action_difference_identity_check(fam, spec, eps_list, r, s)
+                assert res.all_converged
+                refs = []
+                for v in (r, s):
+                    q0, n_off = winding_lift(fam, as_shift(v, 2, T), m)
+                    w = winding_linear_code(n_off, m)
+                    assert np.array_equal(w, phases._orbit_lift(fam, as_shift(v, 2, T), m)[1])
+                    refs.append((q0, w, n_off))
+                for eps, delta in zip(eps_list, res.deltas):
+                    a_r, a_s = (winding_action(phases._newton_periodic(q0, w, spec, eps)[0],
+                                               n_off, spec, eps) for q0, w, n_off in refs)
+                    assert abs(delta - (a_r - a_s)) <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [-1e-3, math.nan, math.inf, -math.inf])
+def test_action_identity_rejects_a_bad_eps(eps):
+    spec = SystemSpec(L=2)
+    fam = _full_period_family(spec, 3)
+    with pytest.raises(SpecError, match=f"got {eps}$"):
+        action_difference_identity_check(fam, spec, [1e-3, eps], (0, 1), (1, 0))
+
+
+def test_orbit_lift_rejects_a_cycle_that_does_not_close():
+    orbit = next(o for o in subsystem_orbits(3, DEFAULT_MAP) if o.primitive_period == 3)
+    two = SubsystemOrbit(orbit.representative, 2, 2)  # three points labelled period 2
+    with pytest.raises(SpecError, match="not exactly periodic"):
+        phases._orbit_lift(OrbitFamily((two, two)), (0, 0), DEFAULT_MAP)
 
 
 def test_action_identity_lifts_each_orbit_once(monkeypatch):

@@ -27,7 +27,7 @@ from oracles import circulant_trace_power
 
 
 def test_potts_params_chi():
-    p = PottsParams(L=3, T_H=100.0, lam=2.0, sigma2_phi=1.0)
+    p = PottsParams(L=3, T_H=100.0, lam=2.0)
     assert p.chi == pytest.approx(math.exp(-1.0))
     q = PottsParams.from_chi(L=3, T_H=100.0, chi=0.5)
     assert q.chi == pytest.approx(0.5, rel=1e-15)
@@ -168,19 +168,19 @@ def test_k0_reference_values():
     res = bound_check(PottsParams(L=3, T_H=16.0, lam=0.0), f0=3.0, eta=0.5, theta=1.0,
                       T_grid=grid)
     assert np.allclose(res.K0, grid**3.0, rtol=1e-12)
-    # f0 = L sigma2_phi ties it to the chain: the damping factor is chi^(L tau)
+    # f0 = L (the per-bond variance is 1) ties it to the chain: the damping factor is chi^(L tau)
     p = PottsParams.from_chi(L=3, T_H=16.0, chi=0.5)
-    res = bound_check(p, f0=3.0 * p.sigma2_phi, eta=0.5, theta=1.0, T_grid=grid)
+    res = bound_check(p, f0=3.0, eta=0.5, theta=1.0, T_grid=grid)
     assert np.allclose(res.K0, grid + (grid**3.0 - grid) * 0.5 ** (3.0 * grid / 16.0), rtol=1e-12)
 
 
 def test_k0_equals_closed_form_at_L2():
     # for two sites the ring and the all-to-all conventions coincide: K0 with
-    # f0 = 2 sigma2_phi is the closed form
+    # f0 = 2 (twice the per-bond variance 1) is the closed form
     grid = np.unique(np.geomspace(2, 512, 40).astype(int))
     for chi in (0.3, 0.9, 0.99):
         p = PottsParams.from_chi(L=2, T_H=64.0, chi=chi)
-        k0 = bound_check(p, f0=2.0 * p.sigma2_phi, eta=0.5, theta=1.0, T_grid=grid).K0
+        k0 = bound_check(p, f0=2.0, eta=0.5, theta=1.0, T_grid=grid).K0
         kc = closed_form_sff(p, grid).values
         assert np.allclose(k0, kc, rtol=1e-12)
 
