@@ -13,6 +13,8 @@ import os
 import re
 import resource
 import shutil
+import signal
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -60,9 +62,10 @@ class ExperimentError(RuntimeError):
 _REQUIRED = object()
 
 # key -> (type, default[, rule]).  A type is a scalar type, a nested schema
-# dict, or [element type] for a list; a rule is a tuple of allowed values, a
-# range, or a lower bound, applied to each element of a list.  A nested schema
-# whose default is {} is filled from its own defaults when the key is absent.
+# dict, or [element type] for a list, which must not be empty when given; a
+# rule is a tuple of allowed values, a range, or a lower bound, applied to each
+# element of a list.  A nested schema whose default is {} is filled from its
+# own defaults when the key is absent.
 _MAP_SCHEMA = {"a": (int, _REQUIRED), "b": (int, _REQUIRED),
                "c": (int, _REQUIRED), "d": (int, _REQUIRED)}
 
@@ -112,11 +115,11 @@ SECTION_SCHEMAS = {
         "system": (_SYSTEM_SCHEMA, None),
         "T": (int, 16, 1),
         "estimator": (str, "time-average", ("time-average", "series")),
-        "samples": (int, 20_000, 1),
+        "samples": (int, 20_000, 2),  # an error bar needs two samples
         "horizon": (int, TIME_AVERAGE_HORIZON, 4),  # variance_time_average needs 4
         "t_max": (int, 10, 0),
         "invariance_checks": (int, 0, 0),
-        "invariance_samples": (int, 20_000, 1),
+        "invariance_samples": (int, 20_000, 2),
         "agreement_check": (bool, False),
         "agreement_s": ([int], None, 0),
     },
@@ -124,7 +127,7 @@ SECTION_SCHEMAS = {
         "N": (int, _REQUIRED),
         "L": (int, 2),
         "Lambda": (float, _REQUIRED),
-        "members": (int, 64),
+        "members": (int, 64, 2),  # an error bar needs two members
         "t_max": (int, 0, 0),  # 0: 1.25 T_H
         "memory_budget_mb": (int, 2048, 1),
     },
@@ -187,19 +190,32 @@ _TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), bool: (bo
           str: (str, "a string"), list: (list, "a list")}
 
 
+# a float with no dot or an unsigned exponent, which YAML 1.1 reads as a string
+_YAML_STRING_FLOAT = re.compile(r"([-+]?\d+)(?:\.(\d*))?[eE]([-+]?)(\d+)")
+
+
 def _cast(value, typ, path):
     accepted, name = _TYPES[typ]
     if not isinstance(value, accepted) or (isinstance(value, bool) and typ is not bool):
-        raise ConfigError(f"field {path}: expected {name}, got {value!r}")
+        raise ConfigError(f"field {path}: expected {name}, got {value!r}{_float_hint(value, typ)}")
     return float(value) if typ is float else value
+
+
+def _float_hint(value, typ) -> str:
+    """How to spell a float field's number that YAML 1.1 read as a string: 1e5 as 1.0e+5."""
+    m = typ is float and isinstance(value, str) and _YAML_STRING_FLOAT.fullmatch(value)
+    if not m:
+        return ""
+    return f"; YAML 1.1 reads {value} as a string, write {m[1]}.{m[2] or 0}e{m[3] or '+'}{m[4]}"
 
 
 def _field(value, typ, rule, path):
     if isinstance(typ, dict):
         return _validate_section(value, typ, path)
     if isinstance(typ, list):
-        return [_field(v, typ[0], rule, f"{path}[{i}]")
-                for i, v in enumerate(_cast(value, list, path))]
+        if not _cast(value, list, path):  # a run over nothing checks nothing
+            raise ConfigError(f"field {path}: must not be empty")
+        return [_field(v, typ[0], rule, f"{path}[{i}]") for i, v in enumerate(value)]
     value = _cast(value, typ, path)
     if isinstance(rule, tuple) and value not in rule:
         raise ConfigError(f"field {path}: must be one of {rule}, got {value!r}")
@@ -731,7 +747,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     The run is written into a staged sibling of outdir, which is renamed into
     place once the manifest is written.  An existing outdir is replaced only
     if it is empty or holds a manifest.json (an earlier run); after any
-    exception, KeyboardInterrupt included, outdir is as it was.
+    exception, KeyboardInterrupt included, outdir is as it was.  On the main
+    thread a SIGINT during the run is also recorded, so a run whose
+    KeyboardInterrupt was swallowed still raises one instead of installing.
     """
     outdir = Path(cfg.outdir).absolute()
     if outdir.exists() and not (outdir.is_dir() and (
@@ -743,10 +761,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     # while its extension modules initialise is dropped; load it before staging
     # so that Ctrl-C during a run always unwinds it
     import numpy.random  # noqa: F401
-    # mkdir, unlike mkdtemp, gives the run directory the umask's permissions
+    interrupted = []
+
+    def on_sigint(signum, frame):
+        interrupted.append(signum)
+        raise KeyboardInterrupt
+
     stage = outdir.with_name(f".{outdir.name}.{os.urandom(6).hex()}.partial")
-    stage.mkdir()
+    main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGINT, on_sigint) if main else None
     try:
+        stage.mkdir()  # mkdir, unlike mkdtemp, gives the run directory the umask's permissions
         (stage / "config_snapshot.yaml").write_text(dump_config(cfg))
         t0 = time.monotonic()
         try:
@@ -763,10 +788,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
             extras=extras,
         )
         _write_json(stage / "manifest.json", manifest.to_dict())
+        if interrupted:
+            raise KeyboardInterrupt
         _install(stage, outdir)
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
         raise
+    finally:
+        if main:
+            signal.signal(signal.SIGINT, previous)
     return manifest
 
 

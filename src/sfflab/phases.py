@@ -189,44 +189,44 @@ def _periodicity_residual(q, w, spec: SystemSpec, eps: float):
 
 
 def _periodicity_jacobian(q, spec: SystemSpec, eps: float):
-    """(TL x TL) Jacobian of _periodicity_residual: block-circulant, identities at t +- 1."""
+    """(TL x TL) Jacobian of _periodicity_residual: kron(C, I_L) minus the block-diagonal
+    b eps V''(q_t), C the T x T circulant with -(a + d) on the diagonal and 1 at t +- 1."""
     T, L = q.shape
     m = spec.subsystem
-    slots = np.arange(T)
-    J = np.zeros((T * L, T * L))
-    Jb = J.reshape(T, L, T, L)  # Jb[t, :, u, :] is the (t, u) block
-    H = eps * pair_hessian(q, spec)  # (T, L, L)
-    Jb[slots, :, slots, :] = -(m.a + m.d) * np.eye(L) - m.b * H
-    Jb[slots, :, (slots + 1) % T, :] += np.eye(L)
-    Jb[slots, :, (slots - 1) % T, :] += np.eye(L)
+    eye = np.eye(T)
+    J = np.kron(np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0) - (m.a + m.d) * eye, np.eye(L))
+    J.reshape(T, L, T, L)[range(T), :, range(T), :] -= m.b * (eps * pair_hessian(q, spec))
     return J
 
 
-def _newton_periodic(q0, w, spec: SystemSpec, eps: float, tol=1e-12, max_iter=60):
-    """Damped Newton on the position-form periodicity system with the integers w.
+def _newton_periodic(q0, w, spec: SystemSpec, eps: float, tol=1e-12, max_iter=60, _eps0=0.0,
+                     _depth=6):
+    """Newton on the position-form periodicity system with the integers w, from q0 at _eps0.
 
+    Full steps while each lowers the residual; when one does not, or the Jacobian is
+    singular, q0 is first continued to the midpoint coupling (at most _depth halvings).
     Returns (q, converged), converged a Python bool: the residual fell below tol.
     """
-    T, L = q0.shape
-    q = q0.copy()
-    G = _periodicity_residual(q, w, spec, eps)
+    q, G = q0, _periodicity_residual(q0, w, spec, eps)
     res = np.abs(G).max()
     for _ in range(max_iter):
         if res < tol:
             break
         try:
-            dq = np.linalg.solve(_periodicity_jacobian(q, spec, eps), -G.reshape(-1)).reshape(T, L)
+            dq = np.linalg.solve(_periodicity_jacobian(q, spec, eps), -G.reshape(-1))
         except np.linalg.LinAlgError:
             break
-        for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            q_try = q + alpha * dq
-            G_try = _periodicity_residual(q_try, w, spec, eps)
-            r_try = np.abs(G_try).max()
-            if r_try < res:
-                q, G, res = q_try, G_try, r_try
-                break
-        else:
-            break  # no damped step lowers the residual
+        q_try = q + dq.reshape(q.shape)
+        G_try = _periodicity_residual(q_try, w, spec, eps)
+        r_try = np.abs(G_try).max()
+        if not r_try < res:
+            break
+        q, G, res = q_try, G_try, r_try
+    if res >= tol and _depth:
+        mid = (_eps0 + eps) / 2.0
+        q_mid, ok = _newton_periodic(q0, w, spec, mid, tol, max_iter, _eps0, _depth - 1)
+        if ok:
+            return _newton_periodic(q_mid, w, spec, eps, tol, max_iter, mid, _depth - 1)
     return q, bool(res < tol)
 
 
@@ -250,7 +250,6 @@ def action_difference_identity_check(
     eps_list: Sequence[float],
     r,
     s,
-    tol: float = 1e-12,
 ) -> ContinuationResult:
     """Continue the orbit pair (phi^r, phi^s) in eps and test Delta = eps*Phi + O(eps^2).
 
@@ -265,8 +264,8 @@ def action_difference_identity_check(
 
     deltas, residuals, converged, pts = [], [], [], []
     for eps in eps_list:
-        qr, ok_r = _newton_periodic(*lift_r, spec, eps, tol=tol)
-        qs, ok_s = _newton_periodic(*lift_s, spec, eps, tol=tol)
+        qr, ok_r = _newton_periodic(*lift_r, spec, eps)
+        qs, ok_s = _newton_periodic(*lift_s, spec, eps)
         ok = ok_r and ok_s
         d = res = float("nan")
         if ok:

@@ -485,7 +485,7 @@ BOUNDARY_ROWS = [
     (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9",
       "--set", "predict.T_start=0.5"], "predict.T_start"),
     (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=0.2",
-      "--set", "quantum.members=1", "--set", "quantum.t_max=-1"], "quantum.t_max"),
+      "--set", "quantum.members=2", "--set", "quantum.t_max=-1"], "quantum.t_max"),
     (["clt", "--set", "clt.T_list=[65]", "--set", "clt.budget=1000", "--set", "clt.mode=exact"],
      "clt.T_list[0]"),
     (["clt", "--set", "clt.T_list=[4,65]", "--set", "clt.budget=1000", "--set", "clt.mode=exact"],
@@ -577,6 +577,24 @@ BOUNDARY_ROWS = [
      "section predict: Lambda"),
     (["compare", "--set", "compare.series_csv={series}", "--set", "compare.prediction.Lambda=.nan"],
      "section compare: Lambda"),
+    # a list that is given must list something: a run over no families or periods
+    # checks nothing, and an empty shift used to mean the staircase
+    (["bound-check", "--set", "bound.families=[]"], "bound.families: must not be empty"),
+    (["orbits", "--set", "orbits.T_list=[]"], "orbits.T_list: must not be empty"),
+    (["clt", "--set", "clt.T_list=[]"], "clt.T_list: must not be empty"),
+    (["clt", "--set", "clt.T_list=[4]", "--set", "clt.budget=1000", "--set", "clt.s=[]"],
+     "clt.s: must not be empty"),
+    (["variance", "--set", "variance.agreement_check=true", "--set", "variance.agreement_s=[]"],
+     "variance.agreement_s: must not be empty"),
+    # one sample has no error bar: it wrote err and std_error 0.0
+    (["quantum-sff", "--set", "quantum.N=4", "--set", "quantum.Lambda=0.2",
+      "--set", "quantum.members=1"], "quantum.members: must be >= 2"),
+    (["variance", "--set", "variance.samples=1"], "variance.samples: must be >= 2"),
+    (["variance", "--set", "variance.invariance_checks=1", "--set", "variance.invariance_samples=1"],
+     "variance.invariance_samples: must be >= 2"),
+    # YAML 1.1 reads a float without a dot or without an exponent sign as a string
+    (["predict", "--set", "predict.L=2", "--set", "predict.chi=0.9", "--set", "predict.T_H=1e5"],
+     "predict.T_H: expected a number, got '1e5'; YAML 1.1 reads 1e5 as a string, write 1.0e+5"),
 ]
 
 
@@ -692,6 +710,27 @@ def test_interrupted_run_leaves_nothing(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_experiment(_cfg_predict(tmp_path / "out"))
     assert list(tmp_path.iterdir()) == []
+
+
+def _swallowing_pipeline(cfg, built, outdir):
+    (outdir / "predict_sff.csv").write_text("partial\n")
+    try:
+        signal.raise_signal(signal.SIGINT)
+    except KeyboardInterrupt:
+        pass
+    return {}
+
+
+def test_swallowed_interrupt_still_fails_the_run(tmp_path, monkeypatch):
+    # the run records the SIGINT itself, so a KeyboardInterrupt that a pipeline
+    # (or a library under it) drops cannot let an interrupted run install
+    monkeypatch.setitem(harness._KINDS, "predict",
+                        harness._KINDS["predict"]._replace(run=_swallowing_pipeline))
+    before = signal.getsignal(signal.SIGINT)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(_cfg_predict(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
+    assert signal.getsignal(signal.SIGINT) is before
 
 
 def _tree(path):

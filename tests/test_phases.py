@@ -73,36 +73,84 @@ def test_periodicity_jacobian_spectrum_at_eps0(spec, T):
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+def _assert_closes_the_coupled_map(q, fam, shift, spec, eps):
+    # the continuation solves for positions only; the momenta it implies,
+    # b p_t = q_{t+1} - a q_t - n^q_t - b eps V'(q_t), must close the
+    # kick-then-rotate map in the q-p lift of the oracle
+    m, L = spec.subsystem, spec.L
+    n_off = winding_lift(fam, shift, m)[1]
+    q_next = np.roll(q, -1, axis=0)
+    p = (q_next - m.a * q - n_off[:, :L]) / m.b - eps * pair_gradient(q, spec)
+    qn, pn = coupled_step_unreduced(q, p, spec, eps)
+    assert np.abs(qn + n_off[:, :L] - q_next).max() < 1e-12
+    assert np.abs(pn + n_off[:, L:] - np.roll(p, -1, axis=0)).max() < 1e-12
+
+
 @pytest.mark.parametrize("eps", [1e-3, 0.05])
 @pytest.mark.parametrize("spec", [SystemSpec(L=2),
                                   SystemSpec(L=3, subsystem=CatMapSpec(1, -1, -1, 2),
                                              topology=ALL_TO_ALL)],
                          ids=["L2", "L3-all-to-all"])
 def test_continued_orbits_close_the_coupled_map(spec, eps):
-    # the continuation solves for positions only; the momenta it implies,
-    # b p_t = q_{t+1} - a q_t - n^q_t - b eps V'(q_t), must close the
-    # kick-then-rotate map in the q-p lift of the oracle.  Every orbit
-    # converges at eps = 1e-3; at eps = 0.05 Newton from the uncoupled orbit
-    # fails on 3 of the 18 ring orbits and 5 of the 20 all-to-all ones
-    m = spec.subsystem
+    # every orbit converges at eps = 1e-3; at eps = 0.05 every ring orbit and
+    # all but one of the 20 all-to-all ones do, through halvings of eps
     L = spec.L
     cases = closed = 0
     for T in range(2, 7):
         for fam in itertools.islice(family_iterator(spec, T), 0, 28, 7):
             shift = as_shift(range(L), L, T)
-            n_off = winding_lift(fam, shift, m)[1]
-            q, ok = phases._newton_periodic(*phases._orbit_lift(fam, shift, m), spec, eps)
+            q, ok = phases._newton_periodic(*phases._orbit_lift(fam, shift, spec.subsystem),
+                                            spec, eps)
             assert type(ok) is bool  # a plain bool, so a result with failed solves dumps to JSON
             cases += 1
             if not ok:
                 continue
             closed += 1
-            q_next = np.roll(q, -1, axis=0)
-            p = (q_next - m.a * q - n_off[:, :L]) / m.b - eps * pair_gradient(q, spec)
-            qn, pn = coupled_step_unreduced(q, p, spec, eps)
-            assert np.abs(qn + n_off[:, :L] - q_next).max() < 1e-12
-            assert np.abs(pn + n_off[:, L:] - np.roll(p, -1, axis=0)).max() < 1e-12
-    assert closed == cases if eps == 1e-3 else closed >= 15
+            _assert_closes_the_coupled_map(q, fam, shift, spec, eps)
+    assert cases == (18 if L == 2 else 20)
+    assert closed == cases if eps == 1e-3 or L == 2 else closed >= 19
+
+
+def _ring_t4_family_21():
+    # T = 4, family 21 of the ring: at eps = 0.05 a full Newton step from the
+    # uncoupled orbit does not lower the residual
+    spec = SystemSpec(L=2)
+    fam = list(itertools.islice(family_iterator(spec, 4), 0, 28, 7))[3]
+    shift = as_shift(range(2), 2, 4)
+    return spec, fam, shift, phases._orbit_lift(fam, shift, spec.subsystem)
+
+
+def test_halving_eps_continues_an_orbit_that_newton_alone_loses():
+    spec, fam, shift, (q0, w) = _ring_t4_family_21()
+    q, ok = phases._newton_periodic(q0, w, spec, 0.05)
+    assert ok
+    _assert_closes_the_coupled_map(q, fam, shift, spec, 0.05)
+    # it is the orbit that ten equal steps in eps reach
+    qk = q0
+    for k in range(1, 11):
+        qk, ok = phases._newton_periodic(qk, w, spec, 0.005 * k, _eps0=0.005 * (k - 1))
+        assert ok
+    assert np.abs(qk - q).max() < 1e-12
+
+
+def test_continuation_halves_from_a_nonzero_eps0(monkeypatch):
+    # from the orbit at eps0 = 0.02 to eps = 0.5, every coupling solved at lies
+    # between the two: the halvings split [eps0, eps], not [0, eps]
+    spec, fam, shift, (q0, w) = _ring_t4_family_21()
+    q2, ok = phases._newton_periodic(q0, w, spec, 0.02)
+    assert ok
+    solved = []
+    residual = phases._periodicity_residual
+
+    def recorded(q, w, spec, eps):
+        solved.append(eps)
+        return residual(q, w, spec, eps)
+
+    monkeypatch.setattr(phases, "_periodicity_residual", recorded)
+    q, ok = phases._newton_periodic(q2, w, spec, 0.5, _eps0=0.02)
+    assert ok
+    assert sorted(set(solved)) == [0.05, 0.08, 0.14, 0.26, 0.5]
+    _assert_closes_the_coupled_map(q, fam, shift, spec, 0.5)
 
 
 def _full_period_family(spec, T, index=0):
