@@ -304,6 +304,8 @@ def pair_hessian(q: np.ndarray, spec: SystemSpec, offsets=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Monte Carlo correlation estimator
 
+_CORRELATION_BATCH = 1 << 17  # samples per one-frame batch of estimate_correlation
+
 
 def _dyadic_starts(rng: np.random.Generator, n: int, L: int):
     """n uniform starts of L sites as int64 numerators over DYADIC_DEN: q, then p, from rng.
@@ -422,13 +424,8 @@ def frame_batches(spec: SystemSpec, seed: int, samples: int, batch: int, shifts,
         yield n, observable_frames(spec, rng, n, shifts, steps, lattice)
 
 
-def estimate_correlation(
-    spec: SystemSpec,
-    shift: Sequence[int],
-    samples: int,
-    seed: int,
-    batch: int = 1 << 17,
-) -> CorrelationEstimate:
+def estimate_correlation(spec: SystemSpec, shift: Sequence[int], samples: int,
+                         seed: int) -> CorrelationEstimate:
     """C_w(shift) = <W(phi^shift x) W(x)> - <W>^2 for W the interaction derivative.
 
     Uniform (Lebesgue = SRB) initial conditions, drawn as points of the 2**53
@@ -444,7 +441,7 @@ def estimate_correlation(
     m_off = max(0, -min(shift))
     shifts = ((m_off,) * spec.L, tuple(m_off + s for s in shift))
     s_p = s_p2 = s_a = s_b = 0.0
-    for _, frames in frame_batches(spec, seed, samples, batch, shifts, 1):
+    for _, frames in frame_batches(spec, seed, samples, _CORRELATION_BATCH, shifts, 1):
         a, b = next(frames)
         del frames  # frees the batch's planes before the products are formed
         prod = a * b

@@ -687,7 +687,7 @@ def _run_bound(cfg, params: PottsParams, outdir):
         res = bound_check(params, sec["f0"], fam["eta"], fam["theta"], grid)
         n = len(res.times)
         blocks.append([[float(res.eta)] * n, [float(res.theta)] * n, res.times, res.K, res.K0,
-                       res.deviation, res.bound, res.deviation <= res.bound + 1e-12])
+                       res.deviation, res.bound, res.ok])
         verdicts.append({
             "eta": res.eta, "theta": res.theta,
             "a": res.a, "A": res.A,

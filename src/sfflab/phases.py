@@ -137,6 +137,9 @@ def _shifted_lifts(family: OrbitFamily, r, s, spec: SystemSpec):
 # ---------------------------------------------------------------------------
 # finite-coupling orbit continuation (first-order identity)
 
+_NEWTON_TOL = 1e-12  # max |R| of a converged orbit
+_NEWTON_MAX_ITER = 60
+
 
 @dataclass
 class ContinuationResult:
@@ -199,18 +202,17 @@ def _periodicity_jacobian(q, spec: SystemSpec, eps: float):
     return J
 
 
-def _newton_periodic(q0, w, spec: SystemSpec, eps: float, tol=1e-12, max_iter=60, _eps0=0.0,
-                     _depth=6):
+def _newton_periodic(q0, w, spec: SystemSpec, eps: float, _eps0=0.0, _depth=6):
     """Newton on the position-form periodicity system with the integers w, from q0 at _eps0.
 
     Full steps while each lowers the residual; when one does not, or the Jacobian is
     singular, q0 is first continued to the midpoint coupling (at most _depth halvings).
-    Returns (q, converged), converged a Python bool: the residual fell below tol.
+    Returns (q, converged), converged a Python bool: the residual fell below _NEWTON_TOL.
     """
     q, G = q0, _periodicity_residual(q0, w, spec, eps)
     res = np.abs(G).max()
-    for _ in range(max_iter):
-        if res < tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if res < _NEWTON_TOL:
             break
         try:
             dq = np.linalg.solve(_periodicity_jacobian(q, spec, eps), -G.reshape(-1))
@@ -222,12 +224,12 @@ def _newton_periodic(q0, w, spec: SystemSpec, eps: float, tol=1e-12, max_iter=60
         if not r_try < res:
             break
         q, G, res = q_try, G_try, r_try
-    if res >= tol and _depth:
+    if res >= _NEWTON_TOL and _depth:
         mid = (_eps0 + eps) / 2.0
-        q_mid, ok = _newton_periodic(q0, w, spec, mid, tol, max_iter, _eps0, _depth - 1)
+        q_mid, ok = _newton_periodic(q0, w, spec, mid, _eps0, _depth - 1)
         if ok:
-            return _newton_periodic(q_mid, w, spec, eps, tol, max_iter, mid, _depth - 1)
-    return q, bool(res < tol)
+            return _newton_periodic(q_mid, w, spec, eps, mid, _depth - 1)
+    return q, bool(res < _NEWTON_TOL)
 
 
 def _orbit_action(q, w, spec: SystemSpec, eps: float) -> float:
@@ -303,17 +305,11 @@ def action_difference_identity_check(
 # "auto" samples the period-T set exactly up to this many points and by proxy
 # beyond; for the default map T = 10 (15 125 points) is the last exact period
 EXACT_SAMPLING_MAX_POINTS = 20_000
+_PHASE_SUM_BATCH = 1 << 15  # samples per batch of _phase_sums
 
 
-def sample_phase_distribution(
-    spec: SystemSpec,
-    T: int,
-    s,
-    budget: int,
-    seed: int,
-    mode: str = "auto",
-    batch: int = 1 << 15,
-) -> PhaseSampleSet:
+def sample_phase_distribution(spec: SystemSpec, T: int, s, budget: int, seed: int,
+                              mode: str = "auto") -> PhaseSampleSet:
     """Draw rescaled phases Phi_s/sqrt(T) with stability-amplitude weights.
 
     For linear maps the amplitude weights are uniform, so "exact" mode draws
@@ -335,13 +331,13 @@ def sample_phase_distribution(
     if mode not in ("exact", "proxy"):
         raise SpecError(f"unknown sampling mode {mode!r}")
     lattice = smith_lattice(T, spec.subsystem) if mode == "exact" else None
-    batches = _phase_sums(spec, sv, (T,), budget, seed, lattice, batch)
+    batches = _phase_sums(spec, sv, (T,), budget, seed, lattice)
     phi = np.concatenate([sums[T] for sums in batches])
     return PhaseSampleSet(phi_tilde=phi / math.sqrt(T), T=T, s=sv, mode=mode, seed=seed)
 
 
-def _phase_sums(spec: SystemSpec, s, checkpoints, samples, seed, lattice, batch):
-    """The one Phi sampler: yields {t: Phi_t} per batch of at most batch samples.
+def _phase_sums(spec: SystemSpec, s, checkpoints, samples, seed, lattice):
+    """The one Phi sampler: yields {t: Phi_t} per batch of at most _PHASE_SUM_BATCH samples.
 
     Phi_t = sum_{t' < t} [W(x_t') - W(phi^s x_t')] at each checkpoint t, from
     the seeded batches of frame_batches: Smith-indexed period-T points when
@@ -350,7 +346,7 @@ def _phase_sums(spec: SystemSpec, s, checkpoints, samples, seed, lattice, batch)
     before the next batch is drawn.
     """
     out = {}
-    for n, frames in frame_batches(spec, seed, samples, batch, ((0,) * spec.L, s),
+    for n, frames in frame_batches(spec, seed, samples, _PHASE_SUM_BATCH, ((0,) * spec.L, s),
                                    max(checkpoints), lattice):
         acc = np.zeros(n)
         for t, v in enumerate(frames, start=1):
@@ -483,14 +479,8 @@ def clt_diagnostics(samples) -> CltReport:
 TIME_AVERAGE_HORIZON = 256  # per_bond_variance_table's and the config's variance.horizon default
 
 
-def variance_time_average(
-    spec: SystemSpec,
-    s,
-    horizon: int,
-    samples: int,
-    seed: int,
-    batch: int = 1 << 15,
-) -> VarianceEstimate:
+def variance_time_average(spec: SystemSpec, s, horizon: int, samples: int,
+                          seed: int) -> VarianceEstimate:
     """Ergodic estimator: sigma^2 = (1/T) < [sum_t v_s(phi^t x)]^2 > at T = horizon.
 
     Reports a ladder of horizons (quarter, half, full); the plateau flag is
@@ -505,7 +495,7 @@ def variance_time_average(
     checkpoints = sorted({horizon // 4, horizon // 2, horizon})
     sums = {c: 0.0 for c in checkpoints}
     sums2 = {c: 0.0 for c in checkpoints}
-    for batch_sums in _phase_sums(spec, s_t, checkpoints, samples, seed, None, batch):
+    for batch_sums in _phase_sums(spec, s_t, checkpoints, samples, seed, None):
         for t, acc in batch_sums.items():
             vals = acc * acc / t
             sums[t] += vals.sum()

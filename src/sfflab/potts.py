@@ -140,6 +140,7 @@ def scaled_kappa(params: PottsParams, tau):
 
 
 PREDICTION_FORMS = ("closed-form", "kappa")
+_THOULESS_CAP = 1e12  # thouless_time refuses a longer time (chi too close to 1)
 
 
 def prediction(params: PottsParams, form: str, times) -> SffPrediction:
@@ -153,7 +154,7 @@ def prediction(params: PottsParams, form: str, times) -> SffPrediction:
     raise PottsError(f"unknown prediction form {form!r}; expected one of {PREDICTION_FORMS}")
 
 
-def thouless_time(params: PottsParams, cap: float = 1e12) -> float:
+def thouless_time(params: PottsParams) -> float:
     """t_TH = ln(L) / |ln chi| (in units of tau); diverges as chi -> 1."""
     chi = params.chi
     if chi in (0.0, 1.0):
@@ -161,8 +162,8 @@ def thouless_time(params: PottsParams, cap: float = 1e12) -> float:
     if params.L < 2:
         raise PottsError("Thouless time needs L >= 2")
     val = math.log(params.L) / abs(math.log(chi))
-    if val > cap:
-        raise PottsError(f"Thouless time exceeds the cap {cap:g} (chi too close to 1)")
+    if val > _THOULESS_CAP:
+        raise PottsError(f"Thouless time exceeds the cap {_THOULESS_CAP:g} (chi too close to 1)")
     return val
 
 
@@ -242,10 +243,11 @@ class BoundCheckResult:
     K0: np.ndarray
     deviation: np.ndarray
     bound: np.ndarray
+    ok: np.ndarray  # per time: deviation <= bound, up to 1e-12 of rounding
 
     @property
     def dominated(self) -> bool:
-        return bool(np.all(self.deviation <= self.bound + 1e-12))
+        return bool(self.ok.all())
 
     @property
     def relative_deviation(self) -> np.ndarray:
@@ -269,5 +271,6 @@ def bound_check(params: PottsParams, f0: float, eta: float, theta: float,
         tau = T / T_H
         K0[i] = T + (T**L - T) * math.exp(-lam * tau * f0 / 2.0)
     bound = deviation_bound(params, a, A, times)
-    return BoundCheckResult(eta=eta, theta=theta, f0=f0, a=a, A=A, times=times,
-                            K=K, K0=K0, deviation=np.abs(K - K0), bound=bound)
+    deviation = np.abs(K - K0)
+    return BoundCheckResult(eta=eta, theta=theta, f0=f0, a=a, A=A, times=times, K=K, K0=K0,
+                            deviation=deviation, bound=bound, ok=deviation <= bound + 1e-12)

@@ -29,6 +29,10 @@ from .potts import SffPrediction
 from .util import philox, run_tasks, window_average
 
 CONVENTION = "position-kernel-unit-b"
+# compare's one gate: late window (fractions of the series' T_H), slope and ratio tolerances
+LATE_WINDOW = (0.4, 1.0)
+SLOPE_TOL = 0.25
+RATIO_TOL = 0.25
 
 
 class ConventionError(ValueError):
@@ -525,23 +529,17 @@ class CompareReport:
         return {k: v for k, v in asdict(self).items() if k != "ratio"}
 
 
-def compare(
-    series: SffSeries,
-    prediction: SffPrediction,
-    late_window: tuple = (0.4, 1.0),
-    slope_tol: float = 0.25,
-    ratio_tol: float = 0.25,
-) -> CompareReport:
+def compare(series: SffSeries, prediction: SffPrediction) -> CompareReport:
     """Per-time deviation of a numerical series from an analytic prediction.
 
     The prediction must be evaluated on the series' own times (GridError
-    otherwise).  late_window is a fraction of T_H = N^L of the series.
-    The late-time ramp slopes are compared with an absolute normalization,
-    |slope_s - slope_p| <= slope_tol * max(1, |slope_p|), which stays
-    meaningful when the reference curve is nearly flat.  The comparison
-    passes when the slopes agree and the late-window mean ratio lies within
-    ratio_tol of 1 (a NaN ratio, from a late window with under two points,
-    fails).
+    otherwise).  The late-time ramp slopes over LATE_WINDOW are compared with
+    an absolute normalization, |slope_s - slope_p| <= SLOPE_TOL * max(1, |slope_p|),
+    which stays meaningful when the reference curve is nearly flat.  The
+    comparison passes when the slopes agree and the late-window mean ratio
+    lies within RATIO_TOL of 1 (a NaN ratio, from a late window with under two
+    points, fails).  chi2_per_point is NaN when no error of the series is
+    positive: nothing was measured against.
     """
     t = np.asarray(series.times, dtype=float)
     if not np.array_equal(np.asarray(prediction.times, dtype=float), t):
@@ -551,10 +549,10 @@ def compare(
     ratio = sv / np.maximum(pv, np.finfo(float).tiny)
     err = np.asarray(series.errors)
     mask = err > 0
-    chi2 = float(np.mean(((sv[mask] - pv[mask]) / err[mask]) ** 2)) if mask.any() else 0.0
+    chi2 = float(np.mean(((sv[mask] - pv[mask]) / err[mask]) ** 2)) if mask.any() else math.nan
 
     T_H = float(series.N**series.L)
-    lo, hi = late_window[0] * T_H, late_window[1] * T_H
+    lo, hi = LATE_WINDOW[0] * T_H, LATE_WINDOW[1] * T_H
     late = (t >= lo) & (t <= hi)
     if late.sum() >= 2:
         slope_s = float(np.polyfit(t[late], sv[late], 1)[0])
@@ -563,8 +561,8 @@ def compare(
     else:
         slope_s = slope_p = float("nan")
         late_mean_ratio = float("nan")
-    slope_ok = bool(abs(slope_s - slope_p) <= slope_tol * max(1.0, abs(slope_p)))
-    ratio_ok = bool(abs(late_mean_ratio - 1.0) <= ratio_tol)
+    slope_ok = bool(abs(slope_s - slope_p) <= SLOPE_TOL * max(1.0, abs(slope_p)))
+    ratio_ok = bool(abs(late_mean_ratio - 1.0) <= RATIO_TOL)
 
     early = t <= max(2.0 * T_H ** (1.0 / series.L), t[0])
     bump_time = int(t[early][np.argmax(sv[early])]) if early.any() else None
@@ -574,7 +572,7 @@ def compare(
         n_points=len(t),
         chi2_per_point=chi2,
         median_ratio=float(np.median(ratio)),
-        late_window=tuple(late_window),
+        late_window=LATE_WINDOW,
         late_mean_ratio=late_mean_ratio,
         slope_series=slope_s,
         slope_prediction=slope_p,

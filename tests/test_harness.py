@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import runpy
 import shlex
 import signal
@@ -979,3 +980,12 @@ def test_readme_commands_pass_validation(tmp_path, monkeypatch):
         if argv[0] != "report":  # report reads compare reports and has no config
             assert cli_main(argv) == 0, argv
     assert sorted(ran) == sorted(harness.KINDS)
+
+
+def test_readme_package_layout_lists_every_module():
+    # the layout block names each module of src/sfflab once (the package __init__ aside)
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Package layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    modules = [p.name for p in (root / "src/sfflab").glob("*.py") if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)

@@ -64,8 +64,11 @@ def _bits(x):
 
 
 def _setup(monkeypatch, m, L, amplitude, topology, start):
-    # dynamics.frame_batches is the one place the Monte Carlo estimators seed their starts
+    # dynamics.frame_batches is the one place the Monte Carlo estimators seed their starts;
+    # batches of 300 make the 700 samples three batches, the last one short
     monkeypatch.setattr(dynamics, "philox", start)
+    monkeypatch.setattr(dynamics, "_CORRELATION_BATCH", 300)
+    monkeypatch.setattr(phases, "_PHASE_SUM_BATCH", 300)
     spec = SystemSpec(L=L, subsystem=m, amplitude=amplitude, topology=topology)
     return spec, bonds(spec, L)
 
@@ -83,7 +86,7 @@ def test_time_average_ladder_matches_allocating_kernel(monkeypatch, m, L, amplit
                                                        start):
     spec, bl = _setup(monkeypatch, m, L, amplitude, topology, start)
     s = tuple(range(1, L + 1))
-    got = phases.variance_time_average(spec, s, 16, 700, 3, batch=300).ladder
+    got = phases.variance_time_average(spec, s, 16, 700, 3).ladder
     want = reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300)
     assert np.array_equal(_bits(got), _bits(want))
 
@@ -95,7 +98,7 @@ def test_time_average_ladder_with_unshifted_sites(monkeypatch, m, L, amplitude, 
     # (0, 2, 0) gives the ring's pairs a rising, a falling and an equal pair of shifts
     spec, bl = _setup(monkeypatch, m, L, amplitude, topology, start)
     s = (15, 0) if L == 2 else (0, 2, 0)
-    got = phases.variance_time_average(spec, s, 16, 700, 3, batch=300).ladder
+    got = phases.variance_time_average(spec, s, 16, 700, 3).ladder
     want = reference_time_average_ladder(m, amplitude, bl, L, s, 16, 700, start(3), 300)
     assert np.array_equal(_bits(got), _bits(want))
 
@@ -104,7 +107,7 @@ def test_time_average_ladder_with_unshifted_sites(monkeypatch, m, L, amplitude, 
 def test_correlation_matches_allocating_kernel(monkeypatch, m, L, amplitude, topology, start):
     spec, bl = _setup(monkeypatch, m, L, amplitude, topology, start)
     shift = (2, -1, 0)[:L]
-    got = estimate_correlation(spec, shift, 700, 5, batch=300)
+    got = estimate_correlation(spec, shift, 700, 5)
     want = reference_correlation(m, amplitude, bl, L, shift, 700, start(5), 300)
     assert np.array_equal(_bits((got.value, got.std_error)), _bits(want))
 
@@ -115,7 +118,7 @@ def test_phase_samples_match_allocating_kernel(monkeypatch, mode, m, L, amplitud
                                                start):
     spec, bl = _setup(monkeypatch, m, L, amplitude, topology, start)
     T, s = 6, tuple(range(L))
-    got = phases.sample_phase_distribution(spec, T, s, 700, 7, mode=mode, batch=300)
+    got = phases.sample_phase_distribution(spec, T, s, 700, 7, mode=mode)
     lattice = enumerate_lattice(T, m) if mode == "exact" else None
     want = reference_phase_samples(m, amplitude, bl, L, T, s, 700, start(7), 300, lattice)
     assert got.mode == mode

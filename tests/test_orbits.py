@@ -309,7 +309,8 @@ def test_orbit_inventory_csv(tmp_path):
 
 def test_orbit_count_check_rejects_a_dropped_orbit(tmp_path, monkeypatch):
     # negative control: with one orbit missing from each listing, count falls
-    # short of |tr M^T - 2| by that orbit's period
+    # short of |tr M^T - 2| by that orbit's period, and the sum rule
+    # count * A^2 misses 1 by far more than the benchmark's 1e-12 gate
     dropped = {}
 
     def all_but_the_last(T, m):
@@ -325,9 +326,13 @@ def test_orbit_count_check_rejects_a_dropped_orbit(tmp_path, monkeypatch):
         f.readline()
         summary = list(csv.DictReader(f))
     margins = {int(r["T"]): int(r["expected_count"]) - int(r["count"]) for r in summary}
-    print(f"\nCONTROL orbit count with one orbit dropped: shortfall per T {margins}")
+    sum_rule_misses = {int(r["T"]): abs(float(r["sum_rule"]) - 1.0) for r in summary}
+    print(f"\nCONTROL orbit count with one orbit dropped: shortfall per T {margins}, "
+          f"sum-rule miss per T {sum_rule_misses}")
     assert margins == dropped
     assert all(m > 0 for m in margins.values())
+    assert sum_rule_misses.keys() == dropped.keys()
+    assert all(miss > 1e-12 for miss in sum_rule_misses.values())
 
 
 def test_enumerate_lattice_peak_memory():

@@ -397,11 +397,12 @@ def test_auto_mode_switches_to_proxy_above_the_point_limit():
     assert modes == ["exact", "proxy"]
 
 
-def test_exact_sampling_matches_cycle_reference():
+def test_exact_sampling_matches_cycle_reference(monkeypatch):
     # the reference samples points, stores their whole cycles, and sums V over
     # (t, t + s) rows of that table; the package steps lattice trajectories
     spec = SystemSpec(L=3, subsystem=CatMapSpec(1, 1, 2, 3), amplitude=0.7)
     T, s, budget, batch = 5, (0, 2, 4), 1000, 300
+    monkeypatch.setattr(phases, "_PHASE_SUM_BATCH", batch)
     nq_all, np_all, den = enumerate_lattice(T, spec.subsystem)
     m = spec.subsystem
     rng = philox(4)
@@ -423,7 +424,7 @@ def test_exact_sampling_matches_cycle_reference():
             qs = np.column_stack([Q[(t + s[l]) % T, :, l] for l in range(spec.L)])
             phi += V(Q[t]) - V(qs)
         want.append(phi)
-    got = sample_phase_distribution(spec, T, s, budget, seed=4, mode="exact", batch=batch)
+    got = sample_phase_distribution(spec, T, s, budget, seed=4, mode="exact")
     assert np.array_equal(got.phi_tilde, np.concatenate(want) / math.sqrt(T))
 
 
@@ -549,12 +550,13 @@ def test_clt_diagnostics_needs_enough_samples():
 @pytest.mark.parametrize("spec, s", [(SystemSpec(L=2), (0, 3)),
                                      (SystemSpec(L=3, subsystem=CatMapSpec(1, 1, 2, 3),
                                                  amplitude=0.7), (0, 2, 5))])
-def test_time_average_and_clt_read_one_phase_sampler(spec, s):
+def test_time_average_and_clt_read_one_phase_sampler(monkeypatch, spec, s):
     # at T = horizon, proxy sampling draws the time average's starts and sums
-    # the same Phi, so its phases give the full-horizon rung
+    # the same Phi, so its phases give the full-horizon rung (over three batches)
+    monkeypatch.setattr(phases, "_PHASE_SUM_BATCH", 300)
     horizon, samples, seed = 16, 700, 9
-    est = variance_time_average(spec, s, horizon, samples, seed, batch=300)
-    sset = sample_phase_distribution(spec, horizon, s, samples, seed, mode="proxy", batch=300)
+    est = variance_time_average(spec, s, horizon, samples, seed)
+    sset = sample_phase_distribution(spec, horizon, s, samples, seed, mode="proxy")
     assert est.s == sset.s
     mean = float(np.mean(sset.phi_tilde**2))
     assert abs(mean - est.sigma2) <= 1e-12 * est.sigma2

@@ -158,8 +158,9 @@ def test_thouless_time():
         thouless_time(PottsParams.from_chi(L=2, T_H=10.0, chi=1.0))
     with pytest.raises(PottsError):
         thouless_time(PottsParams.from_chi(L=2, T_H=10.0, chi=0.0))
-    with pytest.raises(PottsError):
-        thouless_time(PottsParams.from_chi(L=2, T_H=10.0, chi=1.0 - 1e-15), cap=1e6)
+    # ln 2 / 1e-15 = 6.9e14 exceeds the 1e12 cap
+    with pytest.raises(PottsError, match="cap"):
+        thouless_time(PottsParams.from_chi(L=2, T_H=10.0, chi=1.0 - 1e-15))
 
 
 def test_k0_reference_values():

@@ -467,23 +467,37 @@ def test_compare_self_is_exact():
     pred = closed_form_sff(params, np.arange(1.0, 65.0))
     rep = compare(_series_of(pred), pred)
     assert np.all(rep.ratio == 1.0)
-    assert rep.chi2_per_point == 0.0
+    # a series without a positive error measures no chi^2 at all
+    assert math.isnan(rep.chi2_per_point)
     assert rep.slope_ok
+
+
+def test_compare_one_member_series_has_no_chi2():
+    # one member has no spread, so every err is 0: chi^2 is NaN, not a perfect 0.0
+    series = sff_numeric(CircuitSpec(L=2, N=4, lam=0.2, members=1), 8)
+    assert np.all(series.errors == 0.0)
+    pred = closed_form_sff(PottsParams(L=2, T_H=16.0, lam=0.2), series.times)
+    assert math.isnan(compare(series, pred).chi2_per_point)
 
 
 def test_compare_verdict():
     params = PottsParams.from_chi(L=2, T_H=64.0, chi=0.9)
     pred = closed_form_sff(params, np.arange(1.0, 65.0))
     exact = _series_of(pred)
-    high = dataclasses.replace(exact, values=1.3 * exact.values)
-    # slope_tol wide enough that the ratio alone decides
-    strict = compare(high, pred, slope_tol=1.0, ratio_tol=0.25)
-    assert strict.late_mean_ratio == pytest.approx(1.3, rel=1e-12)
-    assert strict.slope_ok and not strict.ratio_ok and not strict.passed
-    loose = compare(high, pred, slope_tol=1.0, ratio_tol=0.35)
-    assert loose.slope_ok and loose.ratio_ok and loose.passed
-    # a late window with no series point gives a NaN ratio, which never passes
-    empty = compare(exact, pred, late_window=(5.0, 6.0), ratio_tol=math.inf)
+    assert quantum.LATE_WINDOW == (0.4, 1.0) and quantum.RATIO_TOL == 0.25
+    # a constant offset leaves the late slope as it is, so the ratio alone decides:
+    # a late mean ratio of 1.2 lies inside the 0.25 band around 1, and 1.3 outside it
+    late = (exact.times >= 0.4 * 64) & (exact.times <= 64)
+    per_offset = np.mean(1.0 / pred.values[late])
+    inside, outside = (compare(dataclasses.replace(exact, values=exact.values + r / per_offset),
+                               pred) for r in (0.2, 0.3))
+    assert inside.late_mean_ratio == pytest.approx(1.2, rel=1e-12)
+    assert inside.slope_ok and inside.ratio_ok and inside.passed
+    assert outside.late_mean_ratio == pytest.approx(1.3, rel=1e-12)
+    assert outside.slope_ok and not outside.ratio_ok and not outside.passed
+    # a series that ends before 0.4 T_H has no late point: a NaN ratio, which never passes
+    early = closed_form_sff(params, np.arange(1.0, 26.0))
+    empty = compare(_series_of(early), early)
     assert math.isnan(empty.late_mean_ratio)
     assert not empty.ratio_ok and not empty.passed
 
