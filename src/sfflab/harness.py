@@ -323,10 +323,14 @@ def _cells(col):
     return cells
 
 
-def _write_json(path, payload):
+def _write_json(path, payload) -> dict:
+    """Write payload as RFC 8259 JSON, each non-finite float as null; returns what it wrote."""
+    text = json.dumps(payload, sort_keys=True, default=lambda o: o.item())  # numpy scalars
+    data = json.loads(text, parse_constant=lambda nan_or_inf: None)
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=lambda o: o.item())  # numpy scalars
+        json.dump(data, f, indent=2, allow_nan=False)
         f.write("\n")
+    return data
 
 
 def read_sff_csv(path) -> SffSeries:
@@ -490,8 +494,8 @@ def _clt_system(cfg) -> SystemSpec:
     if cfg.section["mode"] == "exact":
         for i, T in enumerate(cfg.section["T_list"]):
             if T > MAX_PERIOD:
-                raise SpecError(f"clt.T_list[{i}] = {T}: exact mode enumerates periods up to "
-                                f"{MAX_PERIOD} only; use mode auto or proxy")
+                raise SpecError(f"clt.T_list[{i}] = {T}: exact mode draws Smith indices of "
+                                f"periods up to {MAX_PERIOD} only; use mode auto or proxy")
             try:
                 check_lattice_points(smith_lattice(T, spec.subsystem))
             except SpecError as e:
@@ -662,8 +666,8 @@ def _run_compare(cfg, built: tuple[SffSeries, PottsParams], outdir):
     except PottsError:
         t_th = None
     rep = compare(series, prediction(params, form, series.times))
-    out = {**rep.to_dict(), "thouless_tau": t_th, "prediction_form": form}
-    _write_json(outdir / "compare_report.json", out)
+    out = _write_json(outdir / "compare_report.json",
+                      {**rep.to_dict(), "thouless_tau": t_th, "prediction_form": form})
     (outdir / "compare_report.txt").write_text(report_text(out))
     return {"passed": out["passed"]}
 

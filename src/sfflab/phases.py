@@ -117,7 +117,7 @@ class VarianceTable:
 
 
 def _shifted_lifts(family: OrbitFamily, r, s, spec: SystemSpec):
-    """(r, s, lift of r, lift of s, Phi): each orbit lifted once (see _orbit_lift).
+    """(q0, w, Phi): the lifts of phi^r and phi^s stacked, each (2, T, L), each orbit lifted once.
 
     Phi is summed with math.fsum so that synchronous pairs (s - r parallel to
     the diagonal) cancel exactly: the two sums then contain identical floating
@@ -125,13 +125,10 @@ def _shifted_lifts(family: OrbitFamily, r, s, spec: SystemSpec):
     """
     if family.L != spec.L:
         raise SpecError("family size does not match the system")
-    rv = as_shift(r, family.L, family.period)
-    sv = as_shift(s, family.L, family.period)
-    lift_r = _orbit_lift(family, rv, spec.subsystem)
-    lift_s = _orbit_lift(family, sv, spec.subsystem)
-    v_r = pair_potential(lift_r[0], spec)
-    v_s = pair_potential(lift_s[0], spec)
-    return rv, sv, lift_r, lift_s, math.fsum(v_r.tolist() + (-v_s).tolist())
+    q0, w = map(np.stack, zip(*(_orbit_lift(family, as_shift(v, family.L, family.period),
+                                            spec.subsystem) for v in (r, s))))
+    v_r, v_s = pair_potential(q0, spec)
+    return q0, w, math.fsum(v_r.tolist() + (-v_s).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +146,6 @@ class ContinuationResult:
     phi: float
     exponent: float
     converged: tuple[bool, ...]
-    r: tuple[int, ...]
-    s: tuple[int, ...]
 
     @property
     def all_converged(self) -> bool:
@@ -179,7 +174,7 @@ def _orbit_lift(family: OrbitFamily, shift: tuple[int, ...], m: CatMapSpec):
 
 
 def _periodicity_residual(q, w, spec: SystemSpec, eps: float):
-    """R_t = q_{t+1} - (a + d) q_t + q_{t-1} - b eps V'(q_t) - w_t, shape (T, L).
+    """R_t = q_{t+1} - (a + d) q_t + q_{t-1} - b eps V'(q_t) - w_t, shape (..., T, L).
 
     The kick-then-rotate lift q_{t+1} = a q_t + b (p_t + eps V'(q_t)) + n^q_t,
     p_{t+1} = c q_t + d (p_t + eps V'(q_t)) + n^p_t with det M = 1 eliminates
@@ -188,23 +183,26 @@ def _periodicity_residual(q, w, spec: SystemSpec, eps: float):
     """
     m = spec.subsystem
     kick = eps * pair_gradient(q, spec)
-    return np.roll(q, -1, axis=0) - (m.a + m.d) * q + np.roll(q, 1, axis=0) - m.b * kick - w
+    return np.roll(q, -1, axis=-2) - (m.a + m.d) * q + np.roll(q, 1, axis=-2) - m.b * kick - w
 
 
 def _periodicity_jacobian(q, spec: SystemSpec, eps: float):
-    """(TL x TL) Jacobian of _periodicity_residual: kron(C, I_L) minus the block-diagonal
+    """(..., TL, TL) Jacobians of _periodicity_residual: kron(C, I_L) minus the block-diagonal
     b eps V''(q_t), C the T x T circulant with -(a + d) on the diagonal and 1 at t +- 1."""
-    T, L = q.shape
+    *batch, T, L = q.shape
     m = spec.subsystem
     eye = np.eye(T)
     J = np.kron(np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0) - (m.a + m.d) * eye, np.eye(L))
-    J.reshape(T, L, T, L)[range(T), :, range(T), :] -= m.b * (eps * pair_hessian(q, spec))
+    J = np.broadcast_to(J, (*batch, T * L, T * L)).copy()
+    J.reshape(*batch, T, L, T, L).swapaxes(-3, -2)[..., range(T), range(T), :, :] -= (
+        m.b * (eps * pair_hessian(q, spec)))
     return J
 
 
 def _newton_periodic(q0, w, spec: SystemSpec, eps: float, _eps0=0.0, _depth=6):
     """Newton on the position-form periodicity system with the integers w, from q0 at _eps0.
 
+    A (..., T, L) stack is one system, its residual the largest |R| of any orbit.
     Full steps while each lowers the residual; when one does not, or the Jacobian is
     singular, q0 is first continued to the midpoint coupling (at most _depth halvings).
     Returns (q, converged), converged a Python bool: the residual fell below _NEWTON_TOL.
@@ -215,7 +213,8 @@ def _newton_periodic(q0, w, spec: SystemSpec, eps: float, _eps0=0.0, _depth=6):
         if res < _NEWTON_TOL:
             break
         try:
-            dq = np.linalg.solve(_periodicity_jacobian(q, spec, eps), -G.reshape(-1))
+            dq = np.linalg.solve(_periodicity_jacobian(q, spec, eps),
+                                 -G.reshape(*q.shape[:-2], -1, 1))
         except np.linalg.LinAlgError:
             break
         q_try = q + dq.reshape(q.shape)
@@ -232,18 +231,19 @@ def _newton_periodic(q0, w, spec: SystemSpec, eps: float, _eps0=0.0, _depth=6):
     return q, bool(res < _NEWTON_TOL)
 
 
-def _orbit_action(q, w, spec: SystemSpec, eps: float) -> float:
+def _orbit_action(q, w, spec: SystemSpec, eps: float):
     """S = sum_t [(a + d)/2 q_t^2 - q_t q_{t+1} + w_t q_t] / b + eps sum_t V(q_t).
 
-    Its gradient is -R/b (_periodicity_residual), so the continued orbit is
-    critical and dS/d(eps) is the explicit interaction sum alone.  Every
-    term belongs to one site and one time slot, so two shifts of one family
-    sum identical multisets at eps = 0 and the action difference vanishes
-    exactly there.
+    One math.fsum per orbit of q and w (..., T, L), as .tolist() returns them.  Its gradient
+    is -R/b (_periodicity_residual), so the continued orbit is critical and dS/d(eps) is the
+    explicit interaction sum alone.  Every term belongs to one site and one time slot, so two
+    shifts of one family sum identical multisets at eps = 0 and the action difference
+    vanishes exactly there.
     """
     m = spec.subsystem
-    kin = ((m.a + m.d) / 2.0 * q - np.roll(q, -1, axis=0) + w) * q / m.b
-    return math.fsum(kin.ravel().tolist() + (eps * pair_potential(q, spec)).tolist())
+    kin = ((m.a + m.d) / 2.0 * q - np.roll(q, -1, axis=-2) + w) * q / m.b
+    terms = np.concatenate([kin.reshape(*q.shape[:-2], -1), eps * pair_potential(q, spec)], -1)
+    return np.apply_along_axis(math.fsum, -1, terms).tolist()
 
 
 def action_difference_identity_check(
@@ -262,17 +262,14 @@ def action_difference_identity_check(
     for eps in eps_list:
         if not 0.0 <= eps < math.inf:
             raise SpecError(f"eps must be finite and >= 0, got {eps}")
-    rv, sv, lift_r, lift_s, phi = _shifted_lifts(family, r, s, spec)
+    q0, w, phi = _shifted_lifts(family, r, s, spec)
 
     deltas, residuals, converged, pts = [], [], [], []
     for eps in eps_list:
-        qr, ok_r = _newton_periodic(*lift_r, spec, eps)
-        qs, ok_s = _newton_periodic(*lift_s, spec, eps)
-        ok = ok_r and ok_s
+        q, ok = _newton_periodic(q0, w, spec, eps)
         d = res = float("nan")
         if ok:
-            a_r = _orbit_action(qr, lift_r[1], spec, eps)
-            a_s = _orbit_action(qs, lift_s[1], spec, eps)
+            a_r, a_s = _orbit_action(q, w, spec, eps)
             d = a_r - a_s
             res = abs(d - eps * phi)
             if eps > 0 and res > 16.0 * math.ulp(max(abs(a_r), abs(a_s))):
@@ -294,8 +291,6 @@ def action_difference_identity_check(
         phi=phi,
         exponent=exponent,
         converged=tuple(converged),
-        r=rv,
-        s=sv,
     )
 
 

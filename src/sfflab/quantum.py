@@ -564,7 +564,7 @@ def compare(series: SffSeries, prediction: SffPrediction) -> CompareReport:
     slope_ok = bool(abs(slope_s - slope_p) <= SLOPE_TOL * max(1.0, abs(slope_p)))
     ratio_ok = bool(abs(late_mean_ratio - 1.0) <= RATIO_TOL)
 
-    early = t <= max(2.0 * T_H ** (1.0 / series.L), t[0])
+    early = t <= max(2 * series.N, t[0])
     bump_time = int(t[early][np.argmax(sv[early])]) if early.any() else None
 
     return CompareReport(

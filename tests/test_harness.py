@@ -231,6 +231,23 @@ def test_compare_self_consistency_passes(tmp_path):
     assert not rep_bad["passed"] and not rep_bad["ratio_ok"]
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+
+def test_compare_report_writes_no_nan(tmp_path):
+    # no err is positive, so there is no chi2: the report holds null, not the token NaN
+    series = tmp_path / "series.csv"
+    series.write_text("# schema: sfflab/sff_numeric v1\nt,K,K_raw,err,N,L,Lambda\n"
+                      + "".join(f"{t},{t}.0,{t}.0,0.0,4,2,0.2\n" for t in range(1, 21)))
+    out = tmp_path / "c"
+    assert cli_main(["compare", "--outdir", str(out), "--seed", "1",
+                     "--set", f"compare.series_csv={series}"]) == 0
+    rep = json.loads((out / "compare_report.json").read_text(), parse_constant=_refuse)
+    assert rep["chi2_per_point"] is None
+    assert "chi2_per_point: None" in (out / "compare_report.txt").read_text()
+
+
 def test_schema_mismatch_named(tmp_path):
     path = tmp_path / "wrong.csv"
     path.write_text("# schema: sfflab/other v1\nt,K\n1,2\n")
@@ -636,6 +653,15 @@ def test_domain_rules_are_checked_at_validation(kind, section, match):
     with pytest.raises(ConfigError, match=match):
         validate_config({"kind": kind, "seed": 1, "outdir": "unused",
                          harness._KINDS[kind].section: section})
+
+
+@pytest.mark.parametrize("mode", ["auto", "proxy"])
+def test_clt_takes_any_period_outside_exact_mode(mode):
+    # only exact mode bounds T (at most 64, with an int64 Smith index map); auto
+    # samples T = 100 by proxy
+    cfg = validate_config({"kind": "clt", "seed": 1, "outdir": "unused",
+                           "clt": {"T_list": [100], "mode": mode}})
+    assert cfg.section["T_list"] == [100]
 
 
 def test_missing_series_csv_exits_2_naming_it(tmp_path, capsys):

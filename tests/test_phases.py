@@ -56,6 +56,17 @@ def test_periodicity_jacobian(spec, eps, T):
         diff = (phases._periodicity_residual(q + dq, w, spec, eps)
                 - phases._periodicity_residual(q - dq, w, spec, eps)) / (2 * h)
         assert np.allclose(J[:, k], diff.reshape(-1), atol=1e-6)
+    # a (3, T, L) stack is its orbits one by one, bit for bit
+    stack = philox(33).uniform(-1.0, 2.0, (3, T, spec.L))
+    ws = philox(34).integers(-3, 4, stack.shape).astype(float)
+    J3 = phases._periodicity_jacobian(stack, spec, eps)
+    R3 = phases._periodicity_residual(stack, ws, spec, eps)
+    assert J3.shape == (3, T * spec.L, T * spec.L) and R3.shape == stack.shape
+    for k in range(3):
+        J1 = phases._periodicity_jacobian(stack[k], spec, eps)
+        R1 = phases._periodicity_residual(stack[k], ws[k], spec, eps)
+        assert np.array_equal(J3[k].view(np.uint64), J1.view(np.uint64))
+        assert np.array_equal(R3[k].view(np.uint64), R1.view(np.uint64))
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 5, 8])
@@ -318,6 +329,39 @@ def test_position_form_action_matches_the_winding_lift():
                     a_r, a_s = (winding_action(phases._newton_periodic(q0, w, spec, eps)[0],
                                                n_off, spec, eps) for q0, w, n_off in refs)
                     assert abs(delta - (a_r - a_s)) <= 1e-14
+
+
+def test_newton_solves_a_stacked_pair_as_its_two_orbits():
+    # at the menu's couplings every Newton step of the pair is a step of each orbit
+    spec = SystemSpec(L=2)
+    for T, pairs in CONTINUATION_MENU.items():
+        for index in range(3):
+            fam = _distinct_full_period_family(spec, T, index)
+            for r, s in pairs:
+                q0, w, _ = phases._shifted_lifts(fam, r, s, spec)
+                assert q0.shape == w.shape == (2, T, 2)
+                q, ok = phases._newton_periodic(q0, w, spec, 1e-3)
+                assert type(ok) is bool and ok
+                for k in range(2):
+                    qk, ok_k = phases._newton_periodic(q0[k], w[k], spec, 1e-3)
+                    assert ok_k and np.array_equal(q[k].view(np.uint64), qk.view(np.uint64))
+
+
+def test_action_identity_solves_its_pair_once_per_eps(monkeypatch):
+    solved = []
+    newton = phases._newton_periodic
+
+    def counted(q0, w, spec, eps, *args):
+        solved.append((q0.shape, eps))
+        return newton(q0, w, spec, eps, *args)
+
+    monkeypatch.setattr(phases, "_newton_periodic", counted)
+    spec = SystemSpec(L=2)
+    eps_list = [1e-3, 1e-4, 1e-5]
+    res = action_difference_identity_check(_distinct_full_period_family(spec, 4, 0), spec,
+                                           eps_list, (0, 1), (1, 0))
+    assert res.all_converged  # no halving, which would also call the counter
+    assert solved == [((2, 4, 2), eps) for eps in eps_list]
 
 
 @pytest.mark.parametrize("eps", [-1e-3, math.nan, math.inf, -math.inf])

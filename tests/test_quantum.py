@@ -515,6 +515,12 @@ def test_compare_takes_T_H_from_the_series():
         assert rep.bump_time == 2 * N
         assert rep.late_mean_ratio == pytest.approx(np.mean(t[late] / pred.values[late]),
                                                     rel=1e-12)
+    # at L = 3 the window also ends at 2 N = 8, which the float 2 * 64 ** (1 / 3) falls below
+    t3 = np.arange(1.0, 81.0)
+    peaked = np.where(t3 == 8.0, 2.0, 1.0)
+    series = SffSeries(times=t3, values=peaked, errors=np.zeros(80), raw_values=peaked, N=4, L=3)
+    pred3 = closed_form_sff(PottsParams.from_chi(L=3, T_H=64.0, chi=0.9), t3)
+    assert compare(series, pred3).bump_time == 8
 
 
 def test_compare_disjoint_grids_error():
